@@ -77,7 +77,10 @@ def _cmd_sweep(args) -> int:
     if args.param not in {f.name for f in fields(ExperimentConfig)}:
         raise ConfigError(f"unknown config parameter {args.param!r}")
     caster = int if args.param in ("n_trials", "rng_seed", "baseline_peaks") else float
-    values = [caster(v) for v in raw_values]
+    try:
+        values = [caster(v) for v in raw_values]
+    except ValueError as exc:
+        raise ConfigError(f"bad --values for {args.param}: {exc}") from None
     rows = sweep(config, args.param, values, trials=args.trials, seed=args.seed,
                  workers=args.workers)
     header = ["value", "g11", "g22", "g12", "ratio", "significance", "verdict"]
@@ -137,16 +140,31 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = int(text)
+    if not 0 <= value < 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            f"must be a 64-bit unsigned integer, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, trials: bool = True) -> None:
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key (repeatable)")
     if trials:
-        parser.add_argument("--trials", type=int, default=None,
+        parser.add_argument("--trials", type=_positive_int, default=None,
                             help="override n_trials")
-        parser.add_argument("--seed", type=int, default=None,
+        parser.add_argument("--seed", type=_seed, default=None,
                             help="override rng_seed")
-        parser.add_argument("--workers", type=int, default=1,
+        parser.add_argument("--workers", type=_positive_int, default=1,
                             help="parallel workers (results identical for any count)")
 
 
@@ -178,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="analytic prediction for a config")
     _add_common(p_oracle, trials=False)
-    p_oracle.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
+    p_oracle.add_argument("--n-max", type=_positive_int, default=DEFAULT_N_MAX,
                           help="source truncation")
     p_oracle.add_argument("--out", default=None, help="export directory")
     p_oracle.set_defaults(func=_cmd_oracle)
@@ -186,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare = sub.add_parser("compare",
                                help="simulate and z-score against the oracle")
     _add_common(p_compare)
-    p_compare.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
+    p_compare.add_argument("--n-max", type=_positive_int, default=DEFAULT_N_MAX,
                            help="source truncation")
     p_compare.add_argument("--out", default=None, help="export directory")
     p_compare.set_defaults(func=_cmd_compare)
@@ -208,8 +226,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
+        # Bad user input surfaces as ConfigError or an argparse usage error,
+        # so any other ValueError is an internal failure, not the user's.
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

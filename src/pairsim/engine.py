@@ -9,6 +9,30 @@ distributed over workers or in what order they complete.  Blocks are
 reduced to click streams and per-trial click-pattern counts immediately;
 raw events are only materialized on request.
 
+Active-trial sampler.  Every trial has eight independent sources (see
+``SOURCES``): the write excitation, the diffused-in memory excitations
+Poisson(memory_diffusion_in * (1 - survival)), the Stokes and anti-Stokes
+backgrounds, and one Bernoulli(1 - exp(-dark_mean)) dark event per
+detector.  A trial in which all of them are zero cannot click, so only
+*active* trials, where at least one is nonzero, are drawn:
+
+1. With z_i the closed-form zero probability of source i, a trial is active
+   with probability a = 1 - prod(z_i); active trials are placed by
+   geometric gaps.
+2. Each active trial draws its first nonzero source i with probability
+   z_1 ... z_{i-1} (1 - z_i) / a.  Sources before it are zero, source i
+   gets a zero-truncated draw (geometric: 1 + Geom0 by memorylessness;
+   classical: total 1 + Geom0 split Binomial(k, 1/2); Poisson: first
+   arrival T < 1, then 1 + Poisson(mu (1 - T)); dark: a sure click) and
+   later sources are drawn unconditionally.
+3. The physical chain (survival, retrieval, transmission, background,
+   50/50 split, gated click) runs on the active trials only.  A
+   detector's unconditional dark term is folded into its click draw.
+
+The joint law of every trial is exactly that of drawing all sources for
+every trial; quiet trials land in pattern 0.  The sampler uses nothing
+from the oracle, which stays an independent check on it.
+
 Histograms are built for the pairs (A,B), (C,D), (A,C) and, as a
 consistency duplicate, (B,D).  The Stokes detector starts the
 time-interval analysis for the cross pairs, matching the write-then-read
@@ -20,6 +44,8 @@ stop gate lags the start gate by exactly that amount.
 from __future__ import annotations
 
 import json
+import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -32,7 +58,7 @@ from .analysis import (CorrelationReport, SinglesRates, UndefinedCorrelationErro
                        cauchy_schwarz, g_ratio, render_report, singles_rates)
 from .config import ExperimentConfig, ensure_valid, render_config
 from .optics import DETECTOR_IDS, add_background, detect_batch, split, thin
-from .source import decohere_memory, retrieve, sample_write
+from .source import SourceModel, decohere_memory, retrieve, sample_write
 from .tia import CoincidenceHistogram, PeakAreas, TimestampStream, export_histogram
 from .tia import histogram as build_histogram
 from .tia import peak_areas as extract_peak_areas
@@ -43,6 +69,14 @@ worker count.  Do not change without bumping the package version: block
 boundaries are part of the reproducibility contract."""
 
 GATE1_START = 0.0
+
+SAMPLER = "active_trial"
+"""Name of the trial sampler, recorded in every manifest."""
+
+# Independent per-trial sources, in the order that defines a trial's
+# "first nonzero source".
+SOURCES = ("write", "diffusion", "bg_stokes", "bg_antistokes",
+           "dark_A", "dark_B", "dark_C", "dark_D")
 
 # (label, start detector, stop detector, peak windows shifted by delay_dt?)
 HISTOGRAM_PAIRS = (
@@ -64,6 +98,7 @@ class RunManifest:
     config_text: str
     outputs: list[str] = field(default_factory=list)
     version: str = __version__
+    sampler: str = SAMPLER
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
@@ -95,43 +130,141 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _source_cdf(config: ExperimentConfig) -> np.ndarray:
+    """P(some source among the first i + 1 is nonzero), over SOURCES in order.
+
+    The last entry is the probability that a trial is active.
+    """
+    p = config.p_excitation
+    write_vacuum = -math.log1p(
+        p if config.source_model is SourceModel.QUANTUM_TMS else 2.0 * p)
+    log_zero = [write_vacuum, -_diffusion_mean(config),
+                -config.bg_stokes_mean, -config.bg_antistokes_mean]
+    log_zero += [-config.dark_mean] * len(DETECTOR_IDS)
+    return -np.expm1(np.cumsum(log_zero))
+
+
+def _diffusion_mean(config: ExperimentConfig) -> float:
+    """Mean diffused-in excitations; the same expression decohere_memory uses."""
+    survival = math.exp(-config.delay_dt / config.memory_lifetime)
+    return config.memory_diffusion_in * (1.0 - survival)
+
+
+def _active_trials(n: int, active: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices in [0, n), each present with probability ``active``.
+
+    Drawn as geometric gaps, so the work scales with the active trials.
+    """
+    if active == 0.0:
+        return np.empty(0, dtype=np.int64)
+    batch = int(n * active + 5.0 * math.sqrt(n * active)) + 16
+    chunks, last = [], -1
+    while last < n:  # one batch almost always reaches past n
+        chunks.append(last + np.cumsum(rng.geometric(active, size=batch)))
+        last = chunks[-1][-1]
+    positions = np.concatenate(chunks)
+    return positions[:np.searchsorted(positions, n)]
+
+
+def _first_sources(cdf: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
+    """Index of the first nonzero source of each of m active trials."""
+    weights = np.diff(cdf, prepend=0.0)
+    last = np.flatnonzero(weights > 0)[-1]
+    first = np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right")
+    # u * a can round up to a itself; that mass belongs to the last source.
+    return np.minimum(first, last).astype(np.uint8)
+
+
+def _poisson_nonzero(mean: float, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Poisson(mean) conditioned on >= 1.
+
+    The first arrival T of a rate-``mean`` process on [0, 1) is drawn
+    conditioned on T < 1; the rest of the interval adds Poisson(mean (1 - T)).
+    """
+    u = rng.random(size)
+    rest = np.maximum(mean + np.log1p(u * np.expm1(-mean)), 0.0)
+    return 1 + rng.poisson(rest)
+
+
+def _pad(n: np.ndarray, length: int) -> np.ndarray:
+    return np.concatenate([n, np.zeros(length - len(n), dtype=np.int64)])
+
+
+def _add_poisson_source(n: np.ndarray, mean: float, start: int, stop: int,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Add the Poisson source owning grouped slice [start, stop) to n.
+
+    Returns stop entries: an unconditional draw on [0, start), where an
+    earlier source already fired, and a zero-truncated one on the slice.
+    """
+    return np.concatenate([add_background(_pad(n, start), mean, rng),
+                           _poisson_nonzero(mean, rng, stop - start)])
+
+
 def _simulate_block(config: ExperimentConfig, seed: int, block_index: int,
                     first_trial: int, n: int):
     """Simulate trials [first_trial, first_trial + n) and reduce to clicks.
 
     Returns ({detector: (trial indices, timestamps)}, pattern counts).
-    The rng call order below is fixed; changing it changes every result.
+    Only active trials are drawn (see the module docstring); they are
+    grouped by first nonzero source, so source i is unconditional on the
+    groups before its own, zero-truncated on its own group and zero after
+    it.  The rng call order below is fixed; changing it changes every result.
     """
     rng = _block_rng(seed, block_index)
-    excitation = sample_write(config.p_excitation, config.source_model, rng, size=n)
+    cdf = _source_cdf(config)
+    active = _active_trials(n, cdf[-1], rng)
+    pattern_counts = np.zeros(16, dtype=np.int64)
+    pattern_counts[0] = n - active.size
+    clicks = {det: (np.empty(0, dtype=np.int64), np.empty(0)) for det in DETECTOR_IDS}
+    if active.size == 0:
+        return clicks, pattern_counts
+    first = _first_sources(cdf, rng, active.size)
+    order = np.argsort(first, kind="stable")
+    end = np.cumsum(np.bincount(first, minlength=len(SOURCES)))
 
-    kept = decohere_memory(excitation.n_memory, config.delay_dt,
-                           config.memory_lifetime, config.memory_diffusion_in, rng)
-    n_antistokes = retrieve(kept, config.retrieval_eff, rng)
+    excitation = sample_write(config.p_excitation, config.source_model, rng,
+                              size=end[0], nonzero=True)
+    memory = np.concatenate([
+        decohere_memory(excitation.n_memory, config.delay_dt, config.memory_lifetime,
+                        config.memory_diffusion_in, rng),
+        _poisson_nonzero(_diffusion_mean(config), rng, end[1] - end[0])])
+    n_antistokes = retrieve(memory, config.retrieval_eff, rng)
 
-    at_splitter_s = add_background(thin(excitation.n_stokes, config.transmission, rng),
-                                   config.bg_stokes_mean, rng)
+    at_splitter_s = _add_poisson_source(
+        thin(excitation.n_stokes, config.transmission, rng),
+        config.bg_stokes_mean, end[1], end[2], rng)
     k_a, k_b = split(at_splitter_s, rng)
 
-    at_splitter_as = add_background(thin(n_antistokes, config.transmission, rng),
-                                    config.bg_antistokes_mean, rng)
+    at_splitter_as = _add_poisson_source(
+        thin(n_antistokes, config.transmission, rng),
+        config.bg_antistokes_mean, end[2], end[3], rng)
     k_c, k_d = split(at_splitter_as, rng)
 
     gates = {"A": GATE1_START, "B": GATE1_START,
              "C": config.delay_dt, "D": config.delay_dt}
     photons = {"A": k_a, "B": k_b, "C": k_c, "D": k_d}
-    clicks: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    pattern = np.zeros(n, dtype=np.int64)
+    pattern = np.zeros(active.size, dtype=np.uint8)
+    offsets = {}
     for bit, det in enumerate(DETECTOR_IDS):
-        clicked, offsets = detect_batch(
-            photons[det], config.detector_eff, config.dark_mean,
+        # This detector's dark source owns slice [start, stop): a sure click.
+        start, stop = end[3 + bit], end[4 + bit]
+        clicked, unforced = detect_batch(
+            _pad(photons[det], start), config.detector_eff, config.dark_mean,
             gates[det], config.gate_width, rng)
-        local = np.nonzero(clicked)[0]
-        trials = first_trial + local
-        timestamps = trials * config.cycle_period + offsets
-        clicks[det] = (trials.astype(np.int64), timestamps)
-        pattern[local] += 1 << bit
-    pattern_counts = np.bincount(pattern, minlength=16).astype(np.int64)
+        pattern[:start] |= clicked.view(np.uint8) << bit
+        pattern[start:stop] |= 1 << bit
+        forced = gates[det] + config.gate_width * rng.random(stop - start)
+        offsets[det] = np.concatenate([unforced, forced])
+
+    by_trial = np.empty_like(pattern)
+    by_trial[order] = pattern
+    pattern_counts += np.bincount(by_trial, minlength=16)
+    for bit, det in enumerate(DETECTOR_IDS):
+        # Offsets are i.i.d. and independent of the trial, so they can be
+        # handed out in trial order.
+        trials = first_trial + active[(by_trial & (1 << bit)) != 0]
+        clicks[det] = (trials, trials * config.cycle_period + offsets[det])
     return clicks, pattern_counts
 
 
@@ -139,15 +272,27 @@ def _block_task(args):
     return _simulate_block(*args)
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pool_size(workers: int, n_blocks: int) -> int:
+    """Worker processes actually started: never more than CPUs or blocks."""
+    return min(workers, _available_cpus(), n_blocks)
+
+
 def _run_blocks(config: ExperimentConfig, trials: int, seed: int, workers: int):
     n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
     tasks = [(config, seed, b, b * BLOCK_TRIALS,
               min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
              for b in range(n_blocks)]
-    if workers <= 1 or n_blocks == 1:
+    pool_size = _pool_size(workers, n_blocks)
+    if pool_size == 1:
         results = [_block_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_block_task, tasks, chunksize=1))
     # Merge in block order: streams come out sorted without any extra sort.
     click_trials: dict[str, np.ndarray] = {}
@@ -168,6 +313,8 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
     zero the correlation is undefined; the run still succeeds and reports
     the reason instead of a verdict.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     ensure_valid(config)
     trials = config.n_trials if trials is None else int(trials)
     seed = config.rng_seed if seed is None else int(seed)

@@ -19,6 +19,8 @@ implemented:
     two independent Poisson counts.  The joint law admits a positive
     P-representation by construction, so it can never violate the
     Cauchy-Schwarz bound; it serves as the classical boundary model.
+    Integrating lam out leaves a geometric total k = n_s + n_m with mean
+    2p, split by Binomial(k, 1/2); that is how it is sampled.
 
 After a storage delay the memory mode decoheres (excitations are lost and
 uncorrelated ones diffuse in) and a read pulse converts the surviving
@@ -47,16 +49,13 @@ class SourceModel(Enum):
 
 @dataclass
 class TrialExcitation:
-    """Per-trial excitation numbers at each pipeline stage.
+    """Write-time excitation numbers of the Stokes and memory modes.
 
-    ``n_stokes`` and ``n_memory`` are set at write time; ``n_antistokes``
-    starts at zero and is filled after retrieval.  Fields are ints for a
-    single trial or int64 arrays for a batch of trials.
+    Fields are ints for a single trial or int64 arrays for a batch of trials.
     """
 
     n_stokes: np.ndarray | int
     n_memory: np.ndarray | int
-    n_antistokes: np.ndarray | int
 
 
 def _size_of(n):
@@ -65,7 +64,7 @@ def _size_of(n):
 
 
 def sample_write(p: float, model: SourceModel, rng: np.random.Generator,
-                 size: int | None = None) -> TrialExcitation:
+                 size: int | None = None, nonzero: bool = False) -> TrialExcitation:
     """Sample write-pulse excitation numbers for one trial or a batch.
 
     Parameters
@@ -74,30 +73,29 @@ def sample_write(p: float, model: SourceModel, rng: np.random.Generator,
     model : source law, see module docstring.
     rng : numpy Generator.
     size : None for a single trial, else number of trials.
+    nonzero : draw from the law conditioned on (n_s, n_m) != (0, 0).  Both
+        laws have a geometric total, so by memorylessness the conditioned
+        total is 1 + the unconditioned one.  Needs p > 0 unless size is 0.
 
-    Returns
-    -------
-    TrialExcitation with n_stokes and n_memory filled, n_antistokes zeroed.
+    For ``quantum_tms`` both fields hold the same object.
     """
     if p < 0:
         raise ValueError(f"mean excitation p must be >= 0, got {p}")
-    if model is SourceModel.QUANTUM_TMS:
-        if p == 0:
-            n = 0 if size is None else np.zeros(size, dtype=np.int64)
-        else:
-            # numpy's geometric is supported on {1, 2, ...}; shift to {0, 1, ...}
-            n = rng.geometric(1.0 / (1.0 + p), size=size) - 1
-        n_stokes = n
-        n_memory = n if size is None else np.array(n, dtype=np.int64)
-    elif model is SourceModel.CLASSICAL_CORRELATED:
-        lam = rng.exponential(scale=p, size=size) if p > 0 else (
-            0.0 if size is None else np.zeros(size))
-        n_stokes = rng.poisson(lam, size=size)
-        n_memory = rng.poisson(lam, size=size)
-    else:
+    if model not in (SourceModel.QUANTUM_TMS, SourceModel.CLASSICAL_CORRELATED):
         raise ValueError(f"unknown source model: {model!r}")
-    zero = 0 if size is None else np.zeros(size, dtype=np.int64)
-    return TrialExcitation(n_stokes=n_stokes, n_memory=n_memory, n_antistokes=zero)
+    if p == 0:
+        if nonzero and size != 0:
+            raise ValueError("no nonzero excitation exists at p == 0")
+        zero = 0 if size is None else np.zeros(size, dtype=np.int64)
+        return TrialExcitation(n_stokes=zero, n_memory=zero)
+    shift = 0 if nonzero else 1
+    if model is SourceModel.QUANTUM_TMS:
+        # numpy's geometric is supported on {1, 2, ...}
+        n = rng.geometric(1.0 / (1.0 + p), size=size) - shift
+        return TrialExcitation(n_stokes=n, n_memory=n)
+    total = rng.geometric(1.0 / (1.0 + 2.0 * p), size=size) - shift
+    n_stokes = rng.binomial(total, 0.5)
+    return TrialExcitation(n_stokes=n_stokes, n_memory=total - n_stokes)
 
 
 def joint_pmf(p: float, model: SourceModel, n_s: int, n_m: int) -> float:

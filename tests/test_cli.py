@@ -2,8 +2,8 @@
 
 import pytest
 
-from pairsim import parse_config, reference_preset
-from pairsim.cli import main
+from pairsim import cli, parse_config, reference_preset
+from pairsim.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 
 
 def run_cli(capsys, *argv):
@@ -131,3 +131,28 @@ def test_compare_zscore_table(preset_file, tmp_path, capsys):
     assert out.splitlines()[0] == "quantity,mc,oracle,sigma_mc,z,flagged"
     assert "pattern_none" in out
     assert (tmp_path / "cmp" / "compare.csv").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-3"),
+                                         ("--trials", "0"), ("--seed", "-1")])
+def test_run_rejects_bad_numeric_flags(preset_file, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", preset_file, flag, value])
+    assert exc.value.code == EXIT_CONFIG
+    assert flag in capsys.readouterr().err
+
+
+def test_sweep_rejects_unparseable_values(preset_file, capsys):
+    code, _, err = run_cli(capsys, "sweep", "--config", preset_file,
+                           "--param", "delay_dt", "--values", "0,soon")
+    assert code == EXIT_CONFIG
+    assert "delay_dt" in err
+
+
+def test_internal_value_error_is_a_runtime_failure(preset_file, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal defect")
+    monkeypatch.setattr(cli, "simulate_run", broken)
+    code, _, err = run_cli(capsys, "run", "--config", preset_file, "--trials", "10")
+    assert code == EXIT_RUNTIME
+    assert "internal defect" in err

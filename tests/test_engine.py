@@ -6,17 +6,51 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import binomtest
 
-from pairsim import (ClickEvent, ExperimentConfig, SourceModel, export_run,
-                     load_histogram, merge_pair_streams, oracle_report,
-                     render_run_report, simulate_run, sweep)
+from pairsim import (ClickEvent, ExperimentConfig, SourceModel, __version__,
+                     export_run, load_histogram, merge_pair_streams, oracle_report,
+                     reference_preset, render_run_report, simulate_run, sweep)
+from pairsim import engine
 from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, derived_seed, export_sweep
+from pairsim.oracle import required_n_max, truncated_joint
 
 LOSSLESS = ExperimentConfig(
     source_model=SourceModel.QUANTUM_TMS, p_excitation=0.1, delay_dt=2e-6,
     retrieval_eff=1.0, transmission=1.0, detector_eff=1.0,
     memory_lifetime=NO_DECAY)
+
+PATTERN_FAMILY_ALPHA = 1e-6
+EXACT_BELOW = 25.0
+
+
+def pattern_p_values(counts, probs, trials):
+    """Two-sided p-value of each click-pattern count under the oracle law.
+
+    Exact binomial test when either tail expects fewer than EXACT_BELOW
+    counts, normal approximation otherwise.
+    """
+    p_values = []
+    for count, prob in zip(counts, probs):
+        prob = min(max(float(prob), 0.0), 1.0)
+        expected = prob * trials
+        if min(expected, trials - expected) < EXACT_BELOW:
+            p_values.append(binomtest(int(count), trials, prob).pvalue)
+        else:
+            sigma = math.sqrt(prob * (1.0 - prob) * trials)
+            p_values.append(math.erfc(abs(count - expected) / sigma / math.sqrt(2.0)))
+    return np.array(p_values)
+
+
+def assert_patterns_match_oracle(result, cutoff):
+    # truncated_joint is oracle_report's pattern law; unlike oracle_report it
+    # also answers for configs whose g values are undefined.
+    law = truncated_joint(result.config, n_max=required_n_max(result.config))
+    p_values = pattern_p_values(result.pattern_counts, law.probs, result.trials)
+    assert np.all(p_values >= cutoff), (result.pattern_counts, law.probs * result.trials)
 
 
 def assert_runs_identical(r1, r2):
@@ -91,6 +125,8 @@ def test_export_round_trip_and_manifest(preset, tmp_path):
     assert np.array_equal(loaded.bins, result.histograms["12"].bins)
     raw = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert raw["seed"] == 8 and raw["trials"] == 30_000
+    assert __version__ == "0.2.0" and raw["version"] == __version__
+    assert manifest.sampler == raw["sampler"] == "active_trial"
     report_text = (tmp_path / "out" / "report.txt").read_text()
     assert report_text == render_run_report(result)
 
@@ -188,11 +224,87 @@ def test_normalized_correlation_is_loss_robust():
         assert abs(g_a - g_b) < 4.0 * math.hypot(s_a, s_b)
 
 
-def test_run_matches_oracle_quickly(preset):
+_PRESET = reference_preset()
+ORACLE_CONFIGS = {
+    "preset": _PRESET,
+    "inactive": dataclasses.replace(
+        _PRESET, p_excitation=0.0, memory_diffusion_in=0.0, dark_mean=0.0,
+        bg_stokes_mean=0.0, bg_antistokes_mean=0.0),
+    "backgrounds_only": dataclasses.replace(
+        _PRESET, p_excitation=0.0, memory_diffusion_in=0.0, dark_mean=0.0,
+        bg_stokes_mean=0.2, bg_antistokes_mean=0.2),
+    "unit_detector_eff": dataclasses.replace(_PRESET, detector_eff=1.0),
+    "no_decay": dataclasses.replace(_PRESET, memory_lifetime=NO_DECAY),
+    "classical_p2": dataclasses.replace(
+        _PRESET, source_model=SourceModel.CLASSICAL_CORRELATED, p_excitation=2.0),
+    "saturated_dark": dataclasses.replace(_PRESET, dark_mean=5.0),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+def test_run_matches_oracle_quickly(name):
     # Smoke-level oracle agreement; the acceptance suite does this at scale.
-    result = simulate_run(preset, trials=200_000, seed=21)
-    pred = oracle_report(preset)
+    config = ORACLE_CONFIGS[name]
+    trials = 200_000
+    result = simulate_run(config, trials=trials, seed=21)
+    assert_patterns_match_oracle(result, PATTERN_FAMILY_ALPHA / 16)
+    if result.report is None:  # no clicks to correlate
+        return
+    pred = oracle_report(config, n_max=required_n_max(config))
     for pair, target in (("11", pred.g11), ("22", pred.g22), ("12", pred.g12)):
         g, sigma = result.g[pair]
         assert abs(g - target) < 4.0 * sigma, pair
-    assert abs(result.singles.stokes - pred.singles.stokes) < 10.0
+    # 10 Hz is over 4 sigma at the preset; busier configs get 4 sigma.
+    p_a, p_b = pred.p_click["A"], pred.p_click["B"]
+    variance = p_a * (1 - p_a) + p_b * (1 - p_b) + 2 * (pred.p_joint["AB"] - p_a * p_b)
+    sigma_hz = math.sqrt(variance / trials) / config.cycle_period
+    assert abs(result.singles.stokes - pred.singles.stokes) < max(10.0, 4.0 * sigma_hz)
+
+
+_means = st.one_of(st.just(0.0), st.floats(1e-4, 0.5))
+_valid_configs = st.builds(
+    ExperimentConfig,
+    source_model=st.sampled_from(SourceModel),
+    p_excitation=st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),
+    delay_dt=st.floats(0.0, 1e-5),
+    retrieval_eff=st.floats(0.0, 1.0),
+    transmission=st.floats(0.0, 1.0),
+    detector_eff=st.floats(0.0, 1.0),
+    memory_lifetime=st.one_of(st.just(NO_DECAY), st.floats(1e-7, 1e-4)),
+    memory_diffusion_in=_means,
+    dark_mean=st.one_of(st.just(0.0), st.floats(1e-4, 3.0)),
+    bg_stokes_mean=_means,
+    bg_antistokes_mean=_means,
+)
+PROPERTY_EXAMPLES = 30
+
+
+@settings(max_examples=PROPERTY_EXAMPLES, derandomize=True, database=None,
+          deadline=None)
+@given(config=_valid_configs)
+def test_pattern_counts_match_oracle_property(config):
+    # Bonferroni over every cell of every example: family-wise error 1e-6.
+    result = simulate_run(config, trials=BLOCK_TRIALS + 4321, seed=77)
+    assert_patterns_match_oracle(
+        result, PATTERN_FAMILY_ALPHA / (16 * PROPERTY_EXAMPLES))
+
+
+def test_workers_must_be_positive(preset):
+    with pytest.raises(ValueError, match="workers"):
+        simulate_run(preset, trials=1000, workers=0)
+
+
+def test_pool_is_clamped_to_cpus_and_blocks(monkeypatch):
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    assert engine._pool_size(64, 100) == 2
+    assert engine._pool_size(64, 1) == 1
+    assert engine._pool_size(1, 100) == 1
+
+
+def test_huge_worker_count_starts_no_pool_for_one_block(preset, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    result = simulate_run(preset, trials=BLOCK_TRIALS, seed=3, workers=10 ** 6)
+    assert result.pattern_counts.sum() == BLOCK_TRIALS

@@ -59,11 +59,6 @@ def test_quantum_streams_perfectly_correlated(rng):
     assert corr == 1.0
 
 
-def test_antistokes_initialized_to_zero(rng):
-    exc = sample_write(0.3, Q, rng, size=64)
-    assert not np.any(exc.n_antistokes)
-
-
 def test_joint_pmf_quantum_off_diagonal_zero():
     assert joint_pmf(0.7, Q, 1, 2) == 0.0
 
