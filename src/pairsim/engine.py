@@ -154,13 +154,16 @@ def _active_trials(n: int, active: float, rng: np.random.Generator) -> np.ndarra
     """Sorted indices in [0, n), each present with probability ``active``.
 
     Drawn as geometric gaps, so the work scales with the active trials.
+    A gap past n ends the block whatever its length, so gaps are capped at
+    n + 1; for a tiny ``active`` they would otherwise overflow int64.
     """
     if active == 0.0:
         return np.empty(0, dtype=np.int64)
     batch = int(n * active + 5.0 * math.sqrt(n * active)) + 16
     chunks, last = [], -1
     while last < n:  # one batch almost always reaches past n
-        chunks.append(last + np.cumsum(rng.geometric(active, size=batch)))
+        gaps = np.minimum(rng.geometric(active, size=batch), n + 1)
+        chunks.append(last + np.cumsum(gaps))
         last = chunks[-1][-1]
     positions = np.concatenate(chunks)
     return positions[:np.searchsorted(positions, n)]

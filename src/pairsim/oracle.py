@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CorrelationReport, SinglesRates, cauchy_schwarz
-from .config import ExperimentConfig
+from .config import ConfigError, ExperimentConfig
 from .source import SourceModel, joint_pmf
 
 DEFAULT_N_MAX = 80
@@ -149,7 +149,7 @@ def required_n_max(config: ExperimentConfig, bound: float = PREDICTION_BOUND) ->
         if 1.0 - law.mass <= bound:
             return n
         n *= 2
-    raise ValueError("no feasible n_max found; source mean too large")
+    raise ConfigError("no feasible n_max found; source mean too large")
 
 
 def truncated_joint(config: ExperimentConfig,
@@ -191,7 +191,11 @@ def predicted_correlations(config: ExperimentConfig,
 def oracle_report(config: ExperimentConfig,
                   n_max: int = DEFAULT_N_MAX) -> OraclePrediction:
     """Full analytic prediction: pattern law, click and joint probabilities,
-    correlation functions and a zero-sigma CorrelationReport."""
+    correlation functions and a zero-sigma CorrelationReport.
+
+    Raises ConfigError when a detector can never click, since its
+    correlation functions are then undefined.
+    """
     pattern = truncated_joint(config, n_max)
     if pattern.truncation_error_bound > PREDICTION_BOUND:
         raise TruncationError(
@@ -210,10 +214,11 @@ def oracle_report(config: ExperimentConfig,
                "AC": joint("A", "C"), "BD": joint("B", "D")}
 
     def g(pair: str, d1: str, d2: str) -> float:
-        denom = p_click[d1] * p_click[d2]
-        if denom == 0:
-            return math.nan
-        return p_joint[pair] / denom
+        never = [d for d in (d1, d2) if p_click[d] == 0]
+        if never:
+            raise ConfigError(f"correlation {pair} is undefined: detector "
+                              f"{never[0]} can never click in this configuration")
+        return p_joint[pair] / (p_click[d1] * p_click[d2])
 
     g11 = g("AB", "A", "B")
     g22 = g("CD", "C", "D")

@@ -54,23 +54,40 @@ def ideal_run_1m():
     return simulate_run(IDEAL, trials=1_000_000)  # seed = config default
 
 
+def _ideal_click_targets(p: float) -> dict[str, float]:
+    """Exact g11, g22, g12 and ratio for IDEAL with binary click detectors.
+
+    The Stokes and anti-Stokes numbers are both n ~ Geom0(mean p), and
+    E[x**n] = 1 / (1 + p (1 - x)).  Each photon reaches a given detector
+    of its 50/50 split with probability 1/2, so one detector stays dark
+    with probability 1 / (1 + p/2), both Stokes detectors with
+    1 / (1 + p) and detectors A and C with 1 / (1 + 3p/4).
+    """
+    p_a = 1.0 - 1.0 / (1.0 + p / 2.0)
+    p_ab = 1.0 - 2.0 / (1.0 + p / 2.0) + 1.0 / (1.0 + p)
+    p_ac = 1.0 - 2.0 / (1.0 + p / 2.0) + 1.0 / (1.0 + 0.75 * p)
+    g_auto, g_cross = p_ab / p_a ** 2, p_ac / p_a ** 2
+    return {"g11": g_auto, "g22": g_auto, "g12": g_cross,
+            "ratio": g_cross ** 2 / g_auto ** 2}
+
+
 def test_criterion_1_ideal_case_formula(ideal_run_1m):
     """Noise-free quantum source at p = 0.1: g11, g22, g12 and the ratio
-    match the ideal case for binary click detectors.
+    match the closed form for binary click detectors.
 
-    The formula values g11 = g22 = 2, g12 = 1 + 1/p and
-    ``ideal_violation(p)`` hold to first order in p for number-resolving
-    detection.  At p = 0.1 with unit efficiency, click saturation moves
-    them to 1.909, 1.909, 11.23 and 34.6, several sigma away at 1e6
-    trials, so the targets are the exact values from the oracle.
+    The first-order values g11 = g22 = 2, g12 = 1 + 1/p and
+    ``ideal_violation(p)`` hold for number-resolving detection.  At p = 0.1
+    and unit efficiency, click saturation moves them to 1.909, 1.909, 11.23
+    and 34.6, several sigma away at 1e6 trials, so the targets are the
+    closed form of :func:`_ideal_click_targets`.
     """
     r = ideal_run_1m.report
-    target = oracle_report(IDEAL).report
+    target = _ideal_click_targets(IDEAL.p_excitation)
     checks = {
-        "g11": (r.g11, r.g11_sigma, target.g11),
-        "g22": (r.g22, r.g22_sigma, target.g22),
-        "g12": (r.g12, r.g12_sigma, target.g12),
-        "ratio": (r.ratio, r.ratio_sigma, target.ratio),
+        "g11": (r.g11, r.g11_sigma, target["g11"]),
+        "g22": (r.g22, r.g22_sigma, target["g22"]),
+        "g12": (r.g12, r.g12_sigma, target["g12"]),
+        "ratio": (r.ratio, r.ratio_sigma, target["ratio"]),
     }
     zs = {name: (value - target) / sigma
           for name, (value, sigma, target) in checks.items()}

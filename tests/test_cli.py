@@ -156,3 +156,21 @@ def test_internal_value_error_is_a_runtime_failure(preset_file, capsys, monkeypa
     code, _, err = run_cli(capsys, "run", "--config", preset_file, "--trials", "10")
     assert code == EXIT_RUNTIME
     assert "internal defect" in err
+
+
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+@pytest.mark.parametrize("overrides, message", [
+    (["p_excitation=1e6"], "source mean too large"),
+    (["p_excitation=0", "memory_diffusion_in=0", "dark_mean=0", "bg_stokes_mean=0"],
+     "can never click"),
+])
+def test_oracle_config_limits_are_config_errors(preset_file, capsys, command,
+                                                overrides, message):
+    argv = [command, "--config", preset_file]
+    if command == "compare":
+        argv += ["--trials", "10"]
+    for override in overrides:
+        argv += ["--set", override]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert message in err

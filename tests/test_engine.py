@@ -238,6 +238,9 @@ ORACLE_CONFIGS = {
     "classical_p2": dataclasses.replace(
         _PRESET, source_model=SourceModel.CLASSICAL_CORRELATED, p_excitation=2.0),
     "saturated_dark": dataclasses.replace(_PRESET, dark_mean=5.0),
+    "tiny_p": dataclasses.replace(
+        _PRESET, p_excitation=1e-20, memory_diffusion_in=0.0, dark_mean=0.0,
+        bg_stokes_mean=0.0, bg_antistokes_mean=0.0),
 }
 
 
