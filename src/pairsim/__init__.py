@@ -4,47 +4,20 @@ Simulates write/read photon-pair generation from an atomic-ensemble memory
 (DLCZ-type building block): correlated Stokes/anti-Stokes click streams,
 time-interval-analyzer coincidence histograms, normalized correlation
 functions and the Cauchy-Schwarz classicality test, with an independent
-analytic oracle for validation.
+analytic oracle for validation.  The names imported here are the public
+API that the demos and tests use; the rest lives in the submodules.
 """
 
 from ._version import __version__
-from .analysis import (CorrelationReport, SinglesRates, UndefinedCorrelationError,
-                       cauchy_schwarz, g_ratio, ideal_violation, render_report,
-                       singles_rates)
-from .config import (NO_DECAY, ConfigDomainError, ConfigError, ConfigSyntaxError,
-                     ExperimentConfig, ensure_valid, parse_config, reference_preset,
+from .analysis import (UndefinedCorrelationError, cauchy_schwarz, g_ratio,
+                       ideal_violation, render_report, singles_rates)
+from .config import (ConfigDomainError, ConfigError, ConfigSyntaxError,
+                     ExperimentConfig, parse_config, reference_preset,
                      render_config, validate)
-from .engine import (RunManifest, RunResult, derived_seed, export_run, export_sweep,
-                     render_run_report, simulate_run, sweep)
-from .optics import (ChannelParams, ClickEvent, add_background, detect, detect_batch,
-                     split, thin, transport, uniform_profile)
-from .oracle import (ClickPatternDistribution, ComparisonRow, OraclePrediction,
-                     TruncationError, compare, oracle_report, predicted_correlations,
-                     required_n_max, truncated_joint)
-from .source import (SourceModel, TrialExcitation, decohere_memory, joint_pmf,
-                     retrieve, sample_write)
-from .tia import (CoincidenceHistogram, PeakAreas, StreamOrderError, TimestampStream,
-                  export_histogram, histogram, load_histogram, merge_pair_streams,
-                  peak_areas)
-
-__all__ = [
-    "__version__",
-    "CorrelationReport", "SinglesRates", "UndefinedCorrelationError",
-    "cauchy_schwarz", "g_ratio", "ideal_violation", "render_report",
-    "singles_rates",
-    "NO_DECAY", "ConfigDomainError", "ConfigError", "ConfigSyntaxError",
-    "ExperimentConfig", "ensure_valid", "parse_config", "reference_preset",
-    "render_config", "validate",
-    "RunManifest", "RunResult", "derived_seed", "export_run", "export_sweep",
-    "render_run_report", "simulate_run", "sweep",
-    "ChannelParams", "ClickEvent", "add_background", "detect", "detect_batch",
-    "split", "thin", "transport", "uniform_profile",
-    "ClickPatternDistribution", "ComparisonRow", "OraclePrediction",
-    "TruncationError", "compare", "oracle_report", "predicted_correlations",
-    "required_n_max", "truncated_joint",
-    "SourceModel", "TrialExcitation", "decohere_memory", "joint_pmf",
-    "retrieve", "sample_write",
-    "CoincidenceHistogram", "PeakAreas", "StreamOrderError", "TimestampStream",
-    "export_histogram", "histogram", "load_histogram", "merge_pair_streams",
-    "peak_areas",
-]
+from .engine import export_run, render_run_report, simulate_run, sweep
+from .optics import add_background, detect_batch, split, thin
+from .oracle import (TruncationError, compare, oracle_report, required_n_max,
+                     truncated_joint)
+from .source import SourceModel, decohere_memory, joint_pmf, retrieve, sample_write
+from .tia import (CoincidenceHistogram, StreamOrderError, TimestampStream,
+                  export_histogram, histogram, load_histogram, peak_areas)

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import render_report
 from .config import ConfigError, ExperimentConfig, ensure_valid, parse_config, \
-    reference_preset, render_config
-from .engine import (export_run, export_sweep, render_run_report, simulate_run,
-                     sweep)
+    parse_value, reference_preset, render_config
+from .engine import (check_sweep_parameter, export_run, export_sweep,
+                     render_run_report, simulate_run, sweep)
 from .oracle import DEFAULT_N_MAX, TruncationError, compare, oracle_report
 
 EXIT_OK = 0
@@ -36,18 +36,14 @@ EXIT_IO = 3
 
 
 def _load_config(args) -> ExperimentConfig:
-    text = Path(args.config).read_text()
-    config = parse_config(text)
-    if getattr(args, "overrides", None):
-        merged = render_config(config).splitlines()
-        keyed = {line.split("=")[0].strip(): line for line in merged if "=" in line}
-        for override in args.overrides:
-            if "=" not in override:
-                raise ConfigError(f"--set expects key=value, got {override!r}")
-            key, _, value = override.partition("=")
-            keyed[key.strip()] = f"{key.strip()} = {value.strip()}"
-        config = parse_config("\n".join(keyed.values()))
-    return ensure_valid(config)
+    config = parse_config(Path(args.config).read_text())
+    overrides = {}
+    for override in args.overrides:
+        if "=" not in override:
+            raise ConfigError(f"--set expects key=value, got {override!r}")
+        key, _, value = override.partition("=")
+        overrides[key.strip()] = parse_value(key.strip(), value.strip())
+    return ensure_valid(replace(config, **overrides))
 
 
 def _cmd_preset(args) -> int:
@@ -73,14 +69,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args)
-    raw_values = [v for v in args.values.split(",") if v.strip()]
-    if args.param not in {f.name for f in fields(ExperimentConfig)}:
-        raise ConfigError(f"unknown config parameter {args.param!r}")
-    caster = int if args.param in ("n_trials", "rng_seed", "baseline_peaks") else float
-    try:
-        values = [caster(v) for v in raw_values]
-    except ValueError as exc:
-        raise ConfigError(f"bad --values for {args.param}: {exc}") from None
+    check_sweep_parameter(args.param, args.trials)
+    values = [parse_value(args.param, v.strip())
+              for v in args.values.split(",") if v.strip()]
     rows = sweep(config, args.param, values, trials=args.trials, seed=args.seed,
                  workers=args.workers)
     header = ["value", "g11", "g22", "g12", "ratio", "significance", "verdict"]
@@ -98,8 +89,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     config = _load_config(args)
     prediction = oracle_report(config, n_max=args.n_max)
-    sys.stdout.write(render_report(prediction.report, singles=prediction.singles,
-                                   trials=0))
+    report = render_report(prediction.report, singles=prediction.singles, trials=0)
+    sys.stdout.write(report)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -109,8 +100,7 @@ def _cmd_oracle(args) -> int:
                 bits = [(mask >> bit) & 1 for bit in range(4)]
                 fh.write(",".join(str(b) for b in bits)
                          + f",{prediction.pattern.probs[mask]!r}\n")
-        (out / "oracle_report.txt").write_text(
-            render_report(prediction.report, singles=prediction.singles, trials=0))
+        (out / "oracle_report.txt").write_text(report)
         print(f"# wrote oracle report and patterns to {out}")
     return EXIT_OK
 
@@ -122,20 +112,16 @@ def _cmd_compare(args) -> int:
                           workers=args.workers)
     mc_g = {"g11": result.g["11"], "g22": result.g["22"], "g12": result.g["12"]}
     rows = compare(result.pattern_counts, mc_g, prediction, result.trials)
-    print("quantity,mc,oracle,sigma_mc,z,flagged")
-    for row in rows:
-        print(f"{row.quantity},{row.mc_value!r},{row.oracle_value!r},"
-              f"{row.sigma!r},{row.z!r},{row.flagged}")
+    table = "quantity,mc,oracle,sigma_mc,z,flagged\n" + "".join(
+        f"{row.quantity},{row.mc_value!r},{row.oracle_value!r},"
+        f"{row.sigma!r},{row.z!r},{row.flagged}\n" for row in rows)
+    sys.stdout.write(table)
     flagged = [row for row in rows if row.flagged]
     print(f"# {len(flagged)} of {len(rows)} quantities flagged (|z| > 4)")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "compare.csv", "w") as fh:
-            fh.write("quantity,mc,oracle,sigma_mc,z,flagged\n")
-            for row in rows:
-                fh.write(f"{row.quantity},{row.mc_value!r},{row.oracle_value!r},"
-                         f"{row.sigma!r},{row.z!r},{row.flagged}\n")
+        (out / "compare.csv").write_text(table)
         print(f"# wrote {out / 'compare.csv'}")
     return EXIT_OK
 

@@ -93,12 +93,6 @@ class ExperimentConfig:
     baseline_peaks: int = 7
 
 
-_FLOAT_FIELDS = {
-    "p_excitation", "delay_dt", "retrieval_eff", "transmission",
-    "detector_eff", "memory_lifetime", "memory_diffusion_in", "dark_mean",
-    "bg_stokes_mean", "bg_antistokes_mean", "gate_width", "cycle_period",
-    "hist_bin", "hist_span",
-}
 _INT_FIELDS = {"n_trials", "rng_seed", "baseline_peaks"}
 
 # Per-field bounds, all closed: value accepted at the bound itself.
@@ -159,6 +153,32 @@ def ensure_valid(config: ExperimentConfig) -> ExperimentConfig:
     return config
 
 
+def parse_value(key: str, text: str):
+    """Parse the text of one config value into the type of its field.
+
+    Shared by the config file parser, CLI ``--set`` overrides and sweep
+    values, so all three accept exactly the same literals.
+    """
+    if key not in _FIELD_NAMES:
+        raise ConfigError(f"unknown key {key!r}")
+    if key == "source_model":
+        try:
+            return SourceModel(text)
+        except ValueError:
+            names = ", ".join(m.value for m in SourceModel)
+            raise ConfigError(
+                f"source_model must be one of {{{names}}}, got {text!r}") from None
+    if key in _INT_FIELDS:
+        try:
+            return int(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, got {text!r}") from None
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {text!r}") from None
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse a key = value config document into a validated ExperimentConfig.
 
@@ -185,26 +205,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigSyntaxError(f"missing value for key {key!r}", lineno)
         raw[key] = value
 
-    kwargs: dict[str, object] = {}
-    for key, value in raw.items():
-        if key == "source_model":
-            try:
-                kwargs[key] = SourceModel(value)
-            except ValueError:
-                names = ", ".join(m.value for m in SourceModel)
-                raise ConfigError(
-                    f"source_model must be one of {{{names}}}, got {value!r}") from None
-        elif key in _INT_FIELDS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be an integer, got {value!r}") from None
-        else:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
+    kwargs = {key: parse_value(key, value) for key, value in raw.items()}
     missing = [name for name in ("source_model", "p_excitation", "delay_dt",
                                  "retrieval_eff", "transmission", "detector_eff")
                if name not in kwargs]
@@ -250,11 +251,6 @@ PRESET_BG_STOKES_MEAN = 0.00013376345683181179
 PRESET_BG_ANTISTOKES_MEAN = 0.004476348562213513
 PRESET_MEMORY_LIFETIME_S = 1.1428845875898358e-06
 PRESET_MEMORY_DIFFUSION_IN = 0.1015851251971547
-
-PRESET_STOKES_RATE_HZ = 220.0
-PRESET_ANTISTOKES_RATE_HZ = 70.0
-PRESET_CROSS_CORRELATION = 2.4
-PRESET_DIFFUSION_SHARE = 0.75
 
 
 def reference_preset() -> ExperimentConfig:

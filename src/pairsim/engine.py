@@ -56,7 +56,7 @@ import numpy as np
 from ._version import __version__
 from .analysis import (CorrelationReport, SinglesRates, UndefinedCorrelationError,
                        cauchy_schwarz, g_ratio, render_report, singles_rates)
-from .config import ExperimentConfig, ensure_valid, render_config
+from .config import ConfigError, ExperimentConfig, ensure_valid, render_config
 from .optics import DETECTOR_IDS, add_background, detect_batch, split, thin
 from .source import SourceModel, decohere_memory, retrieve, sample_write
 from .tia import CoincidenceHistogram, PeakAreas, TimestampStream, export_histogram
@@ -331,8 +331,7 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
         config, trials, seed, workers)
     duration = trials * config.cycle_period
     streams = {det: TimestampStream(detector_id=det,
-                                    timestamps=click_times[det],
-                                    total_duration=duration)
+                                    timestamps=click_times[det])
                for det in DETECTOR_IDS}
 
     histograms: dict[str, CoincidenceHistogram] = {}
@@ -432,16 +431,26 @@ def derived_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
+def check_sweep_parameter(parameter: str, trials: int | None = None) -> None:
+    """Raise ConfigError unless sweeping ``parameter`` changes the runs."""
+    if parameter not in {f.name for f in fields(ExperimentConfig)}:
+        raise ConfigError(f"unknown config parameter {parameter!r}")
+    if parameter == "rng_seed":
+        raise ConfigError("rng_seed cannot be swept: each value runs with "
+                          "a derived seed")
+    if parameter == "n_trials" and trials is not None:
+        raise ConfigError("n_trials cannot be swept while trials is given")
+
+
 def sweep(config: ExperimentConfig, parameter: str, values,
           trials: int | None = None, seed: int | None = None,
           workers: int = 1) -> list[dict[str, object]]:
     """One simulate_run per parameter value, with derived per-value seeds.
 
-    Returns one row (dict keyed by SWEEP_COLUMNS) per value.  Unknown
-    parameter names are rejected.
+    Returns one row (dict keyed by SWEEP_COLUMNS) per value.  Parameters
+    that ``check_sweep_parameter`` refuses raise ConfigError.
     """
-    if parameter not in {f.name for f in fields(ExperimentConfig)}:
-        raise ValueError(f"unknown config parameter {parameter!r}")
+    check_sweep_parameter(parameter, trials)
     seed = config.rng_seed if seed is None else int(seed)
     rows: list[dict[str, object]] = []
     for index, value in enumerate(values):

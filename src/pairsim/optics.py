@@ -1,4 +1,4 @@
-"""Optical transport, background injection, beam splitting and gated detection.
+"""Optical loss, background injection, beam splitting and gated detection.
 
 Each channel (Stokes or anti-Stokes) is a single spatial mode that passes
 through a lossy path to a 50/50 beam splitter feeding two gated click
@@ -13,62 +13,16 @@ click per gate.  For n incident photons the click probability is
 
 which folds dark counts into the per-gate click probability; dark clicks
 are indistinguishable from photon clicks in the gated analysis.  Click
-timestamps are drawn from a pluggable pulse profile over the gate window
-(uniform by default).
+offsets are uniform over the gate window.
 
 All count operations accept scalars or numpy arrays (one entry per trial).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 DETECTOR_IDS = ("A", "B", "C", "D")
-STOKES_DETECTORS = ("A", "B")
-ANTISTOKES_DETECTORS = ("C", "D")
-
-PulseProfile = Callable[[np.random.Generator, int], np.ndarray]
-"""Samples click positions as fractions of the gate width, in [0, 1)."""
-
-
-def uniform_profile(rng: np.random.Generator, size: int) -> np.ndarray:
-    """Default pulse profile: uniform over the gate."""
-    return rng.random(size)
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """Loss and background of one optical channel."""
-
-    transmission: float
-    bg_mean: float
-    channel_id: str  # "stokes" or "antistokes"
-
-    def __post_init__(self):
-        if not 0.0 <= self.transmission <= 1.0:
-            raise ValueError(f"transmission must be in [0, 1], got {self.transmission}")
-        if self.bg_mean < 0:
-            raise ValueError(f"bg_mean must be >= 0, got {self.bg_mean}")
-        if self.channel_id not in ("stokes", "antistokes"):
-            raise ValueError(f"channel_id must be 'stokes' or 'antistokes', "
-                             f"got {self.channel_id!r}")
-
-
-@dataclass(frozen=True)
-class ClickEvent:
-    """One detector click.
-
-    ``timestamp`` is absolute: trial_index * cycle_period + offset, where
-    the offset lies inside the detector's gate window
-    [gate_start, gate_start + gate_width).
-    """
-
-    detector_id: str
-    timestamp: float
-    trial_index: int
 
 
 def thin(n, eta: float, rng: np.random.Generator):
@@ -86,11 +40,6 @@ def add_background(n, bg_mean: float, rng: np.random.Generator):
     return n + rng.poisson(bg_mean, size=size)
 
 
-def transport(n, channel: ChannelParams, rng: np.random.Generator):
-    """Thin by the channel transmission, then inject the channel background."""
-    return add_background(thin(n, channel.transmission, rng), channel.bg_mean, rng)
-
-
 def split(n, rng: np.random.Generator):
     """50/50 beam splitter: (k, n - k) with k ~ Binomial(n, 1/2)."""
     k = rng.binomial(n, 0.5)
@@ -104,8 +53,7 @@ def click_probability(n, det_eff: float, dark_mean: float):
 
 def detect_batch(n: np.ndarray, det_eff: float, dark_mean: float,
                  gate_start: float, gate_width: float,
-                 rng: np.random.Generator,
-                 pulse_profile: PulseProfile | None = None):
+                 rng: np.random.Generator):
     """Vectorized gated detection for a batch of trials.
 
     Returns
@@ -122,29 +70,7 @@ def detect_batch(n: np.ndarray, det_eff: float, dark_mean: float,
         raise ValueError(f"gate_width must be > 0, got {gate_width}")
     n = np.asarray(n)
     clicked = rng.random(n.shape) < click_probability(n, det_eff, dark_mean)
-    profile = pulse_profile or uniform_profile
-    fractions = profile(rng, int(clicked.sum()))
+    fractions = rng.random(int(clicked.sum()))
     offsets = gate_start + gate_width * fractions
     return clicked, offsets
 
-
-def detect(n: int, det_eff: float, dark_mean: float,
-           gate: tuple[float, float], trial_index: int,
-           rng: np.random.Generator,
-           pulse_profile: PulseProfile | None = None,
-           cycle_period: float = 2e-4,
-           detector_id: str = "A") -> ClickEvent | None:
-    """Gated detection of a single trial; None when the detector stays dark.
-
-    ``gate`` is (start, width) relative to the trial's cycle start;
-    ``cycle_period`` converts the trial index to absolute time.
-    """
-    gate_start, gate_width = gate
-    clicked, offsets = detect_batch(
-        np.asarray([n]), det_eff, dark_mean, gate_start, gate_width, rng,
-        pulse_profile)
-    if not clicked[0]:
-        return None
-    return ClickEvent(detector_id=detector_id,
-                      timestamp=trial_index * cycle_period + offsets[0],
-                      trial_index=trial_index)

@@ -36,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import bdtr
 
 from .analysis import CorrelationReport, SinglesRates, cauchy_schwarz
 from .config import ConfigError, ExperimentConfig
@@ -110,10 +111,9 @@ class _SourceLaw:
     def expect(self, a: float, b: float) -> float:
         """E[a**n_s * b**n_m] over the truncated law, fixed summation order."""
         powers_a = np.power(a, np.arange(self.n_max + 1))
-        if self._diag is not None:
-            powers_b = np.power(b, np.arange(self.n_max + 1))
-            return float(np.sum(self._diag * powers_a * powers_b))
         powers_b = np.power(b, np.arange(self.n_max + 1))
+        if self._diag is not None:
+            return float(np.sum(self._diag * powers_a * powers_b))
         return float(powers_a @ self._matrix @ powers_b)
 
 
@@ -141,12 +141,27 @@ def _no_click_factors(config: ExperimentConfig, subset_mask: int,
     return law.expect(a, b) * poisson_factor * dark_factor
 
 
+def _classical_mass(p: float, n_max: int) -> float:
+    """Classical source mass on n_s, n_m <= n_max, in O(n_max).
+
+    The total k is geometric with mean 2p and n_s ~ Binomial(k, 1/2), so
+    each k > n_max loses two equal tails P(n_s <= k - n_max - 1).
+    """
+    k = np.arange(2 * n_max + 1)
+    p_total = np.power(2.0 * p / (1.0 + 2.0 * p), k) / (1.0 + 2.0 * p)
+    tails = np.where(k > n_max, 2.0 * bdtr(k - n_max - 1, k, 0.5), 0.0)
+    return float(np.sum(p_total * (1.0 - tails)))
+
+
 def required_n_max(config: ExperimentConfig, bound: float = PREDICTION_BOUND) -> int:
     """Smallest n_max whose truncated source mass deficit is within bound."""
     n = 8
     while n <= 1 << 16:
-        law = _SourceLaw(config, n)
-        if 1.0 - law.mass <= bound:
+        if config.source_model is SourceModel.QUANTUM_TMS:
+            mass = _SourceLaw(config, n).mass
+        else:
+            mass = _classical_mass(config.p_excitation, n)
+        if 1.0 - mass <= bound:
             return n
         n *= 2
     raise ConfigError("no feasible n_max found; source mean too large")
@@ -179,13 +194,6 @@ def truncated_joint(config: ExperimentConfig,
     return ClickPatternDistribution(
         probs=probs, n_max=n_max, truncation_error_bound=bound,
         truncation_warning=bound > WARN_BOUND)
-
-
-def predicted_correlations(config: ExperimentConfig,
-                           n_max: int = DEFAULT_N_MAX) -> tuple[float, float, float]:
-    """Exact (g11, g22, g12) for a configuration; see :func:`oracle_report`."""
-    prediction = oracle_report(config, n_max)
-    return prediction.g11, prediction.g22, prediction.g12
 
 
 def oracle_report(config: ExperimentConfig,

@@ -4,7 +4,9 @@ This emulates a time-interval analyzer: one detector provides start
 signals, another provides stops, and every stop arriving within ``span``
 after a start increments the histogram bin floor(delay / bin_width).
 Multi-stop semantics are used (every stop after each start is counted, not
-only the first), which keeps the cross-trial baseline unbiased.
+only the first), which keeps the cross-trial baseline unbiased.  Start and
+stop streams must be strictly increasing; the engine builds them in trial
+order, so they never need sorting here.
 
 Because trials repeat with the duty-cycle period, the histogram clusters
 into peaks: the peak at zero lag collects same-trial coincidences and the
@@ -20,12 +22,9 @@ shifted by ``peak_offset`` so that they track the actual peak positions.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .optics import DETECTOR_IDS, ClickEvent
 
 
 class StreamOrderError(ValueError):
@@ -38,7 +37,6 @@ class TimestampStream:
 
     detector_id: str
     timestamps: np.ndarray
-    total_duration: float
 
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
@@ -164,27 +162,6 @@ def peak_areas(hist: CoincidenceHistogram, cycle_period: float,
     return PeakAreas(n_same_trial=areas[0],
                      m_baseline=sum(baseline) / baseline_peaks,
                      per_peak=baseline)
-
-
-def merge_pair_streams(events: list[ClickEvent],
-                       total_duration: float) -> dict[str, TimestampStream]:
-    """Sort click events into one stream per detector.
-
-    Stable under input permutation: clicks are ordered by timestamp, and at
-    most one click per (detector, trial) exists so the order is unique.
-    """
-    by_detector: dict[str, list[float]] = defaultdict(list)
-    for event in events:
-        if event.detector_id not in DETECTOR_IDS:
-            raise ValueError(f"unknown detector id {event.detector_id!r}")
-        by_detector[event.detector_id].append(event.timestamp)
-    return {
-        det: TimestampStream(detector_id=det,
-                             timestamps=np.sort(np.asarray(by_detector.get(det, []),
-                                                           dtype=np.float64)),
-                             total_duration=total_duration)
-        for det in DETECTOR_IDS
-    }
 
 
 def export_histogram(hist: CoincidenceHistogram, path) -> None:

@@ -107,8 +107,7 @@ def test_ideal_violation_domain():
 
 
 def _streams(counts, duration):
-    return {det: TimestampStream(det, np.linspace(0, duration, n, endpoint=False),
-                                 duration)
+    return {det: TimestampStream(det, np.linspace(0, duration, n, endpoint=False))
             for det, n in counts.items()}
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from pairsim import cli, parse_config, reference_preset
+from pairsim import SourceModel, cli, parse_config, reference_preset
 from pairsim.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 
 
@@ -70,6 +70,24 @@ def test_run_rejects_unknown_override(preset_file, capsys):
                            "--trials", "1000", "--set", "detuning=5")
     assert code == 2
     assert "unknown key" in err
+    assert "detuning" in err and "line" not in err
+
+
+def test_run_set_overrides_are_typed_like_the_config_file(preset_file, tmp_path,
+                                                           capsys):
+    out_dir = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "run", "--config", preset_file,
+                         "--trials", "2000", "--out", str(out_dir),
+                         "--set", "source_model=classical_correlated",
+                         "--set", "baseline_peaks=5")
+    assert code == 0
+    cfg = parse_config((out_dir / "config.txt").read_text())
+    assert cfg.source_model is SourceModel.CLASSICAL_CORRELATED
+    assert cfg.baseline_peaks == 5
+    code, _, err = run_cli(capsys, "run", "--config", preset_file,
+                           "--trials", "1000", "--set", "baseline_peaks=5.5")
+    assert code == EXIT_CONFIG
+    assert "baseline_peaks must be an integer" in err
 
 
 def test_run_rejects_out_of_bound_override(preset_file, capsys):
@@ -111,6 +129,15 @@ def test_sweep_unknown_parameter(preset_file, capsys):
                            "--param", "detuning", "--values", "1,2")
     assert code == 2
     assert "unknown config parameter" in err
+
+
+@pytest.mark.parametrize("param, extra", [("rng_seed", []),
+                                          ("n_trials", ["--trials", "1000"])])
+def test_sweep_rejects_ignored_parameter(preset_file, capsys, param, extra):
+    code, _, err = run_cli(capsys, "sweep", "--config", preset_file,
+                           "--param", param, "--values", "1000,2000", *extra)
+    assert code == EXIT_CONFIG
+    assert f"{param} cannot be swept" in err
 
 
 def test_oracle_report(preset_file, tmp_path, capsys):
@@ -163,6 +190,8 @@ def test_internal_value_error_is_a_runtime_failure(preset_file, capsys, monkeypa
     (["p_excitation=1e6"], "source mean too large"),
     (["p_excitation=0", "memory_diffusion_in=0", "dark_mean=0", "bg_stokes_mean=0"],
      "can never click"),
+    (["source_model=classical_correlated", "p_excitation=1e6"],
+     "source mean too large"),
 ])
 def test_oracle_config_limits_are_config_errors(preset_file, capsys, command,
                                                 overrides, message):

@@ -1,6 +1,7 @@
 """Run orchestration: determinism, parallelism, exports, sweeps."""
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -10,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from pairsim import (ClickEvent, ExperimentConfig, SourceModel, __version__,
-                     export_run, load_histogram, merge_pair_streams, oracle_report,
-                     reference_preset, render_run_report, simulate_run, sweep)
+from pairsim import (ConfigError, ExperimentConfig, SourceModel, __version__,
+                     export_run, load_histogram, oracle_report, reference_preset,
+                     render_run_report, simulate_run, sweep)
 from pairsim import engine
 from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, derived_seed, export_sweep
@@ -84,6 +85,23 @@ def test_different_seeds_differ(preset):
                               r2.streams["A"].timestamps)
 
 
+# sha256 of the preset's pattern counts, then its click trials of A-D, as
+# little-endian int64, at seed 2026 over three blocks.  Integers only, so
+# float rounding in printing or libm cannot move it.  A change of the RNG
+# stream must bump the version and add its digest here.
+STREAM_DIGESTS = {
+    "0.2.0": "1dcff49ff3b9dc69a62a54981487b0ff7d8d92a737e14b6416a66b19a6d16006",
+}
+
+
+def test_rng_stream_is_pinned_to_version(preset):
+    result = simulate_run(preset, trials=3 * BLOCK_TRIALS, seed=2026)
+    digest = hashlib.sha256(result.pattern_counts.astype("<i8").tobytes())
+    for det in "ABCD":
+        digest.update(result.click_trials[det].astype("<i8").tobytes())
+    assert digest.hexdigest() == STREAM_DIGESTS[__version__]
+
+
 def test_vacuum_run_reports_undefined_correlation():
     cfg = ExperimentConfig(
         source_model=SourceModel.QUANTUM_TMS, p_excitation=0.0, delay_dt=2e-6,
@@ -153,16 +171,17 @@ def test_manifests_differ_only_in_seed_and_timing(preset, tmp_path):
 def test_keep_events_round_trips_through_merge(preset, tmp_path):
     result = simulate_run(preset, trials=20_000, seed=10)
     export_run(result, tmp_path / "ev", keep_events=True)
-    events = []
+    trials = {det: [] for det in "ABCD"}
+    times = {det: [] for det in "ABCD"}
     with open(tmp_path / "ev" / "events.csv") as fh:
         assert fh.readline().strip() == "detector,trial_index,timestamp_seconds"
         for line in fh:
             det, trial, ts = line.strip().split(",")
-            events.append(ClickEvent(det, float(ts), int(trial)))
-    merged = merge_pair_streams(events, result.streams["A"].total_duration)
+            trials[det].append(int(trial))
+            times[det].append(float(ts))
     for det in "ABCD":
-        assert np.array_equal(merged[det].timestamps,
-                              result.streams[det].timestamps)
+        assert np.array_equal(trials[det], result.click_trials[det])
+        assert np.array_equal(times[det], result.streams[det].timestamps)
 
 
 def test_cross_pair_duplicate_consistent(preset):
@@ -178,6 +197,22 @@ def test_sweep_empty_values(preset):
 def test_sweep_unknown_parameter(preset):
     with pytest.raises(ValueError, match="unknown config parameter"):
         sweep(preset, "detuning", [1.0])
+
+
+@pytest.mark.parametrize("parameter, trials, message", [
+    ("rng_seed", None, "rng_seed cannot be swept"),
+    ("rng_seed", 1000, "rng_seed cannot be swept"),
+    ("n_trials", 1000, "n_trials cannot be swept"),
+])
+def test_sweep_refuses_ignored_parameter(preset, parameter, trials, message):
+    # Each value would run with a derived seed, or with ``trials`` trials.
+    with pytest.raises(ConfigError, match=message):
+        sweep(preset, parameter, [1000, 2000], trials=trials)
+
+
+def test_sweep_n_trials_without_trials_override(preset):
+    rows = sweep(preset, "n_trials", [1000, 2000], seed=4)
+    assert [row["value"] for row in rows] == [1000, 2000]
 
 
 def test_sweep_rows_and_export(preset, tmp_path):

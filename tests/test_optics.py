@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from pairsim import (ChannelParams, SourceModel, add_background, detect,
-                     detect_batch, sample_write, split, thin, transport)
+from pairsim import SourceModel, add_background, detect_batch, sample_write, split, thin
 
 
 def test_thin_unit_and_zero_efficiency(rng):
@@ -70,23 +69,6 @@ def test_add_background_shifts_mean(rng):
     base = rng.integers(0, 3, size=draws)
     out = add_background(base, 0.5, rng)
     assert abs((out - base).mean() - 0.5) < 3.0 * math.sqrt(0.5 / draws)
-
-
-def test_transport_composes_channel(rng):
-    channel = ChannelParams(transmission=0.5, bg_mean=0.2, channel_id="stokes")
-    draws = 10 ** 6
-    out = transport(np.full(draws, 2, dtype=np.int64), channel, rng)
-    expected = 2 * 0.5 + 0.2
-    assert abs(out.mean() - expected) < 4.0 * math.sqrt(1.5 / draws)
-
-
-def test_channel_params_validation():
-    with pytest.raises(ValueError):
-        ChannelParams(transmission=1.5, bg_mean=0.0, channel_id="stokes")
-    with pytest.raises(ValueError):
-        ChannelParams(transmission=0.5, bg_mean=-0.1, channel_id="stokes")
-    with pytest.raises(ValueError):
-        ChannelParams(transmission=0.5, bg_mean=0.0, channel_id="upstream")
 
 
 def test_split_vacuum(rng):
@@ -159,29 +141,3 @@ def test_detect_timestamps_inside_gate(rng):
     assert offsets.size == clicked.sum()
     assert np.all(offsets >= gate_start) and np.all(offsets < gate_start + width)
 
-
-def test_detect_scalar_event(rng):
-    event = None
-    for _ in range(200):
-        event = detect(1, 1.0, 0.0, (2e-6, 1e-6), trial_index=7, rng=rng,
-                       cycle_period=2e-4, detector_id="C")
-        if event is not None:
-            break
-    assert event is not None
-    assert event.detector_id == "C"
-    assert event.trial_index == 7
-    offset = event.timestamp - 7 * 2e-4
-    assert 2e-6 <= offset < 3e-6
-
-
-def test_detect_scalar_none_on_vacuum(rng):
-    assert detect(0, 0.9, 0.0, (0.0, 1e-6), trial_index=0, rng=rng) is None
-
-
-def test_detect_custom_pulse_profile(rng):
-    def early(rng_, size):
-        return np.zeros(size)
-
-    clicked, offsets = detect_batch(np.ones(100, dtype=np.int64), 1.0, 0.0,
-                                    1e-6, 1e-6, rng, pulse_profile=early)
-    assert np.all(offsets == 1e-6)

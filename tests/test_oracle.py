@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from pairsim import (ExperimentConfig, SourceModel, TruncationError, compare,
-                     oracle_report, predicted_correlations, required_n_max,
-                     truncated_joint)
+                     oracle_report, required_n_max, truncated_joint)
 from pairsim.config import NO_DECAY, reference_preset
+from pairsim.oracle import _SourceLaw, _classical_mass
 
 Q = SourceModel.QUANTUM_TMS
 C = SourceModel.CLASSICAL_CORRELATED
@@ -126,7 +126,7 @@ def test_background_dilutes_cross_correlation_monotonically():
     last = math.inf
     for bg in (0.0, 0.002, 0.01, 0.05, 0.2):
         cfg = dataclasses.replace(reference_preset(), bg_antistokes_mean=bg)
-        g12 = predicted_correlations(cfg)[2]
+        g12 = oracle_report(cfg).g12
         assert g12 < last
         last = g12
 
@@ -147,7 +147,7 @@ def test_truncation_warning_flag():
 def test_prediction_refuses_insufficient_truncation():
     cfg = make_config(p=5.0)
     with pytest.raises(TruncationError) as err:
-        predicted_correlations(cfg, n_max=8)
+        oracle_report(cfg, n_max=8)
     needed = err.value.required_n_max
     assert needed > 8
     assert truncated_joint(cfg, n_max=needed).truncation_error_bound <= 1e-8
@@ -157,6 +157,13 @@ def test_required_n_max_bound_holds():
     cfg = make_config(p=0.5)
     n = required_n_max(cfg)
     assert truncated_joint(cfg, n_max=n).truncation_error_bound <= 1e-8
+
+
+@pytest.mark.parametrize("p", [0.5, 5.0, 50.0])
+@pytest.mark.parametrize("n_max", [8, 64, 256])
+def test_classical_mass_matches_truncated_matrix(p, n_max):
+    matrix_mass = _SourceLaw(make_config(model=C, p=p), n_max).mass
+    assert abs(_classical_mass(p, n_max) - matrix_mass) <= 1e-12
 
 
 def test_compare_exact_agreement_is_all_zero():

@@ -1,4 +1,4 @@
-"""Time-interval analysis: histograms, peak areas, stream merging."""
+"""Time-interval analysis: histograms, peak areas, histogram export."""
 
 import dataclasses
 import math
@@ -6,16 +6,14 @@ import math
 import numpy as np
 import pytest
 
-from pairsim import (ClickEvent, CoincidenceHistogram, SourceModel,
-                     StreamOrderError, TimestampStream, export_histogram,
-                     histogram, load_histogram, merge_pair_streams, peak_areas,
-                     simulate_run)
+from pairsim import (CoincidenceHistogram, SourceModel, StreamOrderError,
+                     TimestampStream, export_histogram, histogram, load_histogram,
+                     peak_areas, simulate_run)
 from pairsim.config import ExperimentConfig
 
 
-def stream(det, times, duration=1.0):
-    return TimestampStream(detector_id=det, timestamps=np.asarray(times, float),
-                           total_duration=duration)
+def stream(det, times):
+    return TimestampStream(detector_id=det, timestamps=np.asarray(times, float))
 
 
 def brute_force_histogram(starts, stops, bin_width, span):
@@ -120,45 +118,6 @@ def test_peak_areas_span_too_small():
     hist = synthetic_histogram(span=1e-3)
     with pytest.raises(ValueError, match="span"):
         peak_areas(hist, 2e-4, 1e-6, 7)
-
-
-def test_merge_empty_input():
-    streams = merge_pair_streams([], total_duration=1.0)
-    assert set(streams) == {"A", "B", "C", "D"}
-    assert all(len(s) == 0 for s in streams.values())
-
-
-def test_merge_sorts_out_of_order_events():
-    events = [ClickEvent("A", 5e-4, 2), ClickEvent("A", 1e-4, 0)]
-    streams = merge_pair_streams(events, total_duration=1.0)
-    assert np.array_equal(streams["A"].timestamps, [1e-4, 5e-4])
-
-
-def test_merge_stable_under_permutation():
-    rng = np.random.default_rng(11)
-    events = [ClickEvent(det, trial * 2e-4 + rng.uniform(0, 1e-6), trial)
-              for trial in range(500) for det in ("A", "C")
-              if rng.random() < 0.3]
-    shuffled = list(events)
-    rng.shuffle(shuffled)
-    merged = merge_pair_streams(events, 0.1)
-    merged_shuffled = merge_pair_streams(shuffled, 0.1)
-    for det in "ABCD":
-        assert np.array_equal(merged[det].timestamps,
-                              merged_shuffled[det].timestamps)
-
-
-def test_merge_conserves_counts():
-    rng = np.random.default_rng(13)
-    detectors = np.array(["A", "B", "C", "D"])[rng.integers(0, 4, size=10 ** 4)]
-    events = [ClickEvent(det, i * 1e-6, i) for i, det in enumerate(detectors)]
-    merged = merge_pair_streams(events, 1.0)
-    assert sum(len(s) for s in merged.values()) == len(events)
-
-
-def test_merge_rejects_unknown_detector():
-    with pytest.raises(ValueError, match="unknown detector"):
-        merge_pair_streams([ClickEvent("E", 0.0, 0)], 1.0)
 
 
 def test_histogram_export_round_trip(tmp_path):
