@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .analysis import render_report
 from .config import ConfigError, ExperimentConfig, ensure_valid, parse_config, \
-    parse_value, reference_preset, render_config
+    parse_value, reference_preset, render_config, render_value
 from .engine import (check_sweep_parameter, export_run, export_sweep,
                      render_run_report, simulate_run, sweep)
 from .oracle import DEFAULT_N_MAX, TruncationError, compare, oracle_report
@@ -77,7 +77,7 @@ def _cmd_sweep(args) -> int:
     header = ["value", "g11", "g22", "g12", "ratio", "significance", "verdict"]
     print(",".join(header))
     for row in rows:
-        print(",".join(str(row[h]) for h in header))
+        print(",".join(render_value(row[h]) for h in header))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

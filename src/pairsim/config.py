@@ -214,15 +214,18 @@ def parse_config(text: str) -> ExperimentConfig:
     return ensure_valid(ExperimentConfig(**kwargs))
 
 
+def render_value(value) -> str:
+    """Render a config or sweep value: enum literal, float repr, else str."""
+    if isinstance(value, SourceModel):
+        return value.value
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def render_config(config: ExperimentConfig) -> str:
     """Render a config as parseable text; parse(render(c)) == c exactly."""
     lines = ["# pairsim experiment configuration"]
     for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, SourceModel):
-            value = value.value
-        lines.append(f"{f.name} = {value!r}" if isinstance(value, float)
-                     else f"{f.name} = {value}")
+        lines.append(f"{f.name} = {render_value(getattr(config, f.name))}")
     return "\n".join(lines) + "\n"
 
 

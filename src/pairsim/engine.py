@@ -56,7 +56,8 @@ import numpy as np
 from ._version import __version__
 from .analysis import (CorrelationReport, SinglesRates, UndefinedCorrelationError,
                        cauchy_schwarz, g_ratio, render_report, singles_rates)
-from .config import ConfigError, ExperimentConfig, ensure_valid, render_config
+from .config import (ConfigError, ExperimentConfig, ensure_valid, render_config,
+                     render_value)
 from .optics import DETECTOR_IDS, add_background, detect_batch, split, thin
 from .source import SourceModel, decohere_memory, retrieve, sample_write
 from .tia import CoincidenceHistogram, PeakAreas, TimestampStream, export_histogram
@@ -448,31 +449,22 @@ def sweep(config: ExperimentConfig, parameter: str, values,
     """One simulate_run per parameter value, with derived per-value seeds.
 
     Returns one row (dict keyed by SWEEP_COLUMNS) per value.  Parameters
-    that ``check_sweep_parameter`` refuses raise ConfigError.
+    that ``check_sweep_parameter`` refuses, and values that make an
+    invalid config, raise ConfigError before the first run.
     """
     check_sweep_parameter(parameter, trials)
     seed = config.rng_seed if seed is None else int(seed)
+    variants = [(v, ensure_valid(replace(config, **{parameter: v}))) for v in values]
     rows: list[dict[str, object]] = []
-    for index, value in enumerate(values):
-        variant = ensure_valid(replace(config, **{parameter: value}))
-        result = simulate_run(variant, trials=trials,
-                              seed=derived_seed(seed, index), workers=workers)
-        row: dict[str, object] = {"value": value}
-        if result.report is not None:
-            rep = result.report
-            row.update(g11=rep.g11, g11_sigma=rep.g11_sigma,
-                       g22=rep.g22, g22_sigma=rep.g22_sigma,
-                       g12=rep.g12, g12_sigma=rep.g12_sigma,
-                       lhs=rep.lhs, lhs_sigma=rep.lhs_sigma,
-                       rhs=rep.rhs, rhs_sigma=rep.rhs_sigma,
-                       ratio=rep.ratio, ratio_sigma=rep.ratio_sigma,
-                       significance=rep.significance,
-                       verdict="violated" if rep.violated else "not_violated")
-        else:
-            nan = float("nan")
-            row.update({c: nan for c in SWEEP_COLUMNS[1:-1]})
-            row["verdict"] = "undefined"
-        rows.append(row)
+    for index, (value, variant) in enumerate(variants):
+        rep = simulate_run(variant, trials=trials, seed=derived_seed(seed, index),
+                           workers=workers).report
+        rows.append({
+            "value": value,
+            **{c: float("nan") if rep is None else getattr(rep, c)
+               for c in SWEEP_COLUMNS[1:-1]},
+            "verdict": ("undefined" if rep is None
+                        else "violated" if rep.violated else "not_violated")})
     return rows
 
 
@@ -481,8 +473,4 @@ def export_sweep(rows: list[dict[str, object]], path) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
         for row in rows:
-            cells = []
-            for column in SWEEP_COLUMNS:
-                value = row[column]
-                cells.append(repr(value) if isinstance(value, float) else str(value))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(render_value(row[c]) for c in SWEEP_COLUMNS) + "\n")

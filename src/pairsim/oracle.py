@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr
+from scipy.special import bdtr, gammaln
 
 from .analysis import CorrelationReport, SinglesRates, cauchy_schwarz
 from .config import ConfigError, ExperimentConfig
@@ -88,6 +88,17 @@ class OraclePrediction:
     report: CorrelationReport
 
 
+def _classical_matrix(p: float, n_max: int) -> np.ndarray:
+    """Classical ``joint_pmf`` on n_s, n_m <= n_max, bit for bit, in one broadcast."""
+    if p == 0:  # all mass at (0, 0)
+        return np.pad([[1.0]], (0, n_max))
+    n_s = np.arange(n_max + 1)[:, None]
+    n_m = np.arange(n_max + 1)[None, :]
+    k = n_s + n_m
+    log_binom = gammaln(k + 1) - gammaln(n_s + 1) - gammaln(n_m + 1)
+    return np.exp(log_binom - math.log(p) - (k + 1) * math.log(2.0 + 1.0 / p))
+
+
 class _SourceLaw:
     """Truncated joint source pmf with fixed-order expectation sums."""
 
@@ -100,13 +111,9 @@ class _SourceLaw:
             self._matrix = None
             self.mass = float(self._diag.sum())
         else:
-            matrix = np.empty((n_max + 1, n_max + 1))
-            for i in range(n_max + 1):
-                for j in range(n_max + 1):
-                    matrix[i, j] = joint_pmf(p, model, i, j)
             self._diag = None
-            self._matrix = matrix
-            self.mass = float(matrix.sum())
+            self._matrix = _classical_matrix(p, n_max)
+            self.mass = float(self._matrix.sum())
 
     def expect(self, a: float, b: float) -> float:
         """E[a**n_s * b**n_m] over the truncated law, fixed summation order."""

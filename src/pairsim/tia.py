@@ -8,6 +8,9 @@ only the first), which keeps the cross-trial baseline unbiased.  Start and
 stop streams must be strictly increasing; the engine builds them in trial
 order, so they never need sorting here.
 
+Pairs are enumerated one stop rank at a time (see :func:`histogram`), so
+memory grows with the starts and bins, never with the pairs.
+
 Because trials repeat with the duty-cycle period, the histogram clusters
 into peaks: the peak at zero lag collects same-trial coincidences and the
 peaks at multiples of the cycle period collect accidental coincidences
@@ -97,6 +100,10 @@ def histogram(start: TimestampStream, stop: TimestampStream,
     For every start time t_s and stop time t_p with 0 <= t_p - t_s < span
     the bin floor((t_p - t_s) / bin_width) is incremented.  Deterministic;
     negative delays are never recorded.
+
+    Pass r bins each start's r-th stop in range, with O(starts + n_bins)
+    temporaries.  Engine streams click at most once per detector per
+    trial, so they need at most ceil(span / cycle_period) + 1 passes.
     """
     _require_sorted(start)
     _require_sorted(stop)
@@ -104,19 +111,14 @@ def histogram(start: TimestampStream, stop: TimestampStream,
     counts = np.zeros(n_bins, dtype=np.int64)
     starts = start.timestamps
     stops = stop.timestamps
-    if starts.size and stops.size:
-        lo = np.searchsorted(stops, starts, side="left")
-        hi = np.searchsorted(stops, starts + span, side="left")
-        seg_len = hi - lo
-        total = int(seg_len.sum())
-        if total:
-            excl = np.cumsum(seg_len) - seg_len
-            idx = (np.arange(total) - np.repeat(excl, seg_len)
-                   + np.repeat(lo, seg_len))
-            delays = stops[idx] - np.repeat(starts, seg_len)
-            bins = np.floor(delays / bin_width).astype(np.int64)
-            good = (bins >= 0) & (bins < n_bins)
-            counts = np.bincount(bins[good], minlength=n_bins).astype(np.int64)
+    nxt = np.searchsorted(stops, starts, side="left")
+    end = np.searchsorted(stops, starts + span, side="left")
+    live = np.flatnonzero(nxt < end)
+    while live.size:
+        bins = np.floor((stops[nxt[live]] - starts[live]) / bin_width).astype(np.int64)
+        counts += np.bincount(bins[bins < n_bins], minlength=n_bins)
+        nxt[live] += 1
+        live = live[nxt[live] < end[live]]
     return CoincidenceHistogram(
         pair_id=(start.detector_id, stop.detector_id),
         bin_width=bin_width, span=span, bins=counts)

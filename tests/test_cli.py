@@ -116,6 +116,18 @@ def test_sweep_prints_table(preset_file, tmp_path, capsys):
     assert (tmp_path / "sw" / "sweep_delay_dt.csv").exists()
 
 
+def test_sweep_source_model_writes_config_literals(preset_file, tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--config", preset_file,
+                           "--param", "source_model",
+                           "--values", "quantum_tms,classical_correlated",
+                           "--trials", "10000", "--out", str(tmp_path / "sw"))
+    assert code == 0
+    printed = [line.split(",")[0] for line in out.splitlines()[1:3]]
+    assert printed == ["quantum_tms", "classical_correlated"]
+    exported = (tmp_path / "sw" / "sweep_source_model.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in exported[1:]] == printed
+
+
 def test_sweep_empty_values(preset_file, capsys):
     code, out, _ = run_cli(capsys, "sweep", "--config", preset_file,
                            "--param", "delay_dt", "--values", ",")

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +217,15 @@ def test_sweep_n_trials_without_trials_override(preset):
     assert [row["value"] for row in rows] == [1000, 2000]
 
 
+def test_sweep_validates_every_value_before_running(preset, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate_run called before validation")
+
+    monkeypatch.setattr(engine, "simulate_run", no_run)
+    with pytest.raises(ConfigError, match="delay_dt"):
+        sweep(preset, "delay_dt", [0.0, 2e-6, 1.0], trials=1000)
+
+
 def test_sweep_rows_and_export(preset, tmp_path):
     rows = sweep(preset, "p_excitation", [0.05, 0.14], trials=20_000, seed=4)
     assert [row["value"] for row in rows] == [0.05, 0.14]
@@ -276,6 +287,13 @@ ORACLE_CONFIGS = {
     "tiny_p": dataclasses.replace(
         _PRESET, p_excitation=1e-20, memory_diffusion_in=0.0, dark_mean=0.0,
         bg_stokes_mean=0.0, bg_antistokes_mean=0.0),
+    # Validator edges: the read gate ends with the cycle, so the last shifted
+    # baseline window ends at the smallest span the validator accepts.
+    "read_gate_at_cycle_end": dataclasses.replace(
+        _PRESET, delay_dt=_PRESET.cycle_period - _PRESET.gate_width),
+    # The span is the smallest the validator accepts.
+    "min_hist_span": dataclasses.replace(
+        _PRESET, hist_span=(_PRESET.baseline_peaks + 1) * _PRESET.cycle_period),
 }
 
 
@@ -346,3 +364,12 @@ def test_huge_worker_count_starts_no_pool_for_one_block(preset, monkeypatch):
     monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
     result = simulate_run(preset, trials=BLOCK_TRIALS, seed=3, workers=10 ** 6)
     assert result.pattern_counts.sum() == BLOCK_TRIALS
+
+
+def test_benchmark_tracer_names_exist_in_engine():
+    # The benchmark tracer wraps these engine attributes by name.
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert [name for name in spans.ENGINE_NAMES if not hasattr(engine, name)] == []

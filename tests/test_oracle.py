@@ -9,7 +9,8 @@ import pytest
 from pairsim import (ExperimentConfig, SourceModel, TruncationError, compare,
                      oracle_report, required_n_max, truncated_joint)
 from pairsim.config import NO_DECAY, reference_preset
-from pairsim.oracle import _SourceLaw, _classical_mass
+from pairsim.oracle import _SourceLaw, _classical_mass, _classical_matrix
+from pairsim.source import joint_pmf
 
 Q = SourceModel.QUANTUM_TMS
 C = SourceModel.CLASSICAL_CORRELATED
@@ -164,6 +165,14 @@ def test_required_n_max_bound_holds():
 def test_classical_mass_matches_truncated_matrix(p, n_max):
     matrix_mass = _SourceLaw(make_config(model=C, p=p), n_max).mass
     assert abs(_classical_mass(p, n_max) - matrix_mass) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [0.0, 0.14, 50.0])
+def test_classical_matrix_equals_scalar_pmf(p):
+    n = 16
+    expected = np.array([[joint_pmf(p, C, i, j) for j in range(n + 1)]
+                         for i in range(n + 1)])
+    assert np.array_equal(_classical_matrix(p, n), expected)
 
 
 def test_compare_exact_agreement_is_all_zero():

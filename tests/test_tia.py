@@ -42,6 +42,27 @@ def test_single_pair_lands_in_expected_bin():
     assert hist.bins.sum() == 1
 
 
+def test_delay_below_span_that_floors_to_n_bins_is_dropped():
+    stop = 0.00019999999999999998
+    assert stop < 2e-4 and math.floor(stop / 1e-6) == 200
+    hist = histogram(stream("A", [0.0]), stream("B", [stop]), 1e-6, 2e-4)
+    assert hist.n_bins == 200
+    assert hist.bins.sum() == 0
+
+
+def test_stop_at_start_lands_in_bin_zero():
+    hist = histogram(stream("A", [3e-6]), stream("B", [3e-6]), 1e-8, 1e-6)
+    assert hist.bins[0] == 1
+    assert hist.bins.sum() == 1
+
+
+def test_stop_at_start_plus_span_not_counted():
+    hist = histogram(stream("A", [0.0]), stream("B", [1e-6 - 1e-8, 1e-6]),
+                     1e-8, 1e-6)
+    assert hist.bins[-1] == 1
+    assert hist.bins.sum() == 1
+
+
 def test_unsorted_stream_rejected():
     bad = stream("A", [2e-6, 1e-6])
     with pytest.raises(StreamOrderError):
