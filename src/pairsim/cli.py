@@ -99,7 +99,7 @@ def _cmd_oracle(args) -> int:
             for mask in range(16):
                 bits = [(mask >> bit) & 1 for bit in range(4)]
                 fh.write(",".join(str(b) for b in bits)
-                         + f",{prediction.pattern.probs[mask]!r}\n")
+                         + f",{render_value(float(prediction.pattern.probs[mask]))}\n")
         (out / "oracle_report.txt").write_text(report)
         print(f"# wrote oracle report and patterns to {out}")
     return EXIT_OK

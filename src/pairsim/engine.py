@@ -407,10 +407,9 @@ def export_run(result: RunResult, out_dir, keep_events: bool = False) -> RunMani
         with open(out / "events.csv", "w") as fh:
             fh.write("detector,trial_index,timestamp_seconds\n")
             for det in DETECTOR_IDS:
-                trials_arr = result.click_trials[det]
-                times_arr = result.streams[det].timestamps
-                for trial, ts in zip(trials_arr, times_arr):
-                    fh.write(f"{det},{int(trial)},{float(ts)!r}\n")
+                fh.writelines(map(f"{det},{{}},{{!r}}\n".format,
+                                  result.click_trials[det].tolist(),
+                                  result.streams[det].timestamps.tolist()))
         outputs.append("events.csv")
 
     manifest = RunManifest(seed=result.seed, trials=result.trials,

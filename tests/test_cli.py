@@ -2,7 +2,7 @@
 
 import pytest
 
-from pairsim import SourceModel, cli, parse_config, reference_preset
+from pairsim import SourceModel, cli, oracle_report, parse_config, reference_preset
 from pairsim.cli import EXIT_CONFIG, EXIT_RUNTIME, main
 
 
@@ -158,8 +158,15 @@ def test_oracle_report(preset_file, tmp_path, capsys):
     assert code == 0
     assert "schema = correlation_report_v1" in out
     assert "rate_stokes_hz = 220.0" in out
-    assert (tmp_path / "or" / "oracle_patterns.csv").exists()
     assert (tmp_path / "or" / "oracle_report.txt").exists()
+    rows = (tmp_path / "or" / "oracle_patterns.csv").read_text().splitlines()
+    assert rows[0] == "pattern_a,pattern_b,pattern_c,pattern_d,probability"
+    probs = oracle_report(reference_preset()).pattern.probs
+    for mask, row in enumerate(rows[1:]):
+        *bits, prob = row.split(",")
+        assert [int(b) for b in bits] == [(mask >> bit) & 1 for bit in range(4)]
+        assert float(prob) == probs[mask]
+    assert len(rows) == 17
 
 
 def test_compare_zscore_table(preset_file, tmp_path, capsys):

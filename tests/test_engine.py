@@ -104,6 +104,28 @@ def test_rng_stream_is_pinned_to_version(preset):
     assert digest.hexdigest() == STREAM_DIGESTS[__version__]
 
 
+# sha256 of each file export_run writes for the same preset run, with
+# keep_events.  A change of the writers, the histogram or the stream must
+# bump the version and add its digests here.
+EXPORT_DIGESTS = {
+    "0.2.0": {
+        "hist_11.csv": "e1edec496d253976a9a10fe1d81831caaa3881bcddae23b5a12cb7964cd3d035",
+        "hist_22.csv": "b6c54e8403f9e4ba045a82ab850d4c3b9c1c5be7d58c1c45b9afdadca22c2a0c",
+        "hist_12.csv": "1e4cab73e0e56586e914ee08f2444efde0c82e1e641fed590b09d9b5f7894a27",
+        "hist_12b.csv": "f77f2e5d85d7e0b86ac76025ccbf705228223275362da2e1d7984c8fe9dd4c7a",
+        "events.csv": "801e5e1c67eb64eac4266cf566871d5109135d34d8821952daca7aea8b1e3439",
+    },
+}
+
+
+def test_export_format_is_pinned_to_version(preset, tmp_path):
+    result = simulate_run(preset, trials=3 * BLOCK_TRIALS, seed=2026)
+    export_run(result, tmp_path, keep_events=True)
+    expected = EXPORT_DIGESTS[__version__]
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in expected} == expected
+
+
 def test_vacuum_run_reports_undefined_correlation():
     cfg = ExperimentConfig(
         source_model=SourceModel.QUANTUM_TMS, p_excitation=0.0, delay_dt=2e-6,

@@ -154,6 +154,52 @@ def test_histogram_export_round_trip(tmp_path):
     assert header == "delay_bin_start_seconds,count"
 
 
+def per_row_export(hist):
+    """Reference writer: one f-string per bin, as the format is defined."""
+    return ("delay_bin_start_seconds,count\n" + "".join(
+        f"{float(edge)!r},{int(count)}\n"
+        for edge, count in zip(hist.bin_starts(), hist.bins))).encode()
+
+
+def counts_histogram(bin_width, counts):
+    counts = np.asarray(counts, dtype=np.int64)
+    return CoincidenceHistogram(pair_id=("A", "B"), bin_width=bin_width,
+                                span=bin_width * counts.size, bins=counts)
+
+
+def edge_counts():
+    counts = np.zeros(5000, dtype=np.int64)
+    counts[[0, 1, 2499, 4999]] = [3, 1, 123456, 2]
+    return counts
+
+
+@pytest.mark.parametrize("bin_width, counts", [
+    (1e-8, edge_counts()),
+    (3e-9, edge_counts()),
+    (1e-8, np.zeros(1000, dtype=np.int64)),
+    (1e-8, [7]),
+    (1e-8, [0]),
+    (5e-7, np.arange(3200) % 3),
+], ids=["first-last-and-large", "bin-3ns", "all-zero", "one-bin", "one-zero-bin",
+        "dense"])
+def test_export_histogram_matches_per_row_writer(tmp_path, bin_width, counts):
+    hist = counts_histogram(bin_width, counts)
+    export_histogram(hist, tmp_path / "hist.csv")
+    assert (tmp_path / "hist.csv").read_bytes() == per_row_export(hist)
+
+
+def test_export_histogram_alternating_binnings(tmp_path):
+    # Same bin count at two widths, then another count: a table kept from
+    # the previous binning would write the wrong edges or rows.
+    rng = np.random.default_rng(8)
+    hists = [counts_histogram(bw, rng.integers(0, 3, n) * (rng.random(n) < 0.01))
+             for bw, n in ((1e-8, 4000), (1e-7, 4000), (1e-8, 9000))]
+    for i, hist in enumerate(hists + hists[::-1]):
+        path = tmp_path / f"hist_{i}.csv"
+        export_histogram(hist, path)
+        assert path.read_bytes() == per_row_export(hist)
+
+
 def test_uncorrelated_streams_have_flat_peaks():
     # Pure background, no source: accidental coincidences are
     # trial-independent, so the same-trial peak is statistically equal to
