@@ -1,4 +1,4 @@
-"""Run orchestration: trial simulation, histogram reduction, exports, sweeps.
+"""Run orchestration: trial simulation, peak-area reduction, exports, sweeps.
 
 One trial is a full duty cycle: write pulse (Stokes gate opens at the cycle
 start), storage delay, read pulse (anti-Stokes gate opens ``delay_dt``
@@ -6,8 +6,9 @@ later), gated detection on all four detectors.  Trials are simulated in
 fixed-size blocks; block b draws from a counter-based Philox stream keyed
 by (seed, b), so results are bit-identical no matter how blocks are
 distributed over workers or in what order they complete.  Blocks are
-reduced to click streams and per-trial click-pattern counts immediately;
-raw events are only materialized on request.
+reduced to click tables (trial index and within-cycle offset of every
+click) and per-trial click-pattern counts immediately; raw events are only
+materialized on request.
 
 Active-trial sampler.  Every trial has eight independent sources (see
 ``SOURCES``): the write excitation, the diffused-in memory excitations
@@ -33,16 +34,22 @@ The joint law of every trial is exactly that of drawing all sources for
 every trial; quiet trials land in pattern 0.  The sampler uses nothing
 from the oracle, which stays an independent check on it.
 
-Histograms are built for the pairs (A,B), (C,D), (A,C) and, as a
+Peak areas are counted for the pairs (A,B), (C,D), (A,C) and, as a
 consistency duplicate, (B,D).  The Stokes detector starts the
 time-interval analysis for the cross pairs, matching the write-then-read
 time order; the lower-lettered detector starts for the auto pairs.  Peak
 windows of the cross pairs are shifted by the write-read delay since their
-stop gate lags the start gate by exactly that amount.
+stop gate lags the start gate by exactly that amount.  N and M come
+straight from the click tables (``tia.peak_areas_from_clicks``); only
+(A,B), (C,D) and (A,C) decide the Cauchy-Schwarz report, and (B,D) is
+reported as a check.  The coincidence histograms are built from the
+timestamps the first time ``RunResult.histograms`` is read, which
+``export_run`` does.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -62,7 +69,7 @@ from .optics import DETECTOR_IDS, add_background, detect_batch, split, thin
 from .source import SourceModel, decohere_memory, retrieve, sample_write
 from .tia import CoincidenceHistogram, PeakAreas, TimestampStream, export_histogram
 from .tia import histogram as build_histogram
-from .tia import peak_areas as extract_peak_areas
+from .tia import peak_areas_from_clicks as extract_peak_areas
 
 BLOCK_TRIALS = 1 << 16
 """Trials per simulation block; fixed so block boundaries never depend on
@@ -80,6 +87,7 @@ SOURCES = ("write", "diffusion", "bg_stokes", "bg_antistokes",
            "dark_A", "dark_B", "dark_C", "dark_D")
 
 # (label, start detector, stop detector, peak windows shifted by delay_dt?)
+# The first three decide the report; "12b" is the consistency duplicate.
 HISTOGRAM_PAIRS = (
     ("11", "A", "B", False),
     ("22", "C", "D", False),
@@ -114,7 +122,6 @@ class RunResult:
     seed: int
     streams: dict[str, TimestampStream]
     click_trials: dict[str, np.ndarray]
-    histograms: dict[str, CoincidenceHistogram]
     peaks: dict[str, PeakAreas]
     g: dict[str, tuple[float, float]]
     report: CorrelationReport | None
@@ -123,6 +130,13 @@ class RunResult:
     singles: SinglesRates
     wall_time_seconds: float
     workers: int
+
+    @functools.cached_property
+    def histograms(self) -> dict[str, CoincidenceHistogram]:
+        """Coincidence histogram of every pair, built on first access."""
+        return {label: build_histogram(self.streams[start], self.streams[stop],
+                                       self.config.hist_bin, self.config.hist_span)
+                for label, start, stop, _ in HISTOGRAM_PAIRS}
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -209,7 +223,7 @@ def _simulate_block(config: ExperimentConfig, seed: int, block_index: int,
                     first_trial: int, n: int):
     """Simulate trials [first_trial, first_trial + n) and reduce to clicks.
 
-    Returns ({detector: (trial indices, timestamps)}, pattern counts).
+    Returns ({detector: (trial indices, within-cycle offsets)}, pattern counts).
     Only active trials are drawn (see the module docstring); they are
     grouped by first nonzero source, so source i is unconditional on the
     groups before its own, zero-truncated on its own group and zero after
@@ -267,8 +281,8 @@ def _simulate_block(config: ExperimentConfig, seed: int, block_index: int,
     for bit, det in enumerate(DETECTOR_IDS):
         # Offsets are i.i.d. and independent of the trial, so they can be
         # handed out in trial order.
-        trials = first_trial + active[(by_trial & (1 << bit)) != 0]
-        clicks[det] = (trials, trials * config.cycle_period + offsets[det])
+        clicks[det] = (first_trial + active[(by_trial & (1 << bit)) != 0],
+                       offsets[det])
     return clicks, pattern_counts
 
 
@@ -298,24 +312,25 @@ def _run_blocks(config: ExperimentConfig, trials: int, seed: int, workers: int):
     else:
         with ProcessPoolExecutor(max_workers=pool_size) as pool:
             results = list(pool.map(_block_task, tasks, chunksize=1))
-    # Merge in block order: streams come out sorted without any extra sort.
+    # Merge in block order: click tables come out sorted without any extra sort.
     click_trials: dict[str, np.ndarray] = {}
-    click_times: dict[str, np.ndarray] = {}
+    click_offsets: dict[str, np.ndarray] = {}
     for det in DETECTOR_IDS:
         click_trials[det] = np.concatenate([r[0][det][0] for r in results])
-        click_times[det] = np.concatenate([r[0][det][1] for r in results])
+        click_offsets[det] = np.concatenate([r[0][det][1] for r in results])
     pattern_counts = np.sum([r[1] for r in results], axis=0).astype(np.int64)
-    return click_trials, click_times, pattern_counts
+    return click_trials, click_offsets, pattern_counts
 
 
 def simulate_run(config: ExperimentConfig, trials: int | None = None,
                  seed: int | None = None, workers: int = 1) -> RunResult:
-    """Execute a full run: trials, histograms, peak areas, correlation report.
+    """Execute a full run: trials, peak areas, correlation report.
 
     ``trials`` and ``seed`` default to the config's n_trials and rng_seed.
-    Results are independent of ``workers``.  When a baseline peak area is
-    zero the correlation is undefined; the run still succeeds and reports
-    the reason instead of a verdict.
+    Results are independent of ``workers``.  When a baseline peak area of
+    (A,B), (C,D) or (A,C) is zero the correlation is undefined; the run
+    still succeeds and reports every pair with a zero baseline instead of a
+    verdict.  Histograms are not built here (see ``RunResult.histograms``).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -328,42 +343,44 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     started = time.perf_counter()
 
-    click_trials, click_times, pattern_counts = _run_blocks(
+    click_trials, click_offsets, pattern_counts = _run_blocks(
         config, trials, seed, workers)
-    duration = trials * config.cycle_period
-    streams = {det: TimestampStream(detector_id=det,
-                                    timestamps=click_times[det])
-               for det in DETECTOR_IDS}
 
-    histograms: dict[str, CoincidenceHistogram] = {}
     peaks: dict[str, PeakAreas] = {}
     g: dict[str, tuple[float, float]] = {}
-    undefined_reason = None
+    zero_baseline = []
     for label, start_det, stop_det, shifted in HISTOGRAM_PAIRS:
-        hist = build_histogram(streams[start_det], streams[stop_det],
-                               config.hist_bin, config.hist_span)
-        offset = config.delay_dt if shifted else 0.0
-        areas = extract_peak_areas(hist, config.cycle_period, config.gate_width,
-                                   config.baseline_peaks, peak_offset=offset)
-        histograms[label] = hist
+        areas = extract_peak_areas(
+            click_trials[start_det], click_offsets[start_det],
+            click_trials[stop_det], click_offsets[stop_det],
+            config.delay_dt if shifted else 0.0, config.baseline_peaks)
         peaks[label] = areas
         try:
             g[label] = g_ratio(areas.n_same_trial, areas.m_baseline,
                                config.baseline_peaks)
         except UndefinedCorrelationError:
             g[label] = (float("nan"), float("nan"))
-            undefined_reason = (f"pair {start_det}{stop_det}: zero baseline "
-                                "coincidences, g undefined")
+            zero_baseline.append(start_det + stop_det)
 
-    if undefined_reason is None:
+    streams = {}
+    for det in DETECTOR_IDS:
+        # The reduction was the offsets' last reader: they become the
+        # timestamps in place, which saves a copy of every click.
+        timestamps = click_offsets.pop(det)
+        timestamps += click_trials[det] * config.cycle_period
+        streams[det] = TimestampStream(detector_id=det, timestamps=timestamps)
+
+    if all(math.isfinite(g[label][0]) for label in ("11", "22", "12")):
         report = cauchy_schwarz(g["11"], g["22"], g["12"], delay_dt=config.delay_dt)
+        undefined_reason = None
     else:
         report = None
-    singles = singles_rates(streams, duration)
+        undefined_reason = (f"g undefined for {', '.join(zero_baseline)}: "
+                            "zero baseline coincidences")
+    singles = singles_rates(streams, trials * config.cycle_period)
     wall = time.perf_counter() - started
     return RunResult(config=config, trials=trials, seed=seed, streams=streams,
-                     click_trials=click_trials, histograms=histograms,
-                     peaks=peaks, g=g, report=report,
+                     click_trials=click_trials, peaks=peaks, g=g, report=report,
                      undefined_reason=undefined_reason,
                      pattern_counts=pattern_counts, singles=singles,
                      wall_time_seconds=wall, workers=workers)

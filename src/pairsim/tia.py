@@ -26,6 +26,16 @@ correlation is their ratio (see :mod:`pairsim.analysis`).
 For detector pairs whose gates are offset within the cycle (the Stokes to
 anti-Stokes pair is delayed by the write-read delay), the peak windows are
 shifted by ``peak_offset`` so that they track the actual peak positions.
+
+A run does not need the histogram for N and M.  Peak j of a pair counts
+the pairs with the start in trial i, the stop in trial i + j and
+``stop offset - shift >= start offset``, offsets taken within the cycle;
+:func:`peak_areas_from_clicks` counts exactly that from the per-trial
+click tables, without binning, so its areas do not depend on the bin
+width.  Wherever the bin edges line up with the peak windows (the
+defaults do) it agrees with ``peak_areas`` of the histogram, up to pairs
+whose two offsets differ by a rounding error of the timestamps.
+``peak_areas`` stays the reader for histograms loaded from files.
 """
 
 from __future__ import annotations
@@ -81,11 +91,9 @@ class PeakAreas:
     per_peak: tuple[float, ...]
 
 
-def _require_sorted(stream: TimestampStream) -> None:
-    ts = stream.timestamps
-    if ts.size > 1 and not np.all(np.diff(ts) > 0):
-        raise StreamOrderError(
-            f"stream {stream.detector_id} is not strictly increasing")
+def _require_sorted(values: np.ndarray, name: str) -> None:
+    if values.size > 1 and not np.all(np.diff(values) > 0):
+        raise StreamOrderError(f"{name} is not strictly increasing")
 
 
 def _bin_count(span: float, bin_width: float) -> int:
@@ -111,8 +119,8 @@ def histogram(start: TimestampStream, stop: TimestampStream,
     temporaries.  Engine streams click at most once per detector per
     trial, so they need at most ceil(span / cycle_period) + 1 passes.
     """
-    _require_sorted(start)
-    _require_sorted(stop)
+    _require_sorted(start.timestamps, f"stream {start.detector_id}")
+    _require_sorted(stop.timestamps, f"stream {stop.detector_id}")
     n_bins = _bin_count(span, bin_width)
     counts = np.zeros(n_bins, dtype=np.int64)
     starts = start.timestamps
@@ -165,11 +173,70 @@ def peak_areas(hist: CoincidenceHistogram, cycle_period: float,
     areas = []
     for j in range(baseline_peaks + 1):
         lo = peak_offset + j * cycle_period
-        areas.append(float(hist.bins[_window_slice(hist, lo, lo + gate_width)].sum()))
+        areas.append(hist.bins[_window_slice(hist, lo, lo + gate_width)].sum())
+    return _peak_areas(areas)
+
+
+def _peak_areas(counts) -> PeakAreas:
+    """PeakAreas from the counts of peaks 0..baseline_peaks."""
+    areas = [float(c) for c in counts]
     baseline = tuple(areas[1:])
     return PeakAreas(n_same_trial=areas[0],
-                     m_baseline=sum(baseline) / baseline_peaks,
+                     m_baseline=sum(baseline) / len(baseline),
                      per_peak=baseline)
+
+
+CHUNK_TRIALS = 1 << 16
+"""Trials per chunk of :func:`peak_areas_from_clicks`.  It bounds the dense
+stop table of one chunk; the areas do not depend on it."""
+
+
+def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
+                           stop_trials: np.ndarray, stop_offsets: np.ndarray,
+                           shift: float, baseline_peaks: int) -> PeakAreas:
+    """Peak areas of one pair, counted from its click tables.
+
+    Each detector clicks at most once per trial: ``*_trials`` are its
+    strictly increasing trial indices and ``*_offsets`` the within-cycle
+    click times in the same order.  Peak j (j = 0..baseline_peaks) counts
+    the start-stop pairs with the start in some trial i, the stop in trial
+    i + j and ``stop offset - shift >= start offset``; ``shift`` is the
+    start-stop gate offset of the pair (zero for same-gate pairs).  For
+    gates no longer than half a cycle these are the pairs that the
+    histogram window of peak j collects.
+
+    The run is walked in chunks of ``CHUNK_TRIALS`` start trials.  Chunk
+    [lo, hi) fills one dense table over trials [lo, hi + baseline_peaks)
+    with ``stop offset - shift``, or -inf where the stop detector did not
+    click, and compares it with each start at lags 0..baseline_peaks.
+    """
+    if baseline_peaks < 1:
+        raise ValueError(f"baseline_peaks must be >= 1, got {baseline_peaks}")
+    start_trials = np.asarray(start_trials, dtype=np.int64)
+    stop_trials = np.asarray(stop_trials, dtype=np.int64)
+    _require_sorted(start_trials, "start trials")
+    _require_sorted(stop_trials, "stop trials")
+    counts = np.zeros(baseline_peaks + 1, dtype=np.int64)
+    if start_trials.size == 0 or stop_trials.size == 0:
+        return _peak_areas(counts)
+    lo = np.arange(start_trials[-1] // CHUNK_TRIALS + 1) * CHUNK_TRIALS
+    start_at = np.searchsorted(start_trials, np.append(lo, lo[-1] + CHUNK_TRIALS))
+    stop_from = np.searchsorted(stop_trials, lo)
+    stop_to = np.searchsorted(stop_trials, lo + CHUNK_TRIALS + baseline_peaks)
+    table = np.full(CHUNK_TRIALS + baseline_peaks, -np.inf)
+    for c, first in enumerate(lo.tolist()):
+        s, e = start_at[c], start_at[c + 1]
+        if s == e:
+            continue
+        stops = slice(stop_from[c], stop_to[c])
+        filled = stop_trials[stops] - first
+        table[filled] = stop_offsets[stops] - shift
+        at = start_trials[s:e] - first
+        offsets = start_offsets[s:e]
+        for j in range(baseline_peaks + 1):
+            counts[j] += np.count_nonzero(table[j:j + CHUNK_TRIALS][at] >= offsets)
+        table[filled] = -np.inf  # cheaper than refilling when clicks are sparse
+    return _peak_areas(counts)
 
 
 _ROWS_PER_CHUNK = 4096

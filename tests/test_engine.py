@@ -18,8 +18,9 @@ from pairsim import (ConfigError, ExperimentConfig, SourceModel, __version__,
                      render_run_report, simulate_run, sweep)
 from pairsim import engine
 from pairsim.config import NO_DECAY
-from pairsim.engine import BLOCK_TRIALS, derived_seed, export_sweep
+from pairsim.engine import BLOCK_TRIALS, HISTOGRAM_PAIRS, derived_seed, export_sweep
 from pairsim.oracle import required_n_max, truncated_joint
+from pairsim.tia import peak_areas
 
 LOSSLESS = ExperimentConfig(
     source_model=SourceModel.QUANTUM_TMS, p_excitation=0.1, delay_dt=2e-6,
@@ -126,6 +127,21 @@ def test_export_format_is_pinned_to_version(preset, tmp_path):
             for name in expected} == expected
 
 
+def test_histograms_are_built_on_first_access_only(preset, monkeypatch, tmp_path):
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("simulate_run built a histogram")
+
+    monkeypatch.setattr(engine, "build_histogram", no_histogram)
+    result = simulate_run(preset, trials=3 * BLOCK_TRIALS, seed=2026)
+    monkeypatch.undo()
+    assert result.histograms is result.histograms
+    export_run(result, tmp_path)
+    expected = {name: digest for name, digest in EXPORT_DIGESTS[__version__].items()
+                if name.startswith("hist_")}
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in expected} == expected
+
+
 def test_vacuum_run_reports_undefined_correlation():
     cfg = ExperimentConfig(
         source_model=SourceModel.QUANTUM_TMS, p_excitation=0.0, delay_dt=2e-6,
@@ -136,6 +152,62 @@ def test_vacuum_run_reports_undefined_correlation():
     assert "undefined" in result.undefined_reason
     text = render_run_report(result)
     assert "verdict = undefined" in text
+
+
+def test_undefined_reason_names_every_zero_baseline_pair():
+    cfg = ExperimentConfig(
+        source_model=SourceModel.QUANTUM_TMS, p_excitation=0.0, delay_dt=2e-6,
+        retrieval_eff=1.0, transmission=1.0, detector_eff=1.0)
+    result = simulate_run(cfg, trials=20_000, seed=3)
+    assert result.undefined_reason == (
+        "g undefined for AB, CD, AC, BD: zero baseline coincidences")
+
+
+def test_duplicate_pair_alone_does_not_undefine_the_run(preset):
+    # Only (B,D) has no baseline coincidence here; the report is decided by
+    # (A,B), (C,D) and (A,C), and the duplicate shows up as nan.
+    result = simulate_run(dataclasses.replace(preset, dark_mean=2e-3),
+                          trials=2_000, seed=25)
+    assert [result.peaks[label].m_baseline > 0 for label in ("11", "22", "12", "12b")] \
+        == [True, True, True, False]
+    assert result.report is not None and result.undefined_reason is None
+    assert all(math.isnan(x) for x in result.g["12b"])
+    lines = dict(line.split(" = ") for line in render_run_report(result).splitlines())
+    assert lines["verdict"] in ("violated", "not_violated")
+    assert lines["g12_check_bd"] == "nan"
+
+
+def test_peaks_do_not_depend_on_hist_bin(preset):
+    # 3 ns bins do not line up with the 200 us peak spacing, so histogram
+    # windows would drop the pairs in the bin straddling each window start.
+    runs = [simulate_run(dataclasses.replace(preset, hist_bin=hist_bin),
+                         trials=1_000_000, seed=11) for hist_bin in (1e-8, 3e-9)]
+    assert runs[0].peaks == runs[1].peaks
+    assert runs[0].g == runs[1].g
+    assert runs[0].report == runs[1].report
+
+
+PEAK_CONFIGS = {
+    "preset": (reference_preset(), 200_000),
+    "ideal": (LOSSLESS, 200_000),
+    "classical": (dataclasses.replace(
+        reference_preset(), source_model=SourceModel.CLASSICAL_CORRELATED), 200_000),
+    "saturated": (dataclasses.replace(reference_preset(), dark_mean=5.0), 30_000),
+}
+
+
+@pytest.mark.parametrize("name", list(PEAK_CONFIGS))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_peaks_equal_histogram_windows(name, seed):
+    # At the default binning the bin edges line up with the peak windows,
+    # so counting pairs from the click tables and summing histogram
+    # windows give the same areas.
+    config, trials = PEAK_CONFIGS[name]
+    result = simulate_run(config, trials=trials, seed=seed)
+    for label, _, _, shifted in HISTOGRAM_PAIRS:
+        assert result.peaks[label] == peak_areas(
+            result.histograms[label], config.cycle_period, config.gate_width,
+            config.baseline_peaks, peak_offset=config.delay_dt if shifted else 0.0)
 
 
 def test_click_timestamps_stay_inside_gates(preset):

@@ -10,6 +10,7 @@ from pairsim import (CoincidenceHistogram, SourceModel, StreamOrderError,
                      TimestampStream, export_histogram, histogram, load_histogram,
                      peak_areas, simulate_run)
 from pairsim.config import ExperimentConfig
+from pairsim.tia import CHUNK_TRIALS, peak_areas_from_clicks
 
 
 def stream(det, times):
@@ -230,3 +231,99 @@ def test_symmetric_pair_role_swap_consistent():
     for x, y in [(ab.n_same_trial, ba.n_same_trial),
                  (ab.m_baseline, ba.m_baseline)]:
         assert abs(x - y) < 4.0 * math.sqrt(x + y + 1.0)
+
+
+def brute_force_peak_counts(start_trials, start_offsets, stop_trials, stop_offsets,
+                            shift, baseline_peaks):
+    """Every start-stop pair, counted in peak j = stop trial - start trial."""
+    counts = [0] * (baseline_peaks + 1)
+    for t_s, o_s in zip(start_trials, start_offsets):
+        for t_p, o_p in zip(stop_trials, stop_offsets):
+            j = t_p - t_s
+            if 0 <= j <= baseline_peaks and o_p - shift >= o_s:
+                counts[j] += 1
+    return counts
+
+
+def click_table(rng, trials, gate_start, gate_width=1e-6):
+    trials = np.unique(np.asarray(trials, dtype=np.int64))
+    return trials, gate_start + gate_width * rng.random(trials.size)
+
+
+def assert_matches_brute_force(start, stop, shift, baseline_peaks):
+    areas = peak_areas_from_clicks(*start, *stop, shift, baseline_peaks)
+    counts = brute_force_peak_counts(*start, *stop, shift, baseline_peaks)
+    assert (areas.n_same_trial,) + areas.per_peak == tuple(map(float, counts))
+    assert areas.m_baseline == sum(counts[1:]) / baseline_peaks
+    return counts
+
+
+K = 7
+EDGE = list(range(CHUNK_TRIALS - K - 1, CHUNK_TRIALS + K + 2))
+
+
+@pytest.mark.parametrize("start_trials, stop_trials", [
+    # Starts just below a chunk boundary whose stops lie past it.
+    (EDGE, EDGE),
+    ([CHUNK_TRIALS - 1], range(CHUNK_TRIALS - 1, CHUNK_TRIALS + K + 1)),
+    # Starts on both sides of two boundaries, stops dense around them.
+    ([5, CHUNK_TRIALS - 2, CHUNK_TRIALS, 2 * CHUNK_TRIALS - 1, 2 * CHUNK_TRIALS + 3],
+     list(range(CHUNK_TRIALS - 3, CHUNK_TRIALS + 9))
+     + list(range(2 * CHUNK_TRIALS - 2, 2 * CHUNK_TRIALS + 9))),
+    # A run shorter than baseline_peaks.
+    ([0, 1, 3], [0, 1, 2, 3, 4]),
+    # Stops only beyond the last baseline peak of every start.
+    ([0, 1], [K + 2, K + 5]),
+], ids=["edge-block", "last-trial-of-chunk", "two-boundaries", "short-run",
+        "stops-out-of-reach"])
+@pytest.mark.parametrize("shift", [0.0, 2e-6])
+def test_peak_areas_from_clicks_match_brute_force(start_trials, stop_trials, shift):
+    rng = np.random.default_rng(len(start_trials) + len(stop_trials))
+    start = click_table(rng, start_trials, 0.0)
+    stop = click_table(rng, stop_trials, shift)
+    assert_matches_brute_force(start, stop, shift, K)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_peak_areas_from_clicks_match_brute_force_random(seed):
+    # Sparse clicks over three chunks, shifted stop gate.
+    rng = np.random.default_rng(seed)
+    n = 3 * CHUNK_TRIALS
+    start = click_table(rng, rng.integers(0, n, 300), 0.0)
+    stop = click_table(rng, rng.integers(0, n, 300), 5e-6)
+    hits = np.concatenate([start[0] + j for j in range(K + 1)])
+    stop = click_table(rng, np.concatenate([stop[0], hits[rng.random(hits.size) < 0.2]]),
+                       5e-6)
+    counts = assert_matches_brute_force(start, stop, 5e-6, K)
+    assert min(counts) > 0
+
+
+@pytest.mark.parametrize("start_trials, stop_trials", [
+    ([], [0, 1, 2]), ([0, 1, 2], []), ([], [])], ids=["no-starts", "no-stops", "none"])
+def test_peak_areas_from_clicks_empty_detectors(start_trials, stop_trials):
+    rng = np.random.default_rng(4)
+    areas = peak_areas_from_clicks(*click_table(rng, start_trials, 0.0),
+                                   *click_table(rng, stop_trials, 0.0), 0.0, K)
+    assert areas.n_same_trial == 0.0 and areas.per_peak == (0.0,) * K
+    assert areas.m_baseline == 0.0
+
+
+def test_peak_areas_from_clicks_count_ties_and_apply_shift():
+    # stop - shift == start counts, as a zero delay lands in the first bin;
+    # a stop just before the shifted window does not.
+    # Dyadic offsets make the subtraction exact.
+    start = (np.array([0, 1]), np.array([0.25, 0.5]))
+    stop = (np.array([0, 1]), np.array([2.25, 2.5 - 2.0 ** -20]))
+    areas = peak_areas_from_clicks(*start, *stop, 2.0, 1)
+    assert areas.n_same_trial == 1.0
+    assert areas.per_peak == (1.0,)
+
+
+def test_peak_areas_from_clicks_rejects_unsorted_trials():
+    offsets = np.zeros(2)
+    with pytest.raises(StreamOrderError, match="start trials"):
+        peak_areas_from_clicks(np.array([3, 3]), offsets, np.array([1, 2]), offsets,
+                               0.0, K)
+    with pytest.raises(StreamOrderError, match="stop trials"):
+        peak_areas_from_clicks(np.array([1, 2]), offsets, np.array([2, 1]), offsets,
+                               0.0, K)
