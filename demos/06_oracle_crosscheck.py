@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Oracle cross-check: Monte Carlo click patterns against exact enumeration.
+"""Oracle cross-check: Monte Carlo click patterns against the exact closed form.
 
 The analytic oracle composes the entire pipeline in probability space
-(truncated source enumeration, closed-form thinning, Poisson backgrounds,
-inclusion-exclusion over the sixteen click patterns).  Its predictions and
-the sampler estimate the same quantities by entirely different routes, so
-z-scoring one against the other validates both.
+(closed-form source generating functions, binomial thinning, Poisson
+backgrounds, inclusion-exclusion over the sixteen click patterns).  Its
+predictions and the sampler estimate the same quantities by entirely
+different routes, so z-scoring one against the other validates both.
 """
 
 from pairsim import compare, oracle_report, reference_preset, simulate_run
@@ -16,8 +16,6 @@ TRIALS = 2_000_000
 def main():
     cfg = reference_preset()
     prediction = oracle_report(cfg)
-    print(f"oracle truncation: n_max {prediction.pattern.n_max}, "
-          f"error bound {prediction.pattern.truncation_error_bound:.2e}")
     result = simulate_run(cfg, trials=TRIALS, seed=17)
     mc_g = {"g11": result.g["11"], "g22": result.g["22"], "g12": result.g["12"]}
     rows = compare(result.pattern_counts, mc_g, prediction, result.trials)
@@ -29,7 +27,7 @@ def main():
                   + ("  <-- flagged" if row.flagged else ""))
     flagged = sum(row.flagged for row in rows)
     print(f"\n{flagged} of {len(rows)} quantities flagged at |z| > 4")
-    print("the sampler and the enumeration agree within counting noise")
+    print("the sampler and the closed form agree within counting noise")
 
 
 if __name__ == "__main__":

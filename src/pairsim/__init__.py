@@ -16,8 +16,7 @@ from .config import (ConfigDomainError, ConfigError, ConfigSyntaxError,
                      render_config, validate)
 from .engine import export_run, render_run_report, simulate_run, sweep
 from .optics import add_background, detect_batch, split, thin
-from .oracle import (TruncationError, compare, oracle_report, required_n_max,
-                     truncated_joint)
+from .oracle import compare, oracle_report
 from .source import SourceModel, decohere_memory, joint_pmf, retrieve, sample_write
 from .tia import (CoincidenceHistogram, StreamOrderError, TimestampStream,
                   export_histogram, histogram, load_histogram, peak_areas)

@@ -7,8 +7,8 @@ Subcommands::
                     [--set key=value ...] [--workers N] [--keep-events]
     pairsim sweep   --config PATH --param NAME --values v1,v2,...
                     [--trials N] [--seed S] [--out DIR] [--set ...] [--workers N]
-    pairsim oracle  --config PATH [--n-max K] [--out DIR] [--set ...]
-    pairsim compare --config PATH [--trials N] [--seed S] [--n-max K]
+    pairsim oracle  --config PATH [--out DIR] [--set ...]
+    pairsim compare --config PATH [--trials N] [--seed S]
                     [--out DIR] [--set ...] [--workers N]
 
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
@@ -27,7 +27,7 @@ from .config import ConfigError, ExperimentConfig, ensure_valid, parse_config, \
     parse_value, reference_preset, render_config, render_value
 from .engine import (check_sweep_parameter, export_run, export_sweep,
                      render_run_report, simulate_run, sweep)
-from .oracle import DEFAULT_N_MAX, TruncationError, compare, oracle_report
+from .oracle import compare, oracle_report
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -88,7 +88,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_oracle(args) -> int:
     config = _load_config(args)
-    prediction = oracle_report(config, n_max=args.n_max)
+    prediction = oracle_report(config)
     report = render_report(prediction.report, singles=prediction.singles, trials=0)
     sys.stdout.write(report)
     if args.out:
@@ -107,7 +107,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _load_config(args)
-    prediction = oracle_report(config, n_max=args.n_max)
+    prediction = oracle_report(config)
     result = simulate_run(config, trials=args.trials, seed=args.seed,
                           workers=args.workers)
     mc_g = {"g11": result.g["11"], "g22": result.g["22"], "g12": result.g["12"]}
@@ -182,16 +182,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="analytic prediction for a config")
     _add_common(p_oracle, trials=False)
-    p_oracle.add_argument("--n-max", type=_positive_int, default=DEFAULT_N_MAX,
-                          help="source truncation")
     p_oracle.add_argument("--out", default=None, help="export directory")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_compare = sub.add_parser("compare",
                                help="simulate and z-score against the oracle")
     _add_common(p_compare)
-    p_compare.add_argument("--n-max", type=_positive_int, default=DEFAULT_N_MAX,
-                           help="source truncation")
     p_compare.add_argument("--out", default=None, help="export directory")
     p_compare.set_defaults(func=_cmd_compare)
     return parser
@@ -205,9 +201,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except TruncationError as exc:
-        print(f"oracle error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -25,7 +25,8 @@ dark_mean               0.0         mean dark counts per detector per gate
 bg_stokes_mean          0.0         mean uncorrelated background photons per
                                     gate in the Stokes channel (at the splitter)
 bg_antistokes_mean      0.0         same for the anti-Stokes channel
-gate_width              1e-6        width of both detection gates, s
+gate_width              1e-6        width of both detection gates, s;
+                                    at most cycle_period / 2
 cycle_period            2e-4        duty-cycle period, s
 n_trials                1000000     duty cycles per run
 rng_seed                12345       base seed, integer in [0, 2**64)
@@ -131,9 +132,11 @@ def validate(config: ExperimentConfig) -> list[str]:
         v.append(f"baseline_peaks must be >= 1, got {config.baseline_peaks}")
     if not 0 <= config.rng_seed < 2 ** 64:
         v.append(f"rng_seed must be a 64-bit unsigned integer, got {config.rng_seed}")
-    if config.gate_width >= config.cycle_period:
-        v.append("gate must fit inside cycle: "
-                 f"gate_width {config.gate_width} >= cycle_period {config.cycle_period}")
+    if config.gate_width > config.cycle_period / 2:
+        # A longer gate lets the histogram window of peak j also collect
+        # pairs at trial lag j + 1, which the peak areas leave out.
+        v.append("gate must fit inside cycle: gate_width "
+                 f"{config.gate_width} > cycle_period / 2 = {config.cycle_period / 2}")
     if config.delay_dt + config.gate_width > config.cycle_period:
         v.append("read gate must fit inside cycle: "
                  f"delay_dt + gate_width exceeds cycle_period {config.cycle_period}")

@@ -1,23 +1,32 @@
 """Analytic click-pattern calculator used to validate the Monte Carlo pipeline.
 
-The per-trial click pattern over the four detectors is computed exactly
-(up to a bounded source truncation) by composing, in probability space,
-the same pipeline the sampler implements:
+The per-trial click pattern over the four detectors is computed exactly by
+composing, in probability space, the same pipeline the sampler implements:
 
-1. The joint source law P(n_s, n_m) is enumerated up to ``n_max``.
-2. Every loss is a binomial thinning, every background a Poisson
+1. Every loss is a binomial thinning, every background a Poisson
    injection, and the beam splitter a fair binomial split.  For binary
    click detectors only "no click" factor expectations are needed:
    conditioned on the source counts, the probability that every detector
-   in a set S stays dark factorizes into one per-photon factor per
-   channel and closed-form Poisson factors for backgrounds, diffusion and
-   dark counts.
+   in a set S stays dark factorizes into one per-photon factor a for the
+   Stokes photons, one per-excitation factor b for the stored excitations,
+   and closed-form Poisson factors for backgrounds, diffusion and dark
+   counts.
+2. The source then enters only through its generating function
+   E[a**n_s * b**n_m], which both laws have in closed form:
+
+   - two-mode-squeezed (``quantum_tms``): n_s = n_m = n with n geometric
+     of mean p, so E = 1 / (1 + p(1 - ab)), with 1 - ab computed as
+     (1 - a) + a(1 - b);
+   - classical (``classical_correlated``): given an exponential intensity
+     lam of mean p the counts are independent Poisson(lam), so
+     E = E_lam[exp(-lam(1 - a)) exp(-lam(1 - b))]
+       = 1 / (1 + p((1 - a) + (1 - b))).
+
+   This derivation does not use the sampler's geometric-total and
+   binomial-split route.  The differences 1 - a and 1 - b are formed
+   directly as products of losses, which avoids cancellation.
 3. Exact click-pattern probabilities follow by inclusion-exclusion over
    the 16 detector subsets.
-
-The truncation error of every reported probability is bounded by the
-source probability mass beyond the enumerated range, which is reported in
-the result and required to be tiny before correlations are predicted.
 
 Predicted correlations use per-gate probabilities: the same-trial
 coincidence probability normalized by the product of singles
@@ -26,8 +35,7 @@ baseline M measures exactly the independent-trials product).  The
 finite-run estimator differs only through edge effects, since baseline
 peak j draws on n - j trial pairs instead of n: the relative bias of M is
 (k + 1)/(2n) for k baseline peaks, i.e. 4e-6 for the default k = 7 at a
-million trials, far below counting noise.  Summation order over Fock
-indices is fixed for bit-reproducibility.
+million trials, far below counting noise.
 """
 
 from __future__ import annotations
@@ -36,26 +44,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtr, gammaln
 
 from .analysis import CorrelationReport, SinglesRates, cauchy_schwarz
 from .config import ConfigError, ExperimentConfig
-from .source import SourceModel, joint_pmf
-
-DEFAULT_N_MAX = 80
-PREDICTION_BOUND = 1e-8
-WARN_BOUND = 1e-6
+from .source import SourceModel
 
 # Bitmask layout of the 16 click patterns: bit 0 = A, 1 = B, 2 = C, 3 = D.
 _BITS = {"A": 1, "B": 2, "C": 4, "D": 8}
-
-
-class TruncationError(RuntimeError):
-    """Truncated source mass too large for the requested computation."""
-
-    def __init__(self, message: str, required_n_max: int):
-        super().__init__(f"{message}; retry with n_max >= {required_n_max}")
-        self.required_n_max = required_n_max
 
 
 @dataclass(frozen=True)
@@ -63,15 +58,10 @@ class ClickPatternDistribution:
     """Probability of each click/no-click pattern over detectors A-D.
 
     ``probs[mask]`` is the probability that exactly the detectors whose
-    bits are set in ``mask`` click in one trial.  The probabilities sum to
-    the enumerated source mass; ``truncation_error_bound`` is the
-    remaining mass, bounding the error of every entry.
+    bits are set in ``mask`` click in one trial.
     """
 
     probs: np.ndarray
-    n_max: int
-    truncation_error_bound: float
-    truncation_warning: bool
 
 
 @dataclass(frozen=True)
@@ -88,45 +78,22 @@ class OraclePrediction:
     report: CorrelationReport
 
 
-def _classical_matrix(p: float, n_max: int) -> np.ndarray:
-    """Classical ``joint_pmf`` on n_s, n_m <= n_max, bit for bit, in one broadcast."""
-    if p == 0:  # all mass at (0, 0)
-        return np.pad([[1.0]], (0, n_max))
-    n_s = np.arange(n_max + 1)[:, None]
-    n_m = np.arange(n_max + 1)[None, :]
-    k = n_s + n_m
-    log_binom = gammaln(k + 1) - gammaln(n_s + 1) - gammaln(n_m + 1)
-    return np.exp(log_binom - math.log(p) - (k + 1) * math.log(2.0 + 1.0 / p))
+def _thermal_expect(p: float, one_minus_a: float, one_minus_b: float) -> float:
+    """E[a**n_s * b**n_m] of the two-mode-squeezed source."""
+    return 1.0 / (1.0 + p * (one_minus_a + (1.0 - one_minus_a) * one_minus_b))
 
 
-class _SourceLaw:
-    """Truncated joint source pmf with fixed-order expectation sums."""
-
-    def __init__(self, config: ExperimentConfig, n_max: int):
-        p, model = config.p_excitation, config.source_model
-        self.n_max = n_max
-        if model is SourceModel.QUANTUM_TMS:
-            self._diag = np.array(
-                [joint_pmf(p, model, n, n) for n in range(n_max + 1)])
-            self._matrix = None
-            self.mass = float(self._diag.sum())
-        else:
-            self._diag = None
-            self._matrix = _classical_matrix(p, n_max)
-            self.mass = float(self._matrix.sum())
-
-    def expect(self, a: float, b: float) -> float:
-        """E[a**n_s * b**n_m] over the truncated law, fixed summation order."""
-        powers_a = np.power(a, np.arange(self.n_max + 1))
-        powers_b = np.power(b, np.arange(self.n_max + 1))
-        if self._diag is not None:
-            return float(np.sum(self._diag * powers_a * powers_b))
-        return float(powers_a @ self._matrix @ powers_b)
+def _classical_expect(p: float, one_minus_a: float, one_minus_b: float) -> float:
+    """E[a**n_s * b**n_m] of the exponential-intensity mixture."""
+    return 1.0 / (1.0 + p * (one_minus_a + one_minus_b))
 
 
-def _no_click_factors(config: ExperimentConfig, subset_mask: int,
-                      law: _SourceLaw) -> float:
-    """P(all detectors in the subset stay dark), exact given the truncation."""
+_GENERATING_FUNCTION = {SourceModel.QUANTUM_TMS: _thermal_expect,
+                        SourceModel.CLASSICAL_CORRELATED: _classical_expect}
+
+
+def _no_click_factors(config: ExperimentConfig, subset_mask: int) -> float:
+    """P(all detectors in the subset stay dark), exact."""
     d = config.detector_eff
     t = config.transmission
     survival = math.exp(-config.delay_dt / config.memory_lifetime)
@@ -138,50 +105,21 @@ def _no_click_factors(config: ExperimentConfig, subset_mask: int,
          for det, bit in _BITS.items()}
     w_stokes = 0.5 * (z["A"] + z["B"])
     w_anti = 0.5 * (z["C"] + z["D"])
-    # Per source photon / excitation no-click factor through the pipeline.
-    a = 1.0 - t + t * w_stokes
-    b = 1.0 - q + q * w_anti
+    # 1 - a and 1 - b: the chance that one source photon / stored
+    # excitation is detected by the subset.
+    expect = _GENERATING_FUNCTION[config.source_model]
+    source_factor = expect(config.p_excitation, t * (1.0 - w_stokes),
+                           q * (1.0 - w_anti))
     poisson_factor = math.exp(config.bg_stokes_mean * (w_stokes - 1.0)
                               + (config.bg_antistokes_mean + diffusion_at_splitter)
                               * (w_anti - 1.0))
     dark_factor = math.exp(-config.dark_mean * bin(subset_mask).count("1"))
-    return law.expect(a, b) * poisson_factor * dark_factor
+    return source_factor * poisson_factor * dark_factor
 
 
-def _classical_mass(p: float, n_max: int) -> float:
-    """Classical source mass on n_s, n_m <= n_max, in O(n_max).
-
-    The total k is geometric with mean 2p and n_s ~ Binomial(k, 1/2), so
-    each k > n_max loses two equal tails P(n_s <= k - n_max - 1).
-    """
-    k = np.arange(2 * n_max + 1)
-    p_total = np.power(2.0 * p / (1.0 + 2.0 * p), k) / (1.0 + 2.0 * p)
-    tails = np.where(k > n_max, 2.0 * bdtr(k - n_max - 1, k, 0.5), 0.0)
-    return float(np.sum(p_total * (1.0 - tails)))
-
-
-def required_n_max(config: ExperimentConfig, bound: float = PREDICTION_BOUND) -> int:
-    """Smallest n_max whose truncated source mass deficit is within bound."""
-    n = 8
-    while n <= 1 << 16:
-        if config.source_model is SourceModel.QUANTUM_TMS:
-            mass = _SourceLaw(config, n).mass
-        else:
-            mass = _classical_mass(config.p_excitation, n)
-        if 1.0 - mass <= bound:
-            return n
-        n *= 2
-    raise ConfigError("no feasible n_max found; source mean too large")
-
-
-def truncated_joint(config: ExperimentConfig,
-                    n_max: int = DEFAULT_N_MAX) -> ClickPatternDistribution:
-    """Exact click-pattern distribution up to the bounded source truncation."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    law = _SourceLaw(config, n_max)
-    no_click = np.array([_no_click_factors(config, mask, law)
-                         for mask in range(16)])
+def pattern_distribution(config: ExperimentConfig) -> ClickPatternDistribution:
+    """Exact click-pattern distribution of one trial."""
+    no_click = np.array([_no_click_factors(config, mask) for mask in range(16)])
     probs = np.zeros(16)
     for pattern in range(16):
         complement = 0b1111 & ~pattern
@@ -195,28 +133,19 @@ def truncated_joint(config: ExperimentConfig,
                 break
             sub = (sub - 1) & pattern
         probs[pattern] = total
-    # Truncation can leave patterns at tiny negative values; clamp round-off.
+    # Round-off can leave patterns at tiny negative values; clamp it.
     probs[(probs < 0) & (probs > -1e-12)] = 0.0
-    bound = max(1.0 - law.mass, 0.0)
-    return ClickPatternDistribution(
-        probs=probs, n_max=n_max, truncation_error_bound=bound,
-        truncation_warning=bound > WARN_BOUND)
+    return ClickPatternDistribution(probs=probs)
 
 
-def oracle_report(config: ExperimentConfig,
-                  n_max: int = DEFAULT_N_MAX) -> OraclePrediction:
+def oracle_report(config: ExperimentConfig) -> OraclePrediction:
     """Full analytic prediction: pattern law, click and joint probabilities,
     correlation functions and a zero-sigma CorrelationReport.
 
     Raises ConfigError when a detector can never click, since its
     correlation functions are then undefined.
     """
-    pattern = truncated_joint(config, n_max)
-    if pattern.truncation_error_bound > PREDICTION_BOUND:
-        raise TruncationError(
-            f"truncation error bound {pattern.truncation_error_bound:.3e} "
-            f"exceeds {PREDICTION_BOUND:.0e}",
-            required_n_max=required_n_max(config))
+    pattern = pattern_distribution(config)
     masks = np.arange(16)
     p_click = {det: float(pattern.probs[(masks & bit) != 0].sum())
                for det, bit in _BITS.items()}
@@ -271,9 +200,9 @@ def compare(mc_pattern_counts: np.ndarray, mc_g: dict[str, tuple[float, float]],
     ``mc_pattern_counts`` holds observed per-trial click-pattern counts in
     the bitmask order of :class:`ClickPatternDistribution`; ``mc_g`` maps
     "g11"/"g22"/"g12" to (value, sigma).  Every |z| > flag_threshold row is
-    flagged.  Pattern frequencies use binomial sigmas from the oracle
-    probability; an exact-zero sigma (probability 0 or 1) flags only on a
-    nonzero discrepancy.
+    flagged.  Pattern frequencies use binomial sigmas from the exact
+    oracle probability, which holds for any source mean; an exact-zero
+    sigma (probability 0 or 1) flags only on a nonzero discrepancy.
     """
     if mc_pattern_counts.shape != (16,):
         raise ValueError("expected 16 click-pattern counts")

@@ -201,9 +201,10 @@ def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
     click times in the same order.  Peak j (j = 0..baseline_peaks) counts
     the start-stop pairs with the start in some trial i, the stop in trial
     i + j and ``stop offset - shift >= start offset``; ``shift`` is the
-    start-stop gate offset of the pair (zero for same-gate pairs).  For
-    gates no longer than half a cycle these are the pairs that the
-    histogram window of peak j collects.
+    start-stop gate offset of the pair (zero for same-gate pairs).  These
+    are exactly the pairs that the histogram window of peak j collects:
+    ``config.validate`` holds gates to at most half a cycle, so no pair at
+    trial lag j + 1 reaches that window.
 
     The run is walked in chunks of ``CHUNK_TRIALS`` start trials.  Chunk
     [lo, hi) fills one dense table over trials [lo, hi + baseline_peaks)

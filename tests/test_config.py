@@ -101,6 +101,12 @@ def test_gate_must_fit_inside_cycle(preset):
     assert any("gate must fit inside cycle" in v for v in validate(bad))
 
 
+def test_gate_longer_than_half_a_cycle_is_invalid(preset):
+    bad = dataclasses.replace(preset, gate_width=1.2e-4, delay_dt=0.0, dark_mean=1.0)
+    assert any("gate must fit inside cycle" in v for v in validate(bad))
+    assert validate(dataclasses.replace(bad, gate_width=preset.cycle_period / 2)) == []
+
+
 def test_read_gate_must_fit_inside_cycle(preset):
     bad = dataclasses.replace(preset, delay_dt=preset.cycle_period - 1e-7)
     assert any("read gate" in v for v in validate(bad))

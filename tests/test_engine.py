@@ -19,7 +19,7 @@ from pairsim import (ConfigError, ExperimentConfig, SourceModel, __version__,
 from pairsim import engine
 from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, HISTOGRAM_PAIRS, derived_seed, export_sweep
-from pairsim.oracle import required_n_max, truncated_joint
+from pairsim.oracle import pattern_distribution
 from pairsim.tia import peak_areas
 
 LOSSLESS = ExperimentConfig(
@@ -50,9 +50,9 @@ def pattern_p_values(counts, probs, trials):
 
 
 def assert_patterns_match_oracle(result, cutoff):
-    # truncated_joint is oracle_report's pattern law; unlike oracle_report it
-    # also answers for configs whose g values are undefined.
-    law = truncated_joint(result.config, n_max=required_n_max(result.config))
+    # pattern_distribution is oracle_report's pattern law; unlike
+    # oracle_report it also answers for configs whose g values are undefined.
+    law = pattern_distribution(result.config)
     p_values = pattern_p_values(result.pattern_counts, law.probs, result.trials)
     assert np.all(p_values >= cutoff), (result.pattern_counts, law.probs * result.trials)
 
@@ -193,6 +193,12 @@ PEAK_CONFIGS = {
     "classical": (dataclasses.replace(
         reference_preset(), source_model=SourceModel.CLASSICAL_CORRELATED), 200_000),
     "saturated": (dataclasses.replace(reference_preset(), dark_mean=5.0), 30_000),
+    # The longest valid gate: the window of peak j just misses the pairs at
+    # trial lag j + 1.
+    "half_cycle_gate": (dataclasses.replace(
+        reference_preset(), gate_width=1e-4, delay_dt=0.0, dark_mean=1.0), 20_000),
+    "half_cycle_gate_late_read": (dataclasses.replace(
+        reference_preset(), gate_width=1e-4, delay_dt=1e-4, dark_mean=1.0), 20_000),
 }
 
 
@@ -401,7 +407,7 @@ def test_run_matches_oracle_quickly(name):
     assert_patterns_match_oracle(result, PATTERN_FAMILY_ALPHA / 16)
     if result.report is None:  # no clicks to correlate
         return
-    pred = oracle_report(config, n_max=required_n_max(config))
+    pred = oracle_report(config)
     for pair, target in (("11", pred.g11), ("22", pred.g22), ("12", pred.g12)):
         g, sigma = result.g[pair]
         assert abs(g - target) < 4.0 * sigma, pair

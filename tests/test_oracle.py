@@ -1,15 +1,17 @@
 """Analytic click-pattern oracle against independent closed forms."""
 
+import ast
 import dataclasses
+import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pairsim import (ExperimentConfig, SourceModel, TruncationError, compare,
-                     oracle_report, required_n_max, truncated_joint)
+from pairsim import ExperimentConfig, SourceModel, compare, engine, oracle, oracle_report
 from pairsim.config import NO_DECAY, reference_preset
-from pairsim.oracle import _SourceLaw, _classical_mass, _classical_matrix
+from pairsim.oracle import _classical_expect, _thermal_expect, pattern_distribution
 from pairsim.source import joint_pmf
 
 Q = SourceModel.QUANTUM_TMS
@@ -54,7 +56,7 @@ def closed_form_lossless_quantum(p):
 
 
 def test_vacuum_source_never_clicks():
-    dist = truncated_joint(make_config(p=0.0))
+    dist = pattern_distribution(make_config(p=0.0))
     assert dist.probs[0] == pytest.approx(1.0, abs=1e-12)
     assert dist.probs[1:].sum() == pytest.approx(0.0, abs=1e-12)
 
@@ -76,8 +78,8 @@ def test_lossless_classical_sits_on_boundary():
     pred = oracle_report(make_config(model=C, p=0.1))
     assert pred.g11 == pytest.approx(pred.g12, rel=1e-9)
     assert pred.g22 == pytest.approx(pred.g12, rel=1e-9)
-    # Exact equality case: the ratio is 1 up to enumeration round-off, so
-    # the strict-inequality verdict bit is not meaningful here.
+    # Exact equality case: the ratio is 1 up to round-off, so the
+    # strict-inequality verdict bit is not meaningful here.
     assert pred.report.ratio == pytest.approx(1.0, abs=1e-9)
     assert abs(pred.report.lhs - pred.report.rhs) < 1e-9
 
@@ -93,29 +95,71 @@ def test_classical_no_click_family():
     # P(no Stokes click) = 1/(1 + p*t*d); both channels dark:
     # 1/(1 + 2p) when lossless (exponential-mixture closed forms).
     p = 0.2
-    dist = truncated_joint(make_config(model=C, p=p))
+    dist = pattern_distribution(make_config(model=C, p=p))
     masks = np.arange(16)
     assert dist.probs[0] == pytest.approx(1.0 / (1.0 + 2 * p), rel=1e-9)
     no_stokes = dist.probs[(masks & 0b0011) == 0].sum()
     assert no_stokes == pytest.approx(classical_expect(p, 0.0, 1.0), rel=1e-9)
-    lossy = truncated_joint(make_config(model=C, p=p, transmission=0.8,
-                                        detector_eff=0.5))
+    lossy = pattern_distribution(make_config(model=C, p=p, transmission=0.8,
+                                             detector_eff=0.5))
     no_stokes_lossy = lossy.probs[(masks & 0b0011) == 0].sum()
     assert no_stokes_lossy == pytest.approx(1.0 / (1.0 + p * 0.8 * 0.5), rel=1e-9)
 
 
-def test_pattern_distribution_sums_with_bound():
+def test_pattern_distribution_sums_to_one():
     for cfg in (make_config(p=0.4), make_config(model=C, p=0.4),
                 reference_preset()):
-        dist = truncated_joint(cfg, n_max=60)
-        total = dist.probs.sum()
-        assert total <= 1.0 + 1e-12
-        assert total + dist.truncation_error_bound >= 1.0 - 1e-12
+        dist = pattern_distribution(cfg)
+        assert dist.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(dist.probs >= 0.0)
 
 
+@functools.cache
+def pmf_table(p, model, n=120):
+    return [[joint_pmf(p, model, i, j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("model, expect", [(Q, _thermal_expect),
+                                           (C, _classical_expect)])
+@pytest.mark.parametrize("p", [0.0, 1e-3, 0.14, 0.5])
+@pytest.mark.parametrize("a, b", [(0.0, 0.0), (1.0, 1.0), (0.5, 0.25),
+                                  (0.9, 0.1), (0.3, 1.0), (1.0, 0.0)])
+def test_generating_function_equals_pmf_sum(model, expect, p, a, b):
+    # Beyond index 119 the source mass is below 1e-35 for these p.
+    pmf = pmf_table(p, model)
+    brute = math.fsum(prob * a ** i * b ** j
+                      for i, row in enumerate(pmf) for j, prob in enumerate(row))
+    assert abs(expect(p, 1.0 - a, 1.0 - b) - brute) <= 1e-13
+
+
+@pytest.mark.parametrize("model", [Q, C])
+def test_huge_source_mean_gives_a_report(model):
+    cfg = dataclasses.replace(reference_preset(), source_model=model,
+                              p_excitation=1e6)
+    probs = oracle_report(cfg).pattern.probs
+    assert np.all(probs >= 0.0)
+    assert abs(probs.sum() - 1.0) <= 1e-12
+
+
+def _relative_imports(module):
+    """{relative module: imported names} of one pairsim module's source."""
+    imports = {}
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imports.setdefault(node.module, set()).update(
+                alias.name for alias in node.names)
+    return imports
+
+
+def test_oracle_and_sampler_stay_independent():
+    imports = _relative_imports(oracle)
+    assert imports.get("source") == {"SourceModel"}
+    assert "engine" not in imports and "optics" not in imports
+    assert "oracle" not in _relative_imports(engine)
+
+
 def test_pattern_symmetry_under_detector_relabeling():
-    dist = truncated_joint(reference_preset())
+    dist = pattern_distribution(reference_preset())
     for mask in range(16):
         a, b = mask & 1, (mask >> 1) & 1
         c, d = (mask >> 2) & 1, (mask >> 3) & 1
@@ -130,49 +174,6 @@ def test_background_dilutes_cross_correlation_monotonically():
         g12 = oracle_report(cfg).g12
         assert g12 < last
         last = g12
-
-
-def test_truncation_bound_decreases_with_n_max():
-    cfg = make_config(p=2.0)
-    bounds = [truncated_joint(cfg, n_max=n).truncation_error_bound
-              for n in (5, 10, 20, 40)]
-    assert all(b1 > b2 for b1, b2 in zip(bounds, bounds[1:]))
-
-
-def test_truncation_warning_flag():
-    dist = truncated_joint(make_config(p=2.0), n_max=5)
-    assert dist.truncation_warning
-    assert dist.truncation_error_bound > 1e-6
-
-
-def test_prediction_refuses_insufficient_truncation():
-    cfg = make_config(p=5.0)
-    with pytest.raises(TruncationError) as err:
-        oracle_report(cfg, n_max=8)
-    needed = err.value.required_n_max
-    assert needed > 8
-    assert truncated_joint(cfg, n_max=needed).truncation_error_bound <= 1e-8
-
-
-def test_required_n_max_bound_holds():
-    cfg = make_config(p=0.5)
-    n = required_n_max(cfg)
-    assert truncated_joint(cfg, n_max=n).truncation_error_bound <= 1e-8
-
-
-@pytest.mark.parametrize("p", [0.5, 5.0, 50.0])
-@pytest.mark.parametrize("n_max", [8, 64, 256])
-def test_classical_mass_matches_truncated_matrix(p, n_max):
-    matrix_mass = _SourceLaw(make_config(model=C, p=p), n_max).mass
-    assert abs(_classical_mass(p, n_max) - matrix_mass) <= 1e-12
-
-
-@pytest.mark.parametrize("p", [0.0, 0.14, 50.0])
-def test_classical_matrix_equals_scalar_pmf(p):
-    n = 16
-    expected = np.array([[joint_pmf(p, C, i, j) for j in range(n + 1)]
-                         for i in range(n + 1)])
-    assert np.array_equal(_classical_matrix(p, n), expected)
 
 
 def test_compare_exact_agreement_is_all_zero():
