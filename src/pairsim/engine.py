@@ -10,6 +10,13 @@ reduced to click tables (trial index and within-cycle offset of every
 click) and per-trial click-pattern counts immediately; raw events are only
 materialized on request.
 
+With more than one worker, ``simulate_run`` starts a process pool for its
+blocks and stops it when they are done.  ``sweep`` starts one pool for all
+its values instead: it queues the blocks of value k + 1 before value k is
+merged and reduced, so workers keep sampling while this process reduces,
+and at most two values' blocks are queued or held at once.  At one worker
+no pool is started and nothing is computed ahead.
+
 Active-trial sampler.  Every trial has eight independent sources (see
 ``SOURCES``): the write excitation, the diffused-in memory excitations
 Poisson(memory_diffusion_in * (1 - survival)), the Stokes and anti-Stokes
@@ -301,18 +308,19 @@ def _pool_size(workers: int, n_blocks: int) -> int:
     return min(workers, _available_cpus(), n_blocks)
 
 
-def _run_blocks(config: ExperimentConfig, trials: int, seed: int, workers: int):
+def _block_tasks(config: ExperimentConfig, trials: int, seed: int) -> list[tuple]:
+    """Arguments of every ``_block_task`` of a run, in block order."""
     n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    tasks = [(config, seed, b, b * BLOCK_TRIALS,
-              min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
-             for b in range(n_blocks)]
-    pool_size = _pool_size(workers, n_blocks)
-    if pool_size == 1:
-        results = [_block_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            results = list(pool.map(_block_task, tasks, chunksize=1))
-    # Merge in block order: click tables come out sorted without any extra sort.
+    return [(config, seed, b, b * BLOCK_TRIALS,
+             min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
+            for b in range(n_blocks)]
+
+
+def _merge_blocks(results):
+    """Click tables and pattern counts of a run from its block results.
+
+    Merged in block order: click tables come out sorted without any extra sort.
+    """
     click_trials: dict[str, np.ndarray] = {}
     click_offsets: dict[str, np.ndarray] = {}
     for det in DETECTOR_IDS:
@@ -322,29 +330,55 @@ def _run_blocks(config: ExperimentConfig, trials: int, seed: int, workers: int):
     return click_trials, click_offsets, pattern_counts
 
 
-def simulate_run(config: ExperimentConfig, trials: int | None = None,
-                 seed: int | None = None, workers: int = 1) -> RunResult:
-    """Execute a full run: trials, peak areas, correlation report.
+def _check_run_arguments(trials: int | None, seed: int, workers: int) -> None:
+    """Raise ValueError for a worker count, trial count or seed no run accepts.
 
-    ``trials`` and ``seed`` default to the config's n_trials and rng_seed.
-    Results are independent of ``workers``.  When a baseline peak area of
-    (A,B), (C,D) or (A,C) is zero the correlation is undefined; the run
-    still succeeds and reports every pair with a zero baseline instead of a
-    verdict.  Histograms are not built here (see ``RunResult.histograms``).
+    ``trials`` None stands for the configs' own n_trials, which
+    ``ensure_valid`` checks.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    ensure_valid(config)
-    trials = config.n_trials if trials is None else int(trials)
-    seed = config.rng_seed if seed is None else int(seed)
-    if trials < 1:
+    if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+
+
+def simulate_run(config: ExperimentConfig, trials: int | None = None,
+                 seed: int | None = None, workers: int = 1, *,
+                 _blocks=None) -> RunResult:
+    """Execute a full run: trials, peak areas, correlation report.
+
+    ``trials`` and ``seed`` default to the config's n_trials and rng_seed.
+    Results are independent of ``workers``: with more than one worker,
+    CPU and block, the blocks run on a process pool started for this run.
+    When a baseline peak area of (A,B), (C,D) or (A,C) is zero the
+    correlation is undefined; the run still succeeds and reports every
+    pair with a zero baseline instead of a verdict.  Histograms are not
+    built here (see ``RunResult.histograms``).
+
+    ``_blocks`` is for ``sweep`` only: the futures of this run's
+    ``_block_tasks``, already submitted to the sweep's pool.  The run then
+    starts no pool of its own and reduces their results.
+    """
+    ensure_valid(config)
+    trials = config.n_trials if trials is None else int(trials)
+    seed = config.rng_seed if seed is None else int(seed)
+    _check_run_arguments(trials, seed, workers)
     started = time.perf_counter()
 
-    click_trials, click_offsets, pattern_counts = _run_blocks(
-        config, trials, seed, workers)
+    if _blocks is not None:
+        results = [block.result() for block in _blocks]
+    else:
+        tasks = _block_tasks(config, trials, seed)
+        pool_size = _pool_size(workers, len(tasks))
+        if pool_size == 1:
+            results = [_block_task(t) for t in tasks]
+        else:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                results = list(pool.map(_block_task, tasks, chunksize=1))
+    click_trials, click_offsets, pattern_counts = _merge_blocks(results)
+    del results  # the merged tables hold every click; free the block copies
 
     peaks: dict[str, PeakAreas] = {}
     g: dict[str, tuple[float, float]] = {}
@@ -465,22 +499,51 @@ def sweep(config: ExperimentConfig, parameter: str, values,
     """One simulate_run per parameter value, with derived per-value seeds.
 
     Returns one row (dict keyed by SWEEP_COLUMNS) per value.  Parameters
-    that ``check_sweep_parameter`` refuses, and values that make an
-    invalid config, raise ConfigError before the first run.
+    that ``check_sweep_parameter`` refuses, values that make an invalid
+    config (ConfigError), and worker counts, trial counts or seeds that
+    ``simulate_run`` refuses (ValueError) raise before the first run.
+
+    With more than one worker, CPU and block in the whole sweep, every
+    value's blocks run on one process pool started for the sweep.
+    The blocks of the next value are queued before the current value is
+    reduced, so the workers keep sampling while this process merges,
+    counts peak areas and analyses; at most two values' blocks are queued
+    or held at a time.  Rows do not depend on ``workers``.
     """
     check_sweep_parameter(parameter, trials)
+    trials = None if trials is None else int(trials)
     seed = config.rng_seed if seed is None else int(seed)
+    _check_run_arguments(trials, seed, workers)
     variants = [(v, ensure_valid(replace(config, **{parameter: v}))) for v in values]
+    seeds = [derived_seed(seed, index) for index in range(len(variants))]
+    tasks = [_block_tasks(variant, variant.n_trials if trials is None else trials,
+                          value_seed)
+             for (_, variant), value_seed in zip(variants, seeds)]
+    pool_size = _pool_size(workers, sum(map(len, tasks)))
+    pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
+
+    def submit(index: int):
+        """Queue the blocks of value ``index`` on the pool, if there is one."""
+        if pool is None or index == len(tasks):
+            return None
+        return [pool.submit(_block_task, task) for task in tasks[index]]
+
     rows: list[dict[str, object]] = []
-    for index, (value, variant) in enumerate(variants):
-        rep = simulate_run(variant, trials=trials, seed=derived_seed(seed, index),
-                           workers=workers).report
-        rows.append({
-            "value": value,
-            **{c: float("nan") if rep is None else getattr(rep, c)
-               for c in SWEEP_COLUMNS[1:-1]},
-            "verdict": ("undefined" if rep is None
-                        else "violated" if rep.violated else "not_violated")})
+    try:
+        queued = submit(0)
+        for index, (value, variant) in enumerate(variants):
+            blocks, queued = queued, submit(index + 1)
+            rep = simulate_run(variant, trials=trials, seed=seeds[index],
+                               workers=workers, _blocks=blocks).report
+            rows.append({
+                "value": value,
+                **{c: float("nan") if rep is None else getattr(rep, c)
+                   for c in SWEEP_COLUMNS[1:-1]},
+                "verdict": ("undefined" if rep is None
+                            else "violated" if rep.violated else "not_violated")})
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return rows
 
 

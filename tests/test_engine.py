@@ -326,6 +326,130 @@ def test_sweep_validates_every_value_before_running(preset, monkeypatch):
         sweep(preset, "delay_dt", [0.0, 2e-6, 1.0], trials=1000)
 
 
+@pytest.mark.parametrize("seed", [2 ** 64, -1])
+def test_sweep_refuses_seed_outside_64_bits(preset, seed):
+    with pytest.raises(ValueError, match="seed"):
+        sweep(preset, "delay_dt", [0.0], trials=1000, seed=seed)
+
+
+@pytest.mark.parametrize("trials, workers, message", [
+    (1000, 0, "workers"),
+    (0, 2, "trials"),
+])
+def test_sweep_checks_run_arguments_before_any_pool(preset, monkeypatch, trials,
+                                                    workers, message):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    with pytest.raises(ValueError, match=message):
+        sweep(preset, "delay_dt", [0.0, 2e-6], trials=trials, workers=workers)
+
+
+@pytest.mark.parametrize("parameter, values, trials", [
+    ("delay_dt", [0.0, 2e-6, 8e-6], 3 * BLOCK_TRIALS + 1234),
+    # One, two and three blocks per value; the last value ends in a remainder block.
+    ("n_trials", [1000, 2 * BLOCK_TRIALS, 2 * BLOCK_TRIALS + 777], None),
+])
+def test_sweep_does_not_depend_on_workers(preset, monkeypatch, tmp_path, parameter,
+                                          values, trials):
+    # Two CPUs whatever the host has, so workers=2 really uses the pool.
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    out = {}
+    for workers in (1, 2):
+        rows = sweep(preset, parameter, values, trials=trials, seed=5, workers=workers)
+        export_sweep(rows, tmp_path / f"sweep_{workers}.csv")
+        out[workers] = (repr(rows), (tmp_path / f"sweep_{workers}.csv").read_bytes())
+    assert out[1] == out[2]
+
+
+class CountingPool(engine.ProcessPoolExecutor):
+    """A process pool that records its construction, submits and shutdown."""
+
+    created = 0
+    submitted: list = []  # seed of every submitted block, in submit order
+    shutdowns: list = []  # cancel_futures of every shutdown call
+
+    def __init__(self, *args, **kwargs):
+        type(self).created += 1
+        super().__init__(*args, **kwargs)
+
+    def submit(self, fn, task, **kwargs):
+        type(self).submitted.append(task[1])
+        return super().submit(fn, task, **kwargs)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        type(self).shutdowns.append(cancel_futures)
+        super().shutdown(wait, cancel_futures=cancel_futures)
+
+
+@pytest.fixture
+def counting_pool(monkeypatch):
+    """Count the pools sweep starts, and the values queued at each simulate_run.
+
+    Yields (CountingPool, calls, counted).  ``calls`` gets one (seed,
+    _blocks given, seeds of the values queued but not yet reduced) per
+    simulate_run call; setting ``counted.fail_at`` to n makes call n raise.
+    """
+    monkeypatch.setattr(CountingPool, "created", 0)
+    monkeypatch.setattr(CountingPool, "submitted", [])
+    monkeypatch.setattr(CountingPool, "shutdowns", [])
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    calls, reduced = [], set()
+    inner = engine.simulate_run
+
+    def counted(*args, **kwargs):
+        blocks = kwargs.get("_blocks")
+        calls.append((kwargs["seed"], blocks is not None,
+                      set(CountingPool.submitted) - reduced))
+        if len(calls) == counted.fail_at:
+            raise RuntimeError("simulate_run failed")
+        result = inner(*args, **kwargs)
+        reduced.add(kwargs["seed"])
+        return result
+
+    counted.fail_at = None
+    monkeypatch.setattr(engine, "simulate_run", counted)
+    yield CountingPool, calls, counted
+
+
+SWEEP_DELAYS = [0.0, 1e-6, 2e-6, 4e-6, 8e-6]
+
+
+def test_sweep_starts_one_pool_and_queues_one_value_ahead(preset, counting_pool):
+    pool, calls, _ = counting_pool
+    rows = sweep(preset, "delay_dt", SWEEP_DELAYS, trials=2000, seed=7, workers=2)
+    assert len(rows) == len(SWEEP_DELAYS)
+    assert pool.created == 1 and pool.shutdowns == [True]
+    seeds = [derived_seed(7, index) for index in range(len(SWEEP_DELAYS))]
+    assert pool.submitted == seeds  # one block per value, each submitted once
+    assert [seed for seed, _, _ in calls] == seeds
+    for index, (seed, with_blocks, queued) in enumerate(calls):
+        # This value and the next one are queued; nothing further ahead.
+        assert with_blocks
+        assert queued == set(seeds[index:index + 2])
+
+
+def test_sweep_on_one_worker_starts_no_pool(preset, counting_pool):
+    pool, calls, _ = counting_pool
+    sweep(preset, "delay_dt", SWEEP_DELAYS, trials=2000, seed=7, workers=1)
+    assert pool.created == 0 and pool.submitted == []
+    assert len(calls) == len(SWEEP_DELAYS)
+    assert not any(with_blocks for _, with_blocks, _ in calls)
+
+
+def test_failed_sweep_value_shuts_the_pool_down(preset, counting_pool):
+    pool, calls, counted = counting_pool
+    counted.fail_at = 2
+    with pytest.raises(RuntimeError, match="simulate_run failed"):
+        sweep(preset, "delay_dt", SWEEP_DELAYS, trials=2000, seed=7, workers=2)
+    assert len(calls) == 2
+    assert pool.created == 1 and pool.shutdowns == [True]
+    assert len(pool.submitted) < len(SWEEP_DELAYS)
+
+
 def test_sweep_rows_and_export(preset, tmp_path):
     rows = sweep(preset, "p_excitation", [0.05, 0.14], trials=20_000, seed=4)
     assert [row["value"] for row in rows] == [0.05, 0.14]
