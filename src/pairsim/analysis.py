@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tia import TimestampStream
-
 
 class UndefinedCorrelationError(ValueError):
     """Raised when the baseline area is zero and g = N/M is undefined."""
@@ -133,12 +131,14 @@ def ideal_violation(p: float) -> float:
     return ((1.0 + p) / (2.0 * p)) ** 2
 
 
-def singles_rates(streams: dict[str, TimestampStream],
-                  duration: float) -> SinglesRates:
-    """Click rates per detector plus Stokes (A+B) and anti-Stokes (C+D) sums."""
+def singles_rates(click_counts: dict[str, int], duration: float) -> SinglesRates:
+    """Click rates per detector plus Stokes (A+B) and anti-Stokes (C+D) sums.
+
+    ``click_counts`` maps each detector to its number of clicks in ``duration``.
+    """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")
-    per_detector = {det: len(stream) / duration for det, stream in streams.items()}
+    per_detector = {det: count / duration for det, count in click_counts.items()}
     return SinglesRates(
         per_detector=per_detector,
         stokes=per_detector.get("A", 0.0) + per_detector.get("B", 0.0),

@@ -6,14 +6,21 @@ later), gated detection on all four detectors.  Trials are simulated in
 fixed-size blocks; block b draws from a counter-based Philox stream keyed
 by (seed, b), so results are bit-identical no matter how blocks are
 distributed over workers or in what order they complete.  Blocks are
-reduced to click tables (trial index and within-cycle offset of every
-click) and per-trial click-pattern counts immediately; raw events are only
-materialized on request.
+reduced to click tables (block-local trial index as uint16 and
+within-cycle offset as float64 of every click, 10 bytes a click) and
+per-trial click-pattern counts immediately; raw events are never kept.
+
+The block tables are the run's storage.  Peak areas are counted one block
+at a time and singles come from the table lengths, so a run that nothing
+else reads never builds run-level arrays.  The first read of
+``RunResult.streams`` or ``click_trials`` (``export_run``, ``histograms``)
+merges the blocks into run-level trial indices and timestamps (16 bytes a
+click) and drops the block tables.
 
 With more than one worker, ``simulate_run`` starts a process pool for its
 blocks and stops it when they are done.  ``sweep`` starts one pool for all
 its values instead: it queues the blocks of value k + 1 before value k is
-merged and reduced, so workers keep sampling while this process reduces,
+reduced, so workers keep sampling while this process reduces,
 and at most two values' blocks are queued or held at once.  At one worker
 no pool is started and nothing is computed ahead.
 
@@ -47,10 +54,12 @@ time-interval analysis for the cross pairs, matching the write-then-read
 time order; the lower-lettered detector starts for the auto pairs.  Peak
 windows of the cross pairs are shifted by the write-read delay since their
 stop gate lags the start gate by exactly that amount.  N and M come
-straight from the click tables (``tia.peak_areas_from_clicks``); only
-(A,B), (C,D) and (A,C) decide the Cauchy-Schwarz report, and (B,D) is
-reported as a check.  The coincidence histograms are built from the
-timestamps the first time ``RunResult.histograms`` is read, which
+straight from the click tables (``tia.peak_areas_from_clicks``, once per
+block and pair: the starts of block b against the stops of block b and of
+the first ``baseline_peaks`` trials after it, so every start is counted
+once); only (A,B), (C,D) and (A,C) decide the Cauchy-Schwarz report, and
+(B,D) is reported as a check.  The coincidence histograms are built from
+the timestamps the first time ``RunResult.histograms`` is read, which
 ``export_run`` does.
 """
 
@@ -74,7 +83,8 @@ from .config import (ConfigError, ExperimentConfig, ensure_valid, render_config,
                      render_value)
 from .optics import DETECTOR_IDS, add_background, detect_batch, split, thin
 from .source import SourceModel, decohere_memory, retrieve, sample_write
-from .tia import CoincidenceHistogram, PeakAreas, TimestampStream, export_histogram
+from .tia import (CoincidenceHistogram, PeakAreas, TimestampStream, empty_stop_table,
+                  export_histogram)
 from .tia import histogram as build_histogram
 from .tia import peak_areas_from_clicks as extract_peak_areas
 
@@ -82,6 +92,7 @@ BLOCK_TRIALS = 1 << 16
 """Trials per simulation block; fixed so block boundaries never depend on
 worker count.  Do not change without bumping the package version: block
 boundaries are part of the reproducibility contract."""
+assert BLOCK_TRIALS <= 1 << 16, "block-local trial indices are stored as uint16"
 
 GATE1_START = 0.0
 
@@ -122,13 +133,20 @@ class RunManifest:
 
 @dataclass
 class RunResult:
-    """Everything simulate_run produces for one configuration."""
+    """Everything simulate_run produces for one configuration.
+
+    The clicks are held as ``block_clicks``: per block, per detector, the
+    block-local trial indices (uint16) and within-cycle offsets (float64).
+    ``streams`` and ``click_trials`` are merged from them on first read,
+    and ``block_clicks`` is then None; ``histograms`` are built on first
+    read.
+    """
 
     config: ExperimentConfig
     trials: int
     seed: int
-    streams: dict[str, TimestampStream]
-    click_trials: dict[str, np.ndarray]
+    block_clicks: list[dict[str, tuple[np.ndarray, np.ndarray]]] | None = field(
+        repr=False)
     peaks: dict[str, PeakAreas]
     g: dict[str, tuple[float, float]]
     report: CorrelationReport | None
@@ -137,6 +155,42 @@ class RunResult:
     singles: SinglesRates
     wall_time_seconds: float
     workers: int
+
+    @functools.cached_property
+    def streams(self) -> dict[str, TimestampStream]:
+        """Click timestamps of every detector over the run, merged on first read."""
+        self._merge_blocks()
+        return self.__dict__["streams"]
+
+    @functools.cached_property
+    def click_trials(self) -> dict[str, np.ndarray]:
+        """Trial index of every click per detector, merged on first read."""
+        self._merge_blocks()
+        return self.__dict__["click_trials"]
+
+    def _merge_blocks(self) -> None:
+        """Concatenate the block tables in block order, then drop them.
+
+        Block order keeps every detector's clicks sorted without a sort.
+        Each detector's block tables are dropped as soon as they are
+        copied, and the trial start times are added to the offsets in place.
+        """
+        blocks, self.block_clicks = self.block_clicks, None
+        click_trials, streams = {}, {}
+        for det in DETECTOR_IDS:
+            size = sum(len(block[det][0]) for block in blocks)
+            trials, timestamps = np.empty(size, dtype=np.int64), np.empty(size)
+            at = 0
+            for index, block in enumerate(blocks):
+                local, offsets = block.pop(det)
+                trials[at:at + local.size] = local
+                trials[at:at + local.size] += index * BLOCK_TRIALS
+                timestamps[at:at + local.size] = offsets
+                at += local.size
+            timestamps += trials * self.config.cycle_period
+            click_trials[det] = trials
+            streams[det] = TimestampStream(detector_id=det, timestamps=timestamps)
+        self.__dict__.update(streams=streams, click_trials=click_trials)
 
     @functools.cached_property
     def histograms(self) -> dict[str, CoincidenceHistogram]:
@@ -226,11 +280,11 @@ def _add_poisson_source(n: np.ndarray, mean: float, start: int, stop: int,
                            _poisson_nonzero(mean, rng, stop - start)])
 
 
-def _simulate_block(config: ExperimentConfig, seed: int, block_index: int,
-                    first_trial: int, n: int):
-    """Simulate trials [first_trial, first_trial + n) and reduce to clicks.
+def _simulate_block(config: ExperimentConfig, seed: int, block_index: int, n: int):
+    """Simulate the n trials of block ``block_index`` and reduce them to clicks.
 
-    Returns ({detector: (trial indices, within-cycle offsets)}, pattern counts).
+    Returns ({detector: (block-local trial indices as uint16, within-cycle
+    offsets)}, pattern counts).
     Only active trials are drawn (see the module docstring); they are
     grouped by first nonzero source, so source i is unconditional on the
     groups before its own, zero-truncated on its own group and zero after
@@ -241,7 +295,7 @@ def _simulate_block(config: ExperimentConfig, seed: int, block_index: int,
     active = _active_trials(n, cdf[-1], rng)
     pattern_counts = np.zeros(16, dtype=np.int64)
     pattern_counts[0] = n - active.size
-    clicks = {det: (np.empty(0, dtype=np.int64), np.empty(0)) for det in DETECTOR_IDS}
+    clicks = {det: (np.empty(0, dtype=np.uint16), np.empty(0)) for det in DETECTOR_IDS}
     if active.size == 0:
         return clicks, pattern_counts
     first = _first_sources(cdf, rng, active.size)
@@ -288,7 +342,7 @@ def _simulate_block(config: ExperimentConfig, seed: int, block_index: int,
     for bit, det in enumerate(DETECTOR_IDS):
         # Offsets are i.i.d. and independent of the trial, so they can be
         # handed out in trial order.
-        clicks[det] = (first_trial + active[(by_trial & (1 << bit)) != 0],
+        clicks[det] = (active[(by_trial & (1 << bit)) != 0].astype(np.uint16),
                        offsets[det])
     return clicks, pattern_counts
 
@@ -311,23 +365,43 @@ def _pool_size(workers: int, n_blocks: int) -> int:
 def _block_tasks(config: ExperimentConfig, trials: int, seed: int) -> list[tuple]:
     """Arguments of every ``_block_task`` of a run, in block order."""
     n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    return [(config, seed, b, b * BLOCK_TRIALS,
-             min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
+    return [(config, seed, b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
             for b in range(n_blocks)]
 
 
-def _merge_blocks(results):
-    """Click tables and pattern counts of a run from its block results.
+def _stops_ahead(blocks, index: int, det: str, reach: int):
+    """Clicks of ``det`` in block ``index`` and in the ``reach`` trials after it.
 
-    Merged in block order: click tables come out sorted without any extra sort.
+    Trial indices are local to block ``index``.
     """
-    click_trials: dict[str, np.ndarray] = {}
-    click_offsets: dict[str, np.ndarray] = {}
-    for det in DETECTOR_IDS:
-        click_trials[det] = np.concatenate([r[0][det][0] for r in results])
-        click_offsets[det] = np.concatenate([r[0][det][1] for r in results])
-    pattern_counts = np.sum([r[1] for r in results], axis=0).astype(np.int64)
-    return click_trials, click_offsets, pattern_counts
+    pieces = [blocks[index][det]]
+    for ahead in range(1, min(len(blocks) - index, 1 + -(-reach // BLOCK_TRIALS))):
+        local, offsets = blocks[index + ahead][det]
+        # The reach ends at this local trial of block index + ahead.
+        end = local.searchsorted(reach - (ahead - 1) * BLOCK_TRIALS)
+        pieces.append((local[:end].astype(np.int64) + ahead * BLOCK_TRIALS,
+                       offsets[:end]))
+    trials, offsets = zip(*pieces)
+    return np.concatenate(trials), np.concatenate(offsets)
+
+
+def _count_peaks(blocks, start_det: str, stop_det: str, shift: float,
+                 baseline_peaks: int) -> PeakAreas:
+    """Peak areas of one pair, counted one block at a time.
+
+    The starts of each block meet the stops of that block and of the
+    ``baseline_peaks`` trials after it, so every start is counted exactly
+    once; the integer counts of the blocks add up to those of the run.
+    The calls share one stop table.
+    """
+    counts = np.zeros(baseline_peaks + 1, dtype=np.int64)
+    table = empty_stop_table(baseline_peaks)
+    for index, block in enumerate(blocks):
+        areas = extract_peak_areas(*block[start_det],
+                                   *_stops_ahead(blocks, index, stop_det, baseline_peaks),
+                                   shift, baseline_peaks, table=table)
+        counts += np.array([areas.n_same_trial, *areas.per_peak], dtype=np.int64)
+    return PeakAreas.from_counts(counts)
 
 
 def _check_run_arguments(trials: int | None, seed: int, workers: int) -> None:
@@ -377,17 +451,16 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
         else:
             with ProcessPoolExecutor(max_workers=pool_size) as pool:
                 results = list(pool.map(_block_task, tasks, chunksize=1))
-    click_trials, click_offsets, pattern_counts = _merge_blocks(results)
-    del results  # the merged tables hold every click; free the block copies
+    blocks = [clicks for clicks, _ in results]
+    pattern_counts = np.sum([counts for _, counts in results], axis=0).astype(np.int64)
+    del results
 
     peaks: dict[str, PeakAreas] = {}
     g: dict[str, tuple[float, float]] = {}
     zero_baseline = []
     for label, start_det, stop_det, shifted in HISTOGRAM_PAIRS:
-        areas = extract_peak_areas(
-            click_trials[start_det], click_offsets[start_det],
-            click_trials[stop_det], click_offsets[stop_det],
-            config.delay_dt if shifted else 0.0, config.baseline_peaks)
+        areas = _count_peaks(blocks, start_det, stop_det,
+                             config.delay_dt if shifted else 0.0, config.baseline_peaks)
         peaks[label] = areas
         try:
             g[label] = g_ratio(areas.n_same_trial, areas.m_baseline,
@@ -396,14 +469,6 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
             g[label] = (float("nan"), float("nan"))
             zero_baseline.append(start_det + stop_det)
 
-    streams = {}
-    for det in DETECTOR_IDS:
-        # The reduction was the offsets' last reader: they become the
-        # timestamps in place, which saves a copy of every click.
-        timestamps = click_offsets.pop(det)
-        timestamps += click_trials[det] * config.cycle_period
-        streams[det] = TimestampStream(detector_id=det, timestamps=timestamps)
-
     if all(math.isfinite(g[label][0]) for label in ("11", "22", "12")):
         report = cauchy_schwarz(g["11"], g["22"], g["12"], delay_dt=config.delay_dt)
         undefined_reason = None
@@ -411,10 +476,12 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
         report = None
         undefined_reason = (f"g undefined for {', '.join(zero_baseline)}: "
                             "zero baseline coincidences")
-    singles = singles_rates(streams, trials * config.cycle_period)
+    click_counts = {det: sum(len(block[det][0]) for block in blocks)
+                    for det in DETECTOR_IDS}
+    singles = singles_rates(click_counts, trials * config.cycle_period)
     wall = time.perf_counter() - started
-    return RunResult(config=config, trials=trials, seed=seed, streams=streams,
-                     click_trials=click_trials, peaks=peaks, g=g, report=report,
+    return RunResult(config=config, trials=trials, seed=seed, block_clicks=blocks,
+                     peaks=peaks, g=g, report=report,
                      undefined_reason=undefined_reason,
                      pattern_counts=pattern_counts, singles=singles,
                      wall_time_seconds=wall, workers=workers)
@@ -506,8 +573,8 @@ def sweep(config: ExperimentConfig, parameter: str, values,
     With more than one worker, CPU and block in the whole sweep, every
     value's blocks run on one process pool started for the sweep.
     The blocks of the next value are queued before the current value is
-    reduced, so the workers keep sampling while this process merges,
-    counts peak areas and analyses; at most two values' blocks are queued
+    reduced, so the workers keep sampling while this process counts peak
+    areas and analyses; at most two values' blocks are queued
     or held at a time.  Rows do not depend on ``workers``.
     """
     check_sweep_parameter(parameter, trials)

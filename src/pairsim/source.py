@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 
 class SourceModel(Enum):
@@ -121,7 +120,7 @@ def joint_pmf(p: float, model: SourceModel, n_s: int, n_m: int) -> float:
         if p == 0:
             return 1.0 if (n_s == 0 and n_m == 0) else 0.0
         k = n_s + n_m
-        log_binom = gammaln(k + 1) - gammaln(n_s + 1) - gammaln(n_m + 1)
+        log_binom = math.lgamma(k + 1) - math.lgamma(n_s + 1) - math.lgamma(n_m + 1)
         return float(np.exp(log_binom - math.log(p)
                             - (k + 1) * math.log(2.0 + 1.0 / p)))
     raise ValueError(f"unknown source model: {model!r}")

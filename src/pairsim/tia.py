@@ -90,9 +90,17 @@ class PeakAreas:
     m_baseline: float
     per_peak: tuple[float, ...]
 
+    @classmethod
+    def from_counts(cls, counts) -> PeakAreas:
+        """Areas from the counts of peaks 0..baseline_peaks."""
+        areas = [float(c) for c in counts]
+        baseline = tuple(areas[1:])
+        return cls(n_same_trial=areas[0], m_baseline=sum(baseline) / len(baseline),
+                   per_peak=baseline)
+
 
 def _require_sorted(values: np.ndarray, name: str) -> None:
-    if values.size > 1 and not np.all(np.diff(values) > 0):
+    if values.size > 1 and not (values[1:] > values[:-1]).all():
         raise StreamOrderError(f"{name} is not strictly increasing")
 
 
@@ -174,16 +182,7 @@ def peak_areas(hist: CoincidenceHistogram, cycle_period: float,
     for j in range(baseline_peaks + 1):
         lo = peak_offset + j * cycle_period
         areas.append(hist.bins[_window_slice(hist, lo, lo + gate_width)].sum())
-    return _peak_areas(areas)
-
-
-def _peak_areas(counts) -> PeakAreas:
-    """PeakAreas from the counts of peaks 0..baseline_peaks."""
-    areas = [float(c) for c in counts]
-    baseline = tuple(areas[1:])
-    return PeakAreas(n_same_trial=areas[0],
-                     m_baseline=sum(baseline) / len(baseline),
-                     per_peak=baseline)
+    return PeakAreas.from_counts(areas)
 
 
 CHUNK_TRIALS = 1 << 16
@@ -191,9 +190,15 @@ CHUNK_TRIALS = 1 << 16
 stop table of one chunk; the areas do not depend on it."""
 
 
+def empty_stop_table(baseline_peaks: int) -> np.ndarray:
+    """The dense stop table of :func:`peak_areas_from_clicks`, all -inf."""
+    return np.full(CHUNK_TRIALS + baseline_peaks, -np.inf)
+
+
 def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
                            stop_trials: np.ndarray, stop_offsets: np.ndarray,
-                           shift: float, baseline_peaks: int) -> PeakAreas:
+                           shift: float, baseline_peaks: int,
+                           table: np.ndarray | None = None) -> PeakAreas:
     """Peak areas of one pair, counted from its click tables.
 
     Each detector clicks at most once per trial: ``*_trials`` are its
@@ -206,10 +211,16 @@ def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
     ``config.validate`` holds gates to at most half a cycle, so no pair at
     trial lag j + 1 reaches that window.
 
-    The run is walked in chunks of ``CHUNK_TRIALS`` start trials.  Chunk
-    [lo, hi) fills one dense table over trials [lo, hi + baseline_peaks)
-    with ``stop offset - shift``, or -inf where the stop detector did not
-    click, and compares it with each start at lags 0..baseline_peaks.
+    The run is walked in chunks of ``CHUNK_TRIALS`` start trials, each
+    beginning at the first start not yet counted.  Chunk [lo, lo +
+    CHUNK_TRIALS) fills one dense table over trials [lo, lo + CHUNK_TRIALS +
+    baseline_peaks) with ``stop offset - shift``, or -inf where the stop
+    detector did not click, and compares it with each start at lags
+    0..baseline_peaks.
+    ``table``, if given, is that table as :func:`empty_stop_table` makes
+    it.  Each chunk sets its entries back to -inf, so a caller that counts
+    a run block by block can pass one table to every call instead of having
+    each call fill a fresh one.
     """
     if baseline_peaks < 1:
         raise ValueError(f"baseline_peaks must be >= 1, got {baseline_peaks}")
@@ -219,17 +230,18 @@ def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
     _require_sorted(stop_trials, "stop trials")
     counts = np.zeros(baseline_peaks + 1, dtype=np.int64)
     if start_trials.size == 0 or stop_trials.size == 0:
-        return _peak_areas(counts)
-    lo = np.arange(start_trials[-1] // CHUNK_TRIALS + 1) * CHUNK_TRIALS
-    start_at = np.searchsorted(start_trials, np.append(lo, lo[-1] + CHUNK_TRIALS))
-    stop_from = np.searchsorted(stop_trials, lo)
-    stop_to = np.searchsorted(stop_trials, lo + CHUNK_TRIALS + baseline_peaks)
-    table = np.full(CHUNK_TRIALS + baseline_peaks, -np.inf)
-    for c, first in enumerate(lo.tolist()):
-        s, e = start_at[c], start_at[c + 1]
-        if s == e:
-            continue
-        stops = slice(stop_from[c], stop_to[c])
+        return PeakAreas.from_counts(counts)
+    if table is None:
+        table = empty_stop_table(baseline_peaks)
+    elif table.shape != (CHUNK_TRIALS + baseline_peaks,):
+        raise ValueError(f"table needs {CHUNK_TRIALS + baseline_peaks} entries, "
+                         f"got shape {table.shape}")
+    s = 0
+    while s < start_trials.size:
+        first = int(start_trials[s])
+        e = start_trials.searchsorted(first + CHUNK_TRIALS)
+        stops = slice(stop_trials.searchsorted(first),
+                      stop_trials.searchsorted(first + CHUNK_TRIALS + baseline_peaks))
         filled = stop_trials[stops] - first
         table[filled] = stop_offsets[stops] - shift
         at = start_trials[s:e] - first
@@ -237,7 +249,8 @@ def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
         for j in range(baseline_peaks + 1):
             counts[j] += np.count_nonzero(table[j:j + CHUNK_TRIALS][at] >= offsets)
         table[filled] = -np.inf  # cheaper than refilling when clicks are sparse
-    return _peak_areas(counts)
+        s = e
+    return PeakAreas.from_counts(counts)
 
 
 _ROWS_PER_CHUNK = 4096

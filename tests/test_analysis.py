@@ -2,11 +2,10 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from pairsim import (TimestampStream, UndefinedCorrelationError, cauchy_schwarz,
-                     g_ratio, ideal_violation, render_report, singles_rates)
+from pairsim import (UndefinedCorrelationError, cauchy_schwarz, g_ratio,
+                     ideal_violation, render_report, singles_rates)
 
 
 def test_g_ratio_reference_numbers():
@@ -106,26 +105,21 @@ def test_ideal_violation_domain():
         ideal_violation(-0.5)
 
 
-def _streams(counts, duration):
-    return {det: TimestampStream(det, np.linspace(0, duration, n, endpoint=False))
-            for det, n in counts.items()}
-
-
 def test_singles_rates_empty():
-    rates = singles_rates(_streams({"A": 0, "B": 0, "C": 0, "D": 0}, 1.0), 1.0)
+    rates = singles_rates({"A": 0, "B": 0, "C": 0, "D": 0}, 1.0)
     assert rates.stokes == 0.0 and rates.antistokes == 0.0
 
 
 def test_singles_rates_reference_calibration_point():
     # 44 clicks on A plus 44 on B in 0.4 s: Stokes rate 220 per second.
-    rates = singles_rates(_streams({"A": 44, "B": 44, "C": 0, "D": 0}, 0.4), 0.4)
+    rates = singles_rates({"A": 44, "B": 44, "C": 0, "D": 0}, 0.4)
     assert rates.stokes == pytest.approx(220.0, rel=1e-12)
     assert rates.per_detector["A"] == pytest.approx(110.0, rel=1e-12)
 
 
 def test_singles_rates_requires_positive_duration():
     with pytest.raises(ValueError):
-        singles_rates(_streams({"A": 1}, 1.0), 0.0)
+        singles_rates({"A": 1}, 0.0)
 
 
 def test_render_report_fixed_fields():

@@ -1,5 +1,9 @@
 """Command-line interface behavior and exit codes."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pairsim import SourceModel, cli, oracle_report, parse_config, reference_preset
@@ -10,6 +14,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy takes most of a cold start; the package and its CLI do not need it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, pairsim, pairsim.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_preset_prints_parseable_config(capsys):

@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +21,7 @@ from pairsim import engine
 from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, HISTOGRAM_PAIRS, derived_seed, export_sweep
 from pairsim.oracle import pattern_distribution
-from pairsim.tia import peak_areas
+from pairsim.tia import peak_areas, peak_areas_from_clicks
 
 LOSSLESS = ExperimentConfig(
     source_model=SourceModel.QUANTUM_TMS, p_excitation=0.1, delay_dt=2e-6,
@@ -125,6 +126,100 @@ def test_export_format_is_pinned_to_version(preset, tmp_path):
     expected = EXPORT_DIGESTS[__version__]
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in expected} == expected
+
+
+def test_streams_are_merged_on_first_read_only(preset):
+    result = simulate_run(preset, trials=3 * BLOCK_TRIALS, seed=2026)
+    render_run_report(result)
+    assert "streams" not in vars(result) and "click_trials" not in vars(result)
+    assert result.block_clicks is not None
+    digest = hashlib.sha256(result.pattern_counts.astype("<i8").tobytes())
+    for det in "ABCD":
+        digest.update(result.click_trials[det].astype("<i8").tobytes())
+    assert digest.hexdigest() == STREAM_DIGESTS[__version__]
+    assert result.block_clicks is None
+    assert result.streams is result.streams
+
+
+def merged_offsets(result):
+    """Within-cycle click offsets of the whole run, read before the merge."""
+    return {det: np.concatenate([block[det][1] for block in result.block_clicks])
+            for det in "ABCD"}
+
+
+def one_pass_peaks(result, offsets):
+    """Peak areas from one peak_areas_from_clicks call over the merged tables."""
+    config = result.config
+    return {label: peak_areas_from_clicks(
+                result.click_trials[start], offsets[start],
+                result.click_trials[stop], offsets[stop],
+                config.delay_dt if shifted else 0.0, config.baseline_peaks)
+            for label, start, stop, shifted in HISTOGRAM_PAIRS}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("trials", [
+    BLOCK_TRIALS,  # exactly one block
+    3 * BLOCK_TRIALS + 3,  # the last block is shorter than baseline_peaks
+    4 * BLOCK_TRIALS + 1000,
+])
+@pytest.mark.parametrize("dark_mean", [None, 5.0])
+def test_peaks_counted_per_block_equal_one_pass(preset, monkeypatch, dark_mean,
+                                                trials, workers):
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    config = preset if dark_mean is None else dataclasses.replace(preset,
+                                                                  dark_mean=dark_mean)
+    result = simulate_run(config, trials=trials, seed=13, workers=workers)
+    offsets = merged_offsets(result)
+    if dark_mean is not None:
+        # Every gate nearly always clicks, so pairs straddle every block edge.
+        reach = config.baseline_peaks
+        for edge in range(BLOCK_TRIALS, trials, BLOCK_TRIALS):
+            for det in "ABCD":
+                near = result.click_trials[det]
+                assert np.any((near >= edge - reach) & (near < edge))
+                assert np.any((near >= edge) & (near < edge + reach))
+    assert result.peaks == one_pass_peaks(result, offsets)
+
+
+def test_peaks_reach_past_the_next_block():
+    # More baseline peaks than a block has trials: the stops of one start
+    # block come from the two blocks after it.
+    rng = np.random.default_rng(4)
+    reach = BLOCK_TRIALS + 2
+    blocks = []
+    for _ in range(4):
+        inner = rng.choice(np.arange(1, BLOCK_TRIALS - 1), size=4, replace=False)
+        trials = np.sort(np.concatenate([[0, BLOCK_TRIALS - 1], inner]))
+        blocks.append({det: (trials.astype(np.uint16), rng.random(trials.size))
+                       for det in "AB"})
+    merged = {det: [np.concatenate([b * BLOCK_TRIALS + block[det][0].astype(np.int64)
+                                    for b, block in enumerate(blocks)]),
+                    np.concatenate([block[det][1] for block in blocks])]
+              for det in "AB"}
+    expected = peak_areas_from_clicks(*merged["A"], *merged["B"], 0.0, reach)
+    assert engine._count_peaks(blocks, "A", "B", 0.0, reach) == expected
+    assert sum(expected.per_peak[BLOCK_TRIALS:]) > 0  # lags past one block
+
+
+def test_run_holds_at_most_16_bytes_per_click(preset):
+    # Saturated run over 8 blocks.  Holding merged copies of the click
+    # tables next to the block tables peaks at about 32 bytes a click; the
+    # block tables alone hold 10 and the run peaks near 12.
+    config = dataclasses.replace(preset, dark_mean=5.0)
+    simulate_run(config, trials=BLOCK_TRIALS, seed=0)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        result = simulate_run(config, trials=8 * BLOCK_TRIALS, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    clicks = sum(trials.size for block in result.block_clicks
+                 for trials, _ in block.values())
+    assert clicks > 8 * BLOCK_TRIALS * 3.9
+    assert peak < 16 * clicks
+    render_run_report(result)
+    assert "streams" not in vars(result) and "click_trials" not in vars(result)
 
 
 def test_histograms_are_built_on_first_access_only(preset, monkeypatch, tmp_path):

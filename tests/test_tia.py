@@ -10,7 +10,7 @@ from pairsim import (CoincidenceHistogram, SourceModel, StreamOrderError,
                      TimestampStream, export_histogram, histogram, load_histogram,
                      peak_areas, simulate_run)
 from pairsim.config import ExperimentConfig
-from pairsim.tia import CHUNK_TRIALS, peak_areas_from_clicks
+from pairsim.tia import CHUNK_TRIALS, empty_stop_table, peak_areas_from_clicks
 
 
 def stream(det, times):
@@ -296,6 +296,20 @@ def test_peak_areas_from_clicks_match_brute_force_random(seed):
                        5e-6)
     counts = assert_matches_brute_force(start, stop, 5e-6, K)
     assert min(counts) > 0
+
+
+def test_peak_areas_from_clicks_leave_a_given_table_empty():
+    # One table serves many calls: each call leaves it all -inf again.
+    rng = np.random.default_rng(5)
+    table = empty_stop_table(K)
+    for _ in range(3):
+        start = click_table(rng, rng.integers(0, 3 * CHUNK_TRIALS, 300), 0.0)
+        stop = click_table(rng, rng.integers(0, 3 * CHUNK_TRIALS, 3000), 5e-6)
+        assert (peak_areas_from_clicks(*start, *stop, 5e-6, K, table=table)
+                == peak_areas_from_clicks(*start, *stop, 5e-6, K))
+        assert np.all(table == -np.inf)
+    with pytest.raises(ValueError, match="table"):
+        peak_areas_from_clicks(*start, *stop, 5e-6, K, table=empty_stop_table(K + 1))
 
 
 @pytest.mark.parametrize("start_trials, stop_trials", [
