@@ -3,10 +3,11 @@
 One trial is a full duty cycle: write pulse (Stokes gate opens at the cycle
 start), storage delay, read pulse (anti-Stokes gate opens ``delay_dt``
 later), gated detection on all four detectors.  Trials are simulated in
-fixed-size blocks; block b draws from a counter-based Philox stream keyed
-by (seed, b), so results are bit-identical no matter how blocks are
-distributed over workers or in what order they complete.  Blocks are
-reduced to click tables (block-local trial index as uint16 and
+fixed-size blocks; from version 0.3.0 block b draws from an SFC64 stream
+keyed by ``SeedSequence(seed, spawn_key=(b,))``, so results are
+bit-identical no matter how blocks are distributed over workers or in what
+order they complete.  Binomial stages draw nothing for a zero count.
+Blocks are reduced to click tables (block-local trial index as uint16 and
 within-cycle offset as float64 of every click, 10 bytes a click) and
 per-trial click-pattern counts immediately; raw events are never kept.
 
@@ -201,9 +202,12 @@ class RunResult:
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    """Counter-based per-block stream; independent for every (seed, block)."""
+    """SFC64 stream of one block, keyed by SeedSequence(seed, spawn_key=(block,)).
+
+    Every (seed, block) pair gets its own independent stream.
+    """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _source_cdf(config: ExperimentConfig) -> np.ndarray:

@@ -16,6 +16,9 @@ are indistinguishable from photon clicks in the gated analysis.  Click
 offsets are uniform over the gate window.
 
 All count operations accept scalars or numpy arrays (one entry per trial).
+Binomial stages pass numpy only the nonzero entries of an array.
+Binomial(0, p) is 0 and numpy draws nothing for it either, so the stream is
+that of drawing every entry, without numpy's per-entry cost for the zeros.
 """
 
 from __future__ import annotations
@@ -25,11 +28,25 @@ import numpy as np
 DETECTOR_IDS = ("A", "B", "C", "D")
 
 
+def _binomial(n, p: float, rng: np.random.Generator):
+    """Binomial(n, p), drawn for the nonzero entries of an array n only.
+
+    Zero entries stay 0 without a draw; a scalar n takes one plain draw.
+    """
+    if np.isscalar(n):
+        return rng.binomial(n, p)
+    n = np.asarray(n)
+    out = np.zeros(n.shape, dtype=np.int64)
+    nonzero = n != 0
+    out[nonzero] = rng.binomial(n[nonzero], p)
+    return out
+
+
 def thin(n, eta: float, rng: np.random.Generator):
     """Binomial loss: each of n photons survives independently with prob eta."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {eta}")
-    return rng.binomial(n, eta)
+    return _binomial(n, eta, rng)
 
 
 def add_background(n, bg_mean: float, rng: np.random.Generator):
@@ -42,7 +59,7 @@ def add_background(n, bg_mean: float, rng: np.random.Generator):
 
 def split(n, rng: np.random.Generator):
     """50/50 beam splitter: (k, n - k) with k ~ Binomial(n, 1/2)."""
-    k = rng.binomial(n, 0.5)
+    k = _binomial(n, 0.5, rng)
     return k, n - k
 
 
@@ -69,7 +86,14 @@ def detect_batch(n: np.ndarray, det_eff: float, dark_mean: float,
     if gate_width <= 0:
         raise ValueError(f"gate_width must be > 0, got {gate_width}")
     n = np.asarray(n)
-    clicked = rng.random(n.shape) < click_probability(n, det_eff, dark_mean)
+    top = n.max(initial=0)
+    if top < n.size:
+        # One click probability per photon number up to the largest, looked
+        # up per trial; the table is never longer than the batch.
+        probability = click_probability(np.arange(top + 1), det_eff, dark_mean)[n]
+    else:
+        probability = click_probability(n, det_eff, dark_mean)
+    clicked = rng.random(n.shape) < probability
     fractions = rng.random(int(clicked.sum()))
     offsets = gate_start + gate_width * fractions
     return clicked, offsets

@@ -38,6 +38,8 @@ from enum import Enum
 
 import numpy as np
 
+from .optics import _binomial
+
 
 class SourceModel(Enum):
     """Physics of the write process."""
@@ -142,7 +144,7 @@ def decohere_memory(n_memory, delay: float, lifetime: float,
     if diffusion_in_mean < 0:
         raise ValueError(f"diffusion_in_mean must be >= 0, got {diffusion_in_mean}")
     survival = math.exp(-delay / lifetime)
-    survivors = rng.binomial(n_memory, survival)
+    survivors = _binomial(n_memory, survival, rng)
     injected = rng.poisson(diffusion_in_mean * (1.0 - survival),
                            size=_size_of(n_memory))
     return survivors + injected
@@ -152,4 +154,4 @@ def retrieve(n_memory, eta_r: float, rng: np.random.Generator):
     """Convert stored excitations to read-channel photons (binomial thinning)."""
     if not 0.0 <= eta_r <= 1.0:
         raise ValueError(f"retrieval efficiency must be in [0, 1], got {eta_r}")
-    return rng.binomial(n_memory, eta_r)
+    return _binomial(n_memory, eta_r, rng)

@@ -94,7 +94,7 @@ def test_different_seeds_differ(preset):
 # float rounding in printing or libm cannot move it.  A change of the RNG
 # stream must bump the version and add its digest here.
 STREAM_DIGESTS = {
-    "0.2.0": "1dcff49ff3b9dc69a62a54981487b0ff7d8d92a737e14b6416a66b19a6d16006",
+    "0.3.0": "2ef21dc0aa023cdb338c30680e9ef389975dfffbe5f5f362b62aeff3afc09b53",
 }
 
 
@@ -110,12 +110,12 @@ def test_rng_stream_is_pinned_to_version(preset):
 # keep_events.  A change of the writers, the histogram or the stream must
 # bump the version and add its digests here.
 EXPORT_DIGESTS = {
-    "0.2.0": {
-        "hist_11.csv": "e1edec496d253976a9a10fe1d81831caaa3881bcddae23b5a12cb7964cd3d035",
-        "hist_22.csv": "b6c54e8403f9e4ba045a82ab850d4c3b9c1c5be7d58c1c45b9afdadca22c2a0c",
-        "hist_12.csv": "1e4cab73e0e56586e914ee08f2444efde0c82e1e641fed590b09d9b5f7894a27",
-        "hist_12b.csv": "f77f2e5d85d7e0b86ac76025ccbf705228223275362da2e1d7984c8fe9dd4c7a",
-        "events.csv": "801e5e1c67eb64eac4266cf566871d5109135d34d8821952daca7aea8b1e3439",
+    "0.3.0": {
+        "hist_11.csv": "b21b335a99234fa7416a9495e5e11b8efb95ba4cdb93c59551498b08de25555d",
+        "hist_22.csv": "5f0da53f27389b25dee7dfd908789813aa121d31ffa43c2c3b6499f75fca4e97",
+        "hist_12.csv": "0cd5ada12f238030bde5e75a8e6a38cca8436ebbfc533aae2603d04871c36738",
+        "hist_12b.csv": "f4d1687c7c1095f17b863909f495ac052d91574319558b692f6315cd77829cab",
+        "events.csv": "4f4d3283e79a2be6eca6efbfc0a1c3a9a27bcfd2a20b55b535b6d3d3a4a53a05",
     },
 }
 
@@ -259,12 +259,16 @@ def test_undefined_reason_names_every_zero_baseline_pair():
 
 
 def test_duplicate_pair_alone_does_not_undefine_the_run(preset):
-    # Only (B,D) has no baseline coincidence here; the report is decided by
-    # (A,B), (C,D) and (A,C), and the duplicate shows up as nan.
-    result = simulate_run(dataclasses.replace(preset, dark_mean=2e-3),
-                          trials=2_000, seed=25)
-    assert [result.peaks[label].m_baseline > 0 for label in ("11", "22", "12", "12b")] \
-        == [True, True, True, False]
+    # Find a short run where only (B,D) has no baseline coincidence; the
+    # report is decided by (A,B), (C,D) and (A,C), and the duplicate shows
+    # up as nan.  The search keeps the scenario whatever the RNG stream.
+    config = dataclasses.replace(preset, dark_mean=2e-3)
+    runs = (simulate_run(config, trials=2_000, seed=seed) for seed in range(500))
+    result = next((run for run in runs
+                   if [run.peaks[label].m_baseline > 0
+                       for label in ("11", "22", "12", "12b")]
+                   == [True, True, True, False]), None)
+    assert result is not None, "no seed below 500 leaves only (B,D) without a baseline"
     assert result.report is not None and result.undefined_reason is None
     assert all(math.isnan(x) for x in result.g["12b"])
     lines = dict(line.split(" = ") for line in render_run_report(result).splitlines())
@@ -340,7 +344,7 @@ def test_export_round_trip_and_manifest(preset, tmp_path):
     assert np.array_equal(loaded.bins, result.histograms["12"].bins)
     raw = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert raw["seed"] == 8 and raw["trials"] == 30_000
-    assert __version__ == "0.2.0" and raw["version"] == __version__
+    assert __version__ == "0.3.0" and raw["version"] == __version__
     assert manifest.sampler == raw["sampler"] == "active_trial"
     report_text = (tmp_path / "out" / "report.txt").read_text()
     assert report_text == render_run_report(result)

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from pairsim import SourceModel, add_background, detect_batch, sample_write, split, thin
+from pairsim import (SourceModel, add_background, detect_batch, retrieve, sample_write,
+                     split, thin)
+from pairsim.optics import click_probability
+
+MIXED = np.array([0, 3, 0, 0, 1, 7, 0, 2], dtype=np.int64)
+
+
+def twin_generators(seed=7):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
 
 
 def test_thin_unit_and_zero_efficiency(rng):
@@ -48,6 +56,46 @@ def test_thin_composition_law_grid(eta1, eta2, rng):
         assert np.all(twice == round(mean))
     else:
         assert abs(twice.mean() - mean) < 4.0 * math.sqrt(var / draws)
+
+
+# Binomial stages draw only for nonzero counts: zeros stay 0 and take no
+# draw, so the nonzero entries get exactly the draws of the compact array.
+BINOMIAL_STAGES = {
+    "thin": (lambda n, rng: thin(n, 0.3, rng), 0.3),
+    "split": (lambda n, rng: split(n, rng)[0], 0.5),
+    "retrieve": (lambda n, rng: retrieve(n, 0.32, rng), 0.32),
+}
+
+
+@pytest.mark.parametrize("stage", BINOMIAL_STAGES)
+def test_binomial_stage_all_zero_draws_nothing(stage):
+    draw, _ = BINOMIAL_STAGES[stage]
+    rng = np.random.default_rng(7)
+    before = rng.bit_generator.state
+    out = draw(np.zeros(50, dtype=np.int64), rng)
+    assert out.dtype == np.int64 and out.shape == (50,) and not out.any()
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("stage", BINOMIAL_STAGES)
+def test_binomial_stage_mixed_draws_nonzero_entries_only(stage):
+    draw, p = BINOMIAL_STAGES[stage]
+    rng, twin = twin_generators()
+    out = draw(MIXED, rng)
+    assert out.dtype == np.int64 and out.shape == MIXED.shape
+    assert not out[MIXED == 0].any()
+    assert np.array_equal(out[MIXED != 0], twin.binomial(MIXED[MIXED != 0], p))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("stage", BINOMIAL_STAGES)
+@pytest.mark.parametrize("n", [0, 5])
+def test_binomial_stage_scalar_takes_one_plain_draw(stage, n):
+    draw, p = BINOMIAL_STAGES[stage]
+    rng, twin = twin_generators()
+    out = draw(n, rng)
+    assert np.isscalar(out) and out == twin.binomial(n, p)
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def test_add_background_zero_mean_is_identity(rng):
@@ -93,6 +141,21 @@ def test_detect_never_clicks_on_vacuum(rng):
     clicked, offsets = detect_batch(np.zeros(10 ** 5, dtype=np.int64),
                                     0.64, 0.0, 0.0, 1e-6, rng)
     assert not clicked.any() and offsets.size == 0
+
+
+@pytest.mark.parametrize("n", [np.empty(0, dtype=np.int64),
+                               np.zeros(6, dtype=np.int64), MIXED,
+                               np.array([0, 40, 2], dtype=np.int64)],
+                         ids=["empty", "all_zero", "mixed", "count_above_size"])
+def test_detect_batch_table_matches_the_formula(n):
+    # The per-call click-probability table, or the formula itself where a
+    # count exceeds the batch size, gives the same clicks and offsets as
+    # evaluating click_probability for every entry.
+    rng, twin = twin_generators()
+    clicked, offsets = detect_batch(n, 0.64, 0.3, 1e-6, 2e-6, rng)
+    expected = twin.random(n.shape) < click_probability(n, 0.64, 0.3)
+    assert clicked.shape == n.shape and np.array_equal(clicked, expected)
+    assert np.array_equal(offsets, 1e-6 + 2e-6 * twin.random(int(expected.sum())))
 
 
 def test_detect_single_photon_reference_efficiency(rng):

@@ -169,6 +169,20 @@ def test_retrieve_two_excitations_half_efficiency(rng):
     assert abs(observed - expected) < 4.0 * math.sqrt(0.25 / draws)
 
 
+def test_decohere_mixed_draws_survivors_of_nonzero_entries_only():
+    # Survivors are drawn for the stored excitations only; the diffused-in
+    # count is then drawn for every entry.
+    mixed = np.array([0, 3, 0, 0, 1, 7, 0, 2], dtype=np.int64)
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    out = decohere_memory(mixed, 1e-6, 2e-6, 0.4, rng)
+    survival = math.exp(-0.5)
+    survivors = np.zeros_like(mixed)
+    survivors[mixed != 0] = twin.binomial(mixed[mixed != 0], survival)
+    injected = twin.poisson(0.4 * (1.0 - survival), size=mixed.shape)
+    assert np.array_equal(out, survivors + injected)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
 def test_retrieve_validates_efficiency(rng):
     with pytest.raises(ValueError):
         retrieve(1, 1.2, rng)
