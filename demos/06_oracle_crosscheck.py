@@ -9,6 +9,7 @@ different routes, so z-scoring one against the other validates both.
 """
 
 from pairsim import compare, oracle_report, reference_preset, simulate_run
+from pairsim.oracle import FLAG_THRESHOLD
 
 TRIALS = 2_000_000
 
@@ -26,7 +27,7 @@ def main():
                   f"{row.oracle_value:12.3e} {row.z:+7.2f}"
                   + ("  <-- flagged" if row.flagged else ""))
     flagged = sum(row.flagged for row in rows)
-    print(f"\n{flagged} of {len(rows)} quantities flagged at |z| > 4")
+    print(f"\n{flagged} of {len(rows)} quantities flagged at |z| > {FLAG_THRESHOLD:g}")
     print("the sampler and the closed form agree within counting noise")
 
 

@@ -19,4 +19,4 @@ from .optics import add_background, detect_batch, split, thin
 from .oracle import compare, oracle_report
 from .source import SourceModel, decohere_memory, joint_pmf, retrieve, sample_write
 from .tia import (CoincidenceHistogram, StreamOrderError, TimestampStream,
-                  export_histogram, histogram, load_histogram, peak_areas)
+                  export_histogram, histogram)

@@ -27,7 +27,7 @@ from .config import ConfigError, ExperimentConfig, ensure_valid, parse_config, \
     parse_value, reference_preset, render_config, render_value
 from .engine import (check_sweep_parameter, export_run, export_sweep,
                      render_run_report, simulate_run, sweep)
-from .oracle import compare, oracle_report
+from .oracle import FLAG_THRESHOLD, compare, oracle_report
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -117,7 +117,8 @@ def _cmd_compare(args) -> int:
         f"{row.sigma!r},{row.z!r},{row.flagged}\n" for row in rows)
     sys.stdout.write(table)
     flagged = [row for row in rows if row.flagged]
-    print(f"# {len(flagged)} of {len(rows)} quantities flagged (|z| > 4)")
+    print(f"# {len(flagged)} of {len(rows)} quantities flagged "
+          f"(|z| > {FLAG_THRESHOLD:g})")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

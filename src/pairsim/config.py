@@ -31,7 +31,8 @@ cycle_period            2e-4        duty-cycle period, s
 n_trials                1000000     duty cycles per run
 rng_seed                12345       base seed, integer in [0, 2**64)
 hist_bin                1e-8        coincidence histogram bin width, s
-hist_span               1.8e-3      coincidence histogram span, s
+hist_span               1.8e-3      coincidence histogram span, s; a whole
+                                    number of hist_bin
 baseline_peaks          7           cross-trial peaks averaged for the baseline
 ======================  ==========  =========================================
 """
@@ -42,6 +43,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from .source import SourceModel
+from .tia import _bin_count
 
 NO_DECAY: float = sys.float_info.max
 """Memory lifetime standing in for "no decay": exp(-dt/NO_DECAY) == 1.0 exactly."""
@@ -145,6 +147,11 @@ def validate(config: ExperimentConfig) -> list[str]:
         v.append("hist_span too small for baseline extraction: "
                  f"need >= (baseline_peaks + 1) * cycle_period = {span_min}, "
                  f"got {config.hist_span}")
+    if config.hist_bin > 0 and config.hist_span > 0:
+        try:
+            _bin_count(config.hist_span, config.hist_bin)
+        except ValueError as err:
+            v.append(f"hist_span must be a whole number of hist_bin: {err}")
     return v
 
 

@@ -56,12 +56,12 @@ time order; the lower-lettered detector starts for the auto pairs.  Peak
 windows of the cross pairs are shifted by the write-read delay since their
 stop gate lags the start gate by exactly that amount.  N and M come
 straight from the click tables (``tia.peak_areas_from_clicks``, once per
-block and pair: the starts of block b against the stops of block b and of
-the first ``baseline_peaks`` trials after it, so every start is counted
-once); only (A,B), (C,D) and (A,C) decide the Cauchy-Schwarz report, and
-(B,D) is reported as a check.  The coincidence histograms are built from
-the timestamps the first time ``RunResult.histograms`` is read, which
-``export_run`` does.
+block and pair, on one stop table per pair: the starts of block b against
+the stops of block b and of the first ``baseline_peaks`` trials after it,
+so every start is counted once); only (A,B), (C,D) and (A,C) decide the
+Cauchy-Schwarz report, and (B,D) is reported as a check.  The coincidence
+histograms are built from the timestamps the first time
+``RunResult.histograms`` is read, which ``export_run`` does.
 """
 
 from __future__ import annotations
@@ -69,6 +69,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -84,8 +85,7 @@ from .config import (ConfigError, ExperimentConfig, ensure_valid, render_config,
                      render_value)
 from .optics import DETECTOR_IDS, add_background, detect_batch, split, thin
 from .source import SourceModel, decohere_memory, retrieve, sample_write
-from .tia import (CoincidenceHistogram, PeakAreas, TimestampStream, empty_stop_table,
-                  export_histogram)
+from .tia import CoincidenceHistogram, PeakAreas, TimestampStream, export_histogram
 from .tia import histogram as build_histogram
 from .tia import peak_areas_from_clicks as extract_peak_areas
 
@@ -396,16 +396,24 @@ def _count_peaks(blocks, start_det: str, stop_det: str, shift: float,
     The starts of each block meet the stops of that block and of the
     ``baseline_peaks`` trials after it, so every start is counted exactly
     once; the integer counts of the blocks add up to those of the run.
-    The calls share one stop table.
+    Every call gets the same stop table, one entry per trial of a block
+    and of its reach, which each call leaves all -inf.
     """
     counts = np.zeros(baseline_peaks + 1, dtype=np.int64)
-    table = empty_stop_table(baseline_peaks)
+    table = np.full(BLOCK_TRIALS + baseline_peaks, -np.inf)
     for index, block in enumerate(blocks):
-        areas = extract_peak_areas(*block[start_det],
-                                   *_stops_ahead(blocks, index, stop_det, baseline_peaks),
-                                   shift, baseline_peaks, table=table)
-        counts += np.array([areas.n_same_trial, *areas.per_peak], dtype=np.int64)
+        stops = _stops_ahead(blocks, index, stop_det, baseline_peaks)
+        counts += extract_peak_areas(*block[start_det], *stops, shift, baseline_peaks,
+                                     table)
     return PeakAreas.from_counts(counts)
+
+
+def _integer(value, name: str) -> int:
+    """``value`` through ``operator.index``: 1.9 is refused, not truncated to 1."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_run_arguments(trials: int | None, seed: int, workers: int) -> None:
@@ -427,7 +435,8 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
                  _blocks=None) -> RunResult:
     """Execute a full run: trials, peak areas, correlation report.
 
-    ``trials`` and ``seed`` default to the config's n_trials and rng_seed.
+    ``trials`` and ``seed`` default to the config's n_trials and rng_seed;
+    given, they must be integers (numpy integers too), never truncated floats.
     Results are independent of ``workers``: with more than one worker,
     CPU and block, the blocks run on a process pool started for this run.
     When a baseline peak area of (A,B), (C,D) or (A,C) is zero the
@@ -440,8 +449,8 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
     starts no pool of its own and reduces their results.
     """
     ensure_valid(config)
-    trials = config.n_trials if trials is None else int(trials)
-    seed = config.rng_seed if seed is None else int(seed)
+    trials = config.n_trials if trials is None else _integer(trials, "trials")
+    seed = config.rng_seed if seed is None else _integer(seed, "seed")
     _check_run_arguments(trials, seed, workers)
     started = time.perf_counter()
 
@@ -582,8 +591,8 @@ def sweep(config: ExperimentConfig, parameter: str, values,
     or held at a time.  Rows do not depend on ``workers``.
     """
     check_sweep_parameter(parameter, trials)
-    trials = None if trials is None else int(trials)
-    seed = config.rng_seed if seed is None else int(seed)
+    trials = None if trials is None else _integer(trials, "trials")
+    seed = config.rng_seed if seed is None else _integer(seed, "seed")
     _check_run_arguments(trials, seed, workers)
     variants = [(v, ensure_valid(replace(config, **{parameter: v}))) for v in values]
     seeds = [derived_seed(seed, index) for index in range(len(variants))]

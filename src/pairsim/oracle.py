@@ -192,14 +192,17 @@ class ComparisonRow:
     flagged: bool
 
 
+FLAG_THRESHOLD = 4.0
+"""|z| above which :func:`compare` flags a row."""
+
+
 def compare(mc_pattern_counts: np.ndarray, mc_g: dict[str, tuple[float, float]],
-            prediction: OraclePrediction, trials: int,
-            flag_threshold: float = 4.0) -> list[ComparisonRow]:
+            prediction: OraclePrediction, trials: int) -> list[ComparisonRow]:
     """z-score table between Monte Carlo estimates and oracle predictions.
 
     ``mc_pattern_counts`` holds observed per-trial click-pattern counts in
     the bitmask order of :class:`ClickPatternDistribution`; ``mc_g`` maps
-    "g11"/"g22"/"g12" to (value, sigma).  Every |z| > flag_threshold row is
+    "g11"/"g22"/"g12" to (value, sigma).  Every |z| > FLAG_THRESHOLD row is
     flagged.  Pattern frequencies use binomial sigmas from the exact
     oracle probability, which holds for any source mean; an exact-zero
     sigma (probability 0 or 1) flags only on a nonzero discrepancy.
@@ -218,7 +221,7 @@ def compare(mc_pattern_counts: np.ndarray, mc_g: dict[str, tuple[float, float]],
         label = "".join(det for det, bit in _BITS.items() if mask & bit) or "none"
         rows.append(ComparisonRow(
             quantity=f"pattern_{label}", mc_value=observed, oracle_value=p,
-            sigma=sigma, z=z, flagged=abs(z) > flag_threshold))
+            sigma=sigma, z=z, flagged=abs(z) > FLAG_THRESHOLD))
     oracle_g = {"g11": prediction.g11, "g22": prediction.g22, "g12": prediction.g12}
     for name, (value, sigma) in mc_g.items():
         target = oracle_g[name]
@@ -228,5 +231,5 @@ def compare(mc_pattern_counts: np.ndarray, mc_g: dict[str, tuple[float, float]],
             z = 0.0 if value == target else math.inf
         rows.append(ComparisonRow(quantity=name, mc_value=value,
                                   oracle_value=target, sigma=sigma, z=z,
-                                  flagged=abs(z) > flag_threshold))
+                                  flagged=abs(z) > FLAG_THRESHOLD))
     return rows

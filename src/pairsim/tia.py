@@ -19,23 +19,24 @@ each histogram is written by splicing its nonzero counts into that table
 Because trials repeat with the duty-cycle period, the histogram clusters
 into peaks: the peak at zero lag collects same-trial coincidences and the
 peaks at multiples of the cycle period collect accidental coincidences
-between different trials.  ``peak_areas`` integrates the same-trial peak
-(N) and the mean of the following baseline peaks (M); the normalized
-correlation is their ratio (see :mod:`pairsim.analysis`).
+between different trials.  N is the area of the same-trial peak and M the
+mean area of the following ``baseline_peaks`` peaks; the normalized
+correlation is their ratio (see :mod:`pairsim.analysis`).  For detector
+pairs whose gates are offset within the cycle (the Stokes to anti-Stokes
+pair is delayed by the write-read delay), the peaks sit ``shift`` later.
 
-For detector pairs whose gates are offset within the cycle (the Stokes to
-anti-Stokes pair is delayed by the write-read delay), the peak windows are
-shifted by ``peak_offset`` so that they track the actual peak positions.
-
-A run does not need the histogram for N and M.  Peak j of a pair counts
-the pairs with the start in trial i, the stop in trial i + j and
-``stop offset - shift >= start offset``, offsets taken within the cycle;
-:func:`peak_areas_from_clicks` counts exactly that from the per-trial
-click tables, without binning, so its areas do not depend on the bin
-width.  Wherever the bin edges line up with the peak windows (the
-defaults do) it agrees with ``peak_areas`` of the histogram, up to pairs
-whose two offsets differ by a rounding error of the timestamps.
-``peak_areas`` stays the reader for histograms loaded from files.
+N and M are not read off the histogram.  Peak j of a pair counts the pairs
+with the start in trial i, the stop in trial i + j and ``stop offset -
+shift >= start offset``, offsets taken within the cycle;
+:func:`peak_areas_from_clicks` counts exactly that from per-trial click
+tables, without binning, so the areas do not depend on the bin width.  It
+is called once per block of trials: the caller passes one all -inf table
+with an entry per trial of the block plus ``baseline_peaks``, the call
+fills it with the block's stops, counts the block's starts against it and
+leaves it all -inf again, so the caller reuses it for every block.  Where
+the bin edges line up with the peak windows (the defaults do), the counts
+equal the histogram windows, up to pairs whose two offsets differ by a
+rounding error of the timestamps.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ def _bin_count(span: float, bin_width: float) -> int:
     if bin_width <= 0:
         raise ValueError(f"bin_width must be > 0, got {bin_width}")
     n = span / bin_width
-    n_round = round(n)
+    n_round = round(n) if np.isfinite(n) else 0
     if n_round < 1 or abs(n - n_round) > 1e-9 * max(n, 1.0):
         raise ValueError(
             f"span {span} must be a positive integer multiple of bin_width {bin_width}")
@@ -146,81 +147,27 @@ def histogram(start: TimestampStream, stop: TimestampStream,
         bin_width=bin_width, span=span, bins=counts)
 
 
-def _window_slice(hist: CoincidenceHistogram, lo: float, hi: float) -> slice:
-    """Bins whose left edge lies in [lo, hi); exact at aligned edges."""
-    bw = hist.bin_width
-
-    def edge(x: float) -> int:
-        q = x / bw
-        r = round(q)
-        return int(r) if abs(q - r) <= 1e-9 * max(abs(q), 1.0) else int(np.ceil(q))
-
-    return slice(max(edge(lo), 0), min(edge(hi), hist.n_bins))
-
-
-def peak_areas(hist: CoincidenceHistogram, cycle_period: float,
-               gate_width: float, baseline_peaks: int,
-               peak_offset: float = 0.0) -> PeakAreas:
-    """Integrate the same-trial peak and the cross-trial baseline peaks.
-
-    N sums the bins in [peak_offset, peak_offset + gate_width); peak j
-    (j = 1..baseline_peaks) sums [peak_offset + j * cycle_period,
-    peak_offset + j * cycle_period + gate_width); M is the arithmetic mean
-    of the baseline-peak areas.  ``peak_offset`` shifts all windows by the
-    start-stop gate offset of the pair (zero for same-gate pairs).
-    """
-    if gate_width >= cycle_period:
-        raise ValueError("gate_width must be smaller than cycle_period")
-    if baseline_peaks < 1:
-        raise ValueError(f"baseline_peaks must be >= 1, got {baseline_peaks}")
-    needed = baseline_peaks * cycle_period + peak_offset + gate_width
-    if hist.span < needed:
-        raise ValueError(
-            f"histogram span {hist.span} too small: needs >= {needed} to cover "
-            f"{baseline_peaks} baseline peaks at offset {peak_offset}")
-    areas = []
-    for j in range(baseline_peaks + 1):
-        lo = peak_offset + j * cycle_period
-        areas.append(hist.bins[_window_slice(hist, lo, lo + gate_width)].sum())
-    return PeakAreas.from_counts(areas)
-
-
-CHUNK_TRIALS = 1 << 16
-"""Trials per chunk of :func:`peak_areas_from_clicks`.  It bounds the dense
-stop table of one chunk; the areas do not depend on it."""
-
-
-def empty_stop_table(baseline_peaks: int) -> np.ndarray:
-    """The dense stop table of :func:`peak_areas_from_clicks`, all -inf."""
-    return np.full(CHUNK_TRIALS + baseline_peaks, -np.inf)
-
-
 def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
                            stop_trials: np.ndarray, stop_offsets: np.ndarray,
                            shift: float, baseline_peaks: int,
-                           table: np.ndarray | None = None) -> PeakAreas:
-    """Peak areas of one pair, counted from its click tables.
+                           table: np.ndarray) -> np.ndarray:
+    """Int64 counts of peaks 0..baseline_peaks of one pair, from its click tables.
 
     Each detector clicks at most once per trial: ``*_trials`` are its
     strictly increasing trial indices and ``*_offsets`` the within-cycle
-    click times in the same order.  Peak j (j = 0..baseline_peaks) counts
-    the start-stop pairs with the start in some trial i, the stop in trial
-    i + j and ``stop offset - shift >= start offset``; ``shift`` is the
-    start-stop gate offset of the pair (zero for same-gate pairs).  These
-    are exactly the pairs that the histogram window of peak j collects:
-    ``config.validate`` holds gates to at most half a cycle, so no pair at
-    trial lag j + 1 reaches that window.
+    click times in the same order.  Peak j counts the start-stop pairs with
+    the start in some trial i, the stop in trial i + j and ``stop offset -
+    shift >= start offset``; ``shift`` is the start-stop gate offset of the
+    pair (zero for same-gate pairs).  These are exactly the pairs that the
+    histogram window of peak j collects: ``config.validate`` holds gates to
+    at most half a cycle, so no pair at trial lag j + 1 reaches that window.
 
-    The run is walked in chunks of ``CHUNK_TRIALS`` start trials, each
-    beginning at the first start not yet counted.  Chunk [lo, lo +
-    CHUNK_TRIALS) fills one dense table over trials [lo, lo + CHUNK_TRIALS +
-    baseline_peaks) with ``stop offset - shift``, or -inf where the stop
-    detector did not click, and compares it with each start at lags
-    0..baseline_peaks.
-    ``table``, if given, is that table as :func:`empty_stop_table` makes
-    it.  Each chunk sets its entries back to -inf, so a caller that counts
-    a run block by block can pass one table to every call instead of having
-    each call fill a fresh one.
+    ``table`` is a float array, all -inf, with one entry per trial.  The
+    stops set their entries to ``stop offset - shift`` and every start is
+    compared with the entries at lags 0..baseline_peaks; then the stops'
+    entries go back to -inf, so one table serves every call.  Every start
+    trial must be below ``len(table) - baseline_peaks`` (ValueError
+    otherwise) and every stop trial below ``len(table)``.
     """
     if baseline_peaks < 1:
         raise ValueError(f"baseline_peaks must be >= 1, got {baseline_peaks}")
@@ -228,29 +175,17 @@ def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
     stop_trials = np.asarray(stop_trials, dtype=np.int64)
     _require_sorted(start_trials, "start trials")
     _require_sorted(stop_trials, "stop trials")
+    if start_trials.size and start_trials[-1] >= table.size - baseline_peaks:
+        raise ValueError(f"start trial {start_trials[-1]} needs a table longer than "
+                         f"{table.size} entries to reach {baseline_peaks} peaks on")
     counts = np.zeros(baseline_peaks + 1, dtype=np.int64)
     if start_trials.size == 0 or stop_trials.size == 0:
-        return PeakAreas.from_counts(counts)
-    if table is None:
-        table = empty_stop_table(baseline_peaks)
-    elif table.shape != (CHUNK_TRIALS + baseline_peaks,):
-        raise ValueError(f"table needs {CHUNK_TRIALS + baseline_peaks} entries, "
-                         f"got shape {table.shape}")
-    s = 0
-    while s < start_trials.size:
-        first = int(start_trials[s])
-        e = start_trials.searchsorted(first + CHUNK_TRIALS)
-        stops = slice(stop_trials.searchsorted(first),
-                      stop_trials.searchsorted(first + CHUNK_TRIALS + baseline_peaks))
-        filled = stop_trials[stops] - first
-        table[filled] = stop_offsets[stops] - shift
-        at = start_trials[s:e] - first
-        offsets = start_offsets[s:e]
-        for j in range(baseline_peaks + 1):
-            counts[j] += np.count_nonzero(table[j:j + CHUNK_TRIALS][at] >= offsets)
-        table[filled] = -np.inf  # cheaper than refilling when clicks are sparse
-        s = e
-    return PeakAreas.from_counts(counts)
+        return counts
+    table[stop_trials] = stop_offsets - shift
+    for j in range(baseline_peaks + 1):
+        counts[j] = np.count_nonzero(table[j:][start_trials] >= start_offsets)
+    table[stop_trials] = -np.inf  # cheaper than refilling when clicks are sparse
+    return counts
 
 
 _ROWS_PER_CHUNK = 4096
@@ -290,24 +225,3 @@ def export_histogram(hist: CoincidenceHistogram, path) -> None:
             fh.write(b"%d" % count)
             done = at + 1
         fh.write(view[done:])
-
-
-def load_histogram(path, pair_id: tuple[str, str] = ("?", "?")) -> CoincidenceHistogram:
-    """Read a histogram written by :func:`export_histogram`."""
-    edges: list[float] = []
-    counts: list[int] = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "delay_bin_start_seconds,count":
-            raise ValueError(f"unexpected histogram header: {header!r}")
-        for line in fh:
-            edge, _, count = line.partition(",")
-            edges.append(float(edge))
-            counts.append(int(count))
-    if len(edges) < 2:
-        raise ValueError("histogram file needs at least two bins to "
-                         "recover the bin width")
-    bin_width = edges[1] - edges[0]
-    span = bin_width * len(edges)
-    return CoincidenceHistogram(pair_id=pair_id, bin_width=bin_width,
-                                span=span, bins=np.asarray(counts, dtype=np.int64))

@@ -1,0 +1,87 @@
+"""Reference implementations that only the tests use.
+
+The package counts N and M from click tables (``tia.peak_areas_from_clicks``).
+The histogram-window reader here is the independent second reduction: it
+sums the bins of each peak window of a histogram, built in memory or read
+back from an exported file, and the tests check the click counts and the
+exported files against it.  The package never imports this module.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from pairsim.tia import CoincidenceHistogram, PeakAreas, peak_areas_from_clicks
+
+
+def _window_slice(hist: CoincidenceHistogram, lo: float, hi: float) -> slice:
+    """Bins whose left edge lies in [lo, hi); exact at aligned edges."""
+    bw = hist.bin_width
+
+    def edge(x: float) -> int:
+        q = x / bw
+        r = round(q)
+        return int(r) if abs(q - r) <= 1e-9 * max(abs(q), 1.0) else int(np.ceil(q))
+
+    return slice(max(edge(lo), 0), min(edge(hi), hist.n_bins))
+
+
+def peak_areas(hist: CoincidenceHistogram, cycle_period: float,
+               gate_width: float, baseline_peaks: int,
+               peak_offset: float = 0.0) -> PeakAreas:
+    """Integrate the same-trial peak and the cross-trial baseline peaks.
+
+    N sums the bins in [peak_offset, peak_offset + gate_width); peak j
+    (j = 1..baseline_peaks) sums [peak_offset + j * cycle_period,
+    peak_offset + j * cycle_period + gate_width); M is the arithmetic mean
+    of the baseline-peak areas.  ``peak_offset`` shifts all windows by the
+    start-stop gate offset of the pair (zero for same-gate pairs).
+    """
+    if gate_width >= cycle_period:
+        raise ValueError("gate_width must be smaller than cycle_period")
+    if baseline_peaks < 1:
+        raise ValueError(f"baseline_peaks must be >= 1, got {baseline_peaks}")
+    needed = baseline_peaks * cycle_period + peak_offset + gate_width
+    if hist.span < needed:
+        raise ValueError(
+            f"histogram span {hist.span} too small: needs >= {needed} to cover "
+            f"{baseline_peaks} baseline peaks at offset {peak_offset}")
+    areas = []
+    for j in range(baseline_peaks + 1):
+        lo = peak_offset + j * cycle_period
+        areas.append(hist.bins[_window_slice(hist, lo, lo + gate_width)].sum())
+    return PeakAreas.from_counts(areas)
+
+
+def load_histogram(path, pair_id: tuple[str, str] = ("?", "?")) -> CoincidenceHistogram:
+    """Read a histogram written by :func:`export_histogram`."""
+    edges: list[float] = []
+    counts: list[int] = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        if header != "delay_bin_start_seconds,count":
+            raise ValueError(f"unexpected histogram header: {header!r}")
+        for line in fh:
+            edge, _, count = line.partition(",")
+            edges.append(float(edge))
+            counts.append(int(count))
+    if len(edges) < 2:
+        raise ValueError("histogram file needs at least two bins to "
+                         "recover the bin width")
+    bin_width = edges[1] - edges[0]
+    span = bin_width * len(edges)
+    return CoincidenceHistogram(pair_id=pair_id, bin_width=bin_width,
+                                span=span, bins=np.asarray(counts, dtype=np.int64))
+
+
+def counts_in_one_call(start_trials, start_offsets, stop_trials, stop_offsets,
+                       shift: float, baseline_peaks: int) -> np.ndarray:
+    """``peak_areas_from_clicks`` over whole inputs in one call.
+
+    The table gets one entry per trial up to the last click plus
+    ``baseline_peaks``, so no start is turned away.
+    """
+    last = max([-1, *start_trials[-1:], *stop_trials[-1:]])
+    table = np.full(int(last) + baseline_peaks + 1, -np.inf)
+    return peak_areas_from_clicks(start_trials, start_offsets, stop_trials,
+                                  stop_offsets, shift, baseline_peaks, table)

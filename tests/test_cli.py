@@ -117,6 +117,20 @@ def test_run_rejects_gate_longer_than_half_a_cycle(preset_file, capsys):
     assert "gate_width" in err
 
 
+def test_run_rejects_uneven_binning_before_simulating(preset_file, tmp_path, capsys,
+                                                     monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate_run called before validation")
+
+    monkeypatch.setattr(cli, "simulate_run", no_run)
+    out_dir = tmp_path / "run"
+    code, _, err = run_cli(capsys, "run", "--config", preset_file, "--trials", "100000",
+                           "--set", "hist_bin=7e-9", "--out", str(out_dir))
+    assert code == EXIT_CONFIG
+    assert "hist_span must be a whole number of hist_bin" in err
+    assert not out_dir.exists()
+
+
 def test_run_rejects_bad_config_file(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("source_model = quantum_tms\nwhat is this\n")
@@ -198,6 +212,7 @@ def test_compare_zscore_table(preset_file, tmp_path, capsys):
     assert code == 0
     assert out.splitlines()[0] == "quantity,mc,oracle,sigma_mc,z,flagged"
     assert "pattern_none" in out
+    assert "quantities flagged (|z| > 4)" in out
     assert (tmp_path / "cmp" / "compare.csv").exists()
 
 

@@ -117,6 +117,17 @@ def test_hist_span_too_small(preset):
     assert any("hist_span too small" in v for v in validate(bad))
 
 
+def test_hist_span_must_be_a_whole_number_of_bins(preset):
+    bad = dataclasses.replace(preset, hist_bin=7e-9)
+    assert [v for v in validate(bad) if "hist_span" in v] == [
+        "hist_span must be a whole number of hist_bin: span 0.0018 must be a "
+        "positive integer multiple of bin_width 7e-09"]
+    assert validate(dataclasses.replace(preset, hist_bin=3e-9)) == []
+    # A bin of zero is its own violation, not a failed division.
+    assert validate(dataclasses.replace(preset, hist_bin=0.0)) == [
+        "hist_bin must be > 0, got 0.0"]
+
+
 def test_validate_returns_complete_violation_list(preset):
     bad = dataclasses.replace(preset, retrieval_eff=-0.1, dark_mean=-1.0,
                               n_trials=0)

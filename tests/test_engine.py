@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from pairsim import (ConfigError, ExperimentConfig, SourceModel, __version__,
-                     export_run, load_histogram, oracle_report, reference_preset,
+                     export_run, oracle_report, reference_preset,
                      render_run_report, simulate_run, sweep)
 from pairsim import engine
 from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, HISTOGRAM_PAIRS, derived_seed, export_sweep
 from pairsim.oracle import pattern_distribution
-from pairsim.tia import peak_areas, peak_areas_from_clicks
+from pairsim.tia import PeakAreas
+from reference import counts_in_one_call, load_histogram, peak_areas
 
 LOSSLESS = ExperimentConfig(
     source_model=SourceModel.QUANTUM_TMS, p_excitation=0.1, delay_dt=2e-6,
@@ -148,12 +149,12 @@ def merged_offsets(result):
 
 
 def one_pass_peaks(result, offsets):
-    """Peak areas from one peak_areas_from_clicks call over the merged tables."""
+    """Peak areas from one counter call over the merged tables and a run-sized table."""
     config = result.config
-    return {label: peak_areas_from_clicks(
+    return {label: PeakAreas.from_counts(counts_in_one_call(
                 result.click_trials[start], offsets[start],
                 result.click_trials[stop], offsets[stop],
-                config.delay_dt if shifted else 0.0, config.baseline_peaks)
+                config.delay_dt if shifted else 0.0, config.baseline_peaks))
             for label, start, stop, shifted in HISTOGRAM_PAIRS}
 
 
@@ -197,7 +198,8 @@ def test_peaks_reach_past_the_next_block():
                                     for b, block in enumerate(blocks)]),
                     np.concatenate([block[det][1] for block in blocks])]
               for det in "AB"}
-    expected = peak_areas_from_clicks(*merged["A"], *merged["B"], 0.0, reach)
+    expected = PeakAreas.from_counts(
+        counts_in_one_call(*merged["A"], *merged["B"], 0.0, reach))
     assert engine._count_peaks(blocks, "A", "B", 0.0, reach) == expected
     assert sum(expected.per_peak[BLOCK_TRIALS:]) > 0  # lags past one block
 
@@ -672,6 +674,30 @@ def test_pattern_counts_match_oracle_property(config):
 def test_workers_must_be_positive(preset):
     with pytest.raises(ValueError, match="workers"):
         simulate_run(preset, trials=1000, workers=0)
+
+
+@pytest.mark.parametrize("arguments, name", [
+    ({"trials": 1.9, "seed": 3}, "trials"),
+    ({"trials": 1000, "seed": 3.7}, "seed"),
+    ({"trials": 1000.0, "seed": 3}, "trials"),
+])
+def test_non_integral_trials_and_seed_are_refused(preset, arguments, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        simulate_run(preset, **arguments)
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        sweep(preset, "delay_dt", [0.0], **arguments)
+
+
+def test_numpy_integer_trials_and_seed_are_accepted(preset):
+    given_numpy = simulate_run(preset, trials=np.int64(1000), seed=np.uint64(3))
+    given_int = simulate_run(preset, trials=1000, seed=3)
+    assert type(given_numpy.trials) is int and type(given_numpy.seed) is int
+    assert given_numpy.peaks == given_int.peaks
+    assert np.array_equal(given_numpy.pattern_counts, given_int.pattern_counts)
+    # Compared as repr, since a short run's undefined g is nan.
+    rows = [sweep(preset, "delay_dt", [0.0], trials=trials, seed=seed)
+            for trials, seed in ((np.int32(1000), np.uint8(3)), (1000, 3))]
+    assert repr(rows[0]) == repr(rows[1])
 
 
 def test_pool_is_clamped_to_cpus_and_blocks(monkeypatch):

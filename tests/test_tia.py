@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from pairsim import (CoincidenceHistogram, SourceModel, StreamOrderError,
-                     TimestampStream, export_histogram, histogram, load_histogram,
-                     peak_areas, simulate_run)
+                     TimestampStream, export_histogram, histogram, simulate_run)
 from pairsim.config import ExperimentConfig
-from pairsim.tia import CHUNK_TRIALS, empty_stop_table, peak_areas_from_clicks
+from pairsim.tia import PeakAreas, peak_areas_from_clicks
+from reference import counts_in_one_call, load_histogram, peak_areas
 
 
 def stream(det, times):
@@ -251,25 +251,27 @@ def click_table(rng, trials, gate_start, gate_width=1e-6):
 
 
 def assert_matches_brute_force(start, stop, shift, baseline_peaks):
-    areas = peak_areas_from_clicks(*start, *stop, shift, baseline_peaks)
-    counts = brute_force_peak_counts(*start, *stop, shift, baseline_peaks)
-    assert (areas.n_same_trial,) + areas.per_peak == tuple(map(float, counts))
-    assert areas.m_baseline == sum(counts[1:]) / baseline_peaks
-    return counts
+    counts = counts_in_one_call(*start, *stop, shift, baseline_peaks)
+    brute = brute_force_peak_counts(*start, *stop, shift, baseline_peaks)
+    assert counts.dtype == np.int64
+    assert counts.tolist() == brute
+    assert PeakAreas.from_counts(counts).m_baseline == sum(brute[1:]) / baseline_peaks
+    return brute
 
 
 K = 7
-EDGE = list(range(CHUNK_TRIALS - K - 1, CHUNK_TRIALS + K + 2))
+# Trials around 2**16, where a block of the engine ends.
+T = 1 << 16
+EDGE = list(range(T - K - 1, T + K + 2))
 
 
 @pytest.mark.parametrize("start_trials, stop_trials", [
-    # Starts just below a chunk boundary whose stops lie past it.
+    # Starts just below 2**16 whose stops lie past it.
     (EDGE, EDGE),
-    ([CHUNK_TRIALS - 1], range(CHUNK_TRIALS - 1, CHUNK_TRIALS + K + 1)),
-    # Starts on both sides of two boundaries, stops dense around them.
-    ([5, CHUNK_TRIALS - 2, CHUNK_TRIALS, 2 * CHUNK_TRIALS - 1, 2 * CHUNK_TRIALS + 3],
-     list(range(CHUNK_TRIALS - 3, CHUNK_TRIALS + 9))
-     + list(range(2 * CHUNK_TRIALS - 2, 2 * CHUNK_TRIALS + 9))),
+    ([T - 1], range(T - 1, T + K + 1)),
+    # Starts on both sides of 2**16 and 2**17, stops dense around them.
+    ([5, T - 2, T, 2 * T - 1, 2 * T + 3],
+     list(range(T - 3, T + 9)) + list(range(2 * T - 2, 2 * T + 9))),
     # A run shorter than baseline_peaks.
     ([0, 1, 3], [0, 1, 2, 3, 4]),
     # Stops only beyond the last baseline peak of every start.
@@ -286,9 +288,9 @@ def test_peak_areas_from_clicks_match_brute_force(start_trials, stop_trials, shi
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_peak_areas_from_clicks_match_brute_force_random(seed):
-    # Sparse clicks over three chunks, shifted stop gate.
+    # Sparse clicks over 3 * 2**16 trials, shifted stop gate.
     rng = np.random.default_rng(seed)
-    n = 3 * CHUNK_TRIALS
+    n = 3 * T
     start = click_table(rng, rng.integers(0, n, 300), 0.0)
     stop = click_table(rng, rng.integers(0, n, 300), 5e-6)
     hits = np.concatenate([start[0] + j for j in range(K + 1)])
@@ -301,25 +303,34 @@ def test_peak_areas_from_clicks_match_brute_force_random(seed):
 def test_peak_areas_from_clicks_leave_a_given_table_empty():
     # One table serves many calls: each call leaves it all -inf again.
     rng = np.random.default_rng(5)
-    table = empty_stop_table(K)
+    table = np.full(T + K, -np.inf)
     for _ in range(3):
-        start = click_table(rng, rng.integers(0, 3 * CHUNK_TRIALS, 300), 0.0)
-        stop = click_table(rng, rng.integers(0, 3 * CHUNK_TRIALS, 3000), 5e-6)
-        assert (peak_areas_from_clicks(*start, *stop, 5e-6, K, table=table)
-                == peak_areas_from_clicks(*start, *stop, 5e-6, K))
+        start = click_table(rng, rng.integers(0, T, 300), 0.0)
+        stop = click_table(rng, rng.integers(0, T + K, 3000), 5e-6)
+        assert np.array_equal(peak_areas_from_clicks(*start, *stop, 5e-6, K, table),
+                              counts_in_one_call(*start, *stop, 5e-6, K))
         assert np.all(table == -np.inf)
+
+
+def test_peak_areas_from_clicks_rejects_a_start_past_the_table():
+    # The last start needs baseline_peaks more entries after its own.
+    start = (np.array([0, 10]), np.zeros(2))
+    stop = (np.array([10]), np.ones(1))
+    counts = peak_areas_from_clicks(*start, *stop, 0.0, K, np.full(11 + K, -np.inf))
+    assert counts.tolist() == [1] + [0] * K
+    table = np.full(10 + K, -np.inf)
     with pytest.raises(ValueError, match="table"):
-        peak_areas_from_clicks(*start, *stop, 5e-6, K, table=empty_stop_table(K + 1))
+        peak_areas_from_clicks(*start, *stop, 0.0, K, table)
+    assert np.all(table == -np.inf)
 
 
 @pytest.mark.parametrize("start_trials, stop_trials", [
     ([], [0, 1, 2]), ([0, 1, 2], []), ([], [])], ids=["no-starts", "no-stops", "none"])
 def test_peak_areas_from_clicks_empty_detectors(start_trials, stop_trials):
     rng = np.random.default_rng(4)
-    areas = peak_areas_from_clicks(*click_table(rng, start_trials, 0.0),
-                                   *click_table(rng, stop_trials, 0.0), 0.0, K)
-    assert areas.n_same_trial == 0.0 and areas.per_peak == (0.0,) * K
-    assert areas.m_baseline == 0.0
+    counts = counts_in_one_call(*click_table(rng, start_trials, 0.0),
+                                *click_table(rng, stop_trials, 0.0), 0.0, K)
+    assert counts.tolist() == [0] * (K + 1)
 
 
 def test_peak_areas_from_clicks_count_ties_and_apply_shift():
@@ -328,16 +339,15 @@ def test_peak_areas_from_clicks_count_ties_and_apply_shift():
     # Dyadic offsets make the subtraction exact.
     start = (np.array([0, 1]), np.array([0.25, 0.5]))
     stop = (np.array([0, 1]), np.array([2.25, 2.5 - 2.0 ** -20]))
-    areas = peak_areas_from_clicks(*start, *stop, 2.0, 1)
-    assert areas.n_same_trial == 1.0
-    assert areas.per_peak == (1.0,)
+    assert counts_in_one_call(*start, *stop, 2.0, 1).tolist() == [1, 1]
 
 
 def test_peak_areas_from_clicks_rejects_unsorted_trials():
     offsets = np.zeros(2)
+    table = np.full(3 + K, -np.inf)
     with pytest.raises(StreamOrderError, match="start trials"):
         peak_areas_from_clicks(np.array([3, 3]), offsets, np.array([1, 2]), offsets,
-                               0.0, K)
+                               0.0, K, table)
     with pytest.raises(StreamOrderError, match="stop trials"):
         peak_areas_from_clicks(np.array([1, 2]), offsets, np.array([2, 1]), offsets,
-                               0.0, K)
+                               0.0, K, table)
