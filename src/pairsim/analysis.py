@@ -145,9 +145,15 @@ def singles_rates(click_counts: dict[str, int], duration: float) -> SinglesRates
         antistokes=per_detector.get("C", 0.0) + per_detector.get("D", 0.0))
 
 
-_REPORT_FIELDS = ("g11", "g11_sigma", "g22", "g22_sigma", "g12", "g12_sigma",
-                  "lhs", "lhs_sigma", "rhs", "rhs_sigma", "ratio",
-                  "ratio_sigma", "significance")
+REPORT_FIELDS = ("g11", "g11_sigma", "g22", "g22_sigma", "g12", "g12_sigma",
+                 "lhs", "lhs_sigma", "rhs", "rhs_sigma", "ratio",
+                 "ratio_sigma", "significance")
+
+
+def verdict(report: CorrelationReport | None) -> str:
+    """``violated``, ``not_violated``, or ``undefined`` when there is no report."""
+    return ("undefined" if report is None
+            else "violated" if report.violated else "not_violated")
 
 
 def render_report(report: CorrelationReport | None,
@@ -167,15 +173,14 @@ def render_report(report: CorrelationReport | None,
         lines.append(f"trials = {trials}")
     if report is not None:
         lines.append(f"delay_dt_seconds = {report.delay_dt!r}")
-        for name in _REPORT_FIELDS:
+        for name in REPORT_FIELDS:
             lines.append(f"{name} = {getattr(report, name)!r}")
-        lines.append(f"verdict = {'violated' if report.violated else 'not_violated'}")
     else:
-        for name in ("delay_dt_seconds",) + _REPORT_FIELDS:
+        for name in ("delay_dt_seconds",) + REPORT_FIELDS:
             lines.append(f"{name} = nan")
-        lines.append("verdict = undefined")
-        if undefined_reason:
-            lines.append(f"undefined_reason = {undefined_reason}")
+    lines.append(f"verdict = {verdict(report)}")
+    if report is None and undefined_reason:
+        lines.append(f"undefined_reason = {undefined_reason}")
     if extra:
         for key, value in extra.items():
             lines.append(f"{key} = {value!r}" if isinstance(value, float)

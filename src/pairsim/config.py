@@ -39,6 +39,8 @@ baseline_peaks          7           cross-trial peaks averaged for the baseline
 
 from __future__ import annotations
 
+import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 
@@ -96,7 +98,7 @@ class ExperimentConfig:
     baseline_peaks: int = 7
 
 
-_INT_FIELDS = {"n_trials", "rng_seed", "baseline_peaks"}
+_INT_FIELDS = ("n_trials", "rng_seed", "baseline_peaks")
 
 # Per-field bounds, all closed: value accepted at the bound itself.
 _PROBABILITY_FIELDS = {"retrieval_eff", "transmission", "detector_eff"}
@@ -110,30 +112,52 @@ _POSITIVE_FIELDS = {"memory_lifetime", "gate_width", "cycle_period",
 _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
 
 
+def as_integer(value, name: str) -> int:
+    """``value`` through ``operator.index``: 1.9 and True are refused, not truncated."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def validate(config: ExperimentConfig) -> list[str]:
     """Check every invariant; return the complete list of violations.
 
     An empty list means the configuration is valid.
     """
     v: list[str] = []
+    if not isinstance(config.source_model, SourceModel):
+        v.append(f"source_model must be a SourceModel, got {config.source_model!r}")
     for name in _PROBABILITY_FIELDS:
         x = getattr(config, name)
         if not 0.0 <= x <= 1.0:
             v.append(f"{name} must be in [0, 1], got {x}")
     for name in _NONNEGATIVE_FIELDS:
         x = getattr(config, name)
-        if x < 0:
-            v.append(f"{name} must be >= 0, got {x}")
+        if not 0 <= x < math.inf:
+            v.append(f"{name} must be finite and >= 0, got {x}")
     for name in _POSITIVE_FIELDS:
         x = getattr(config, name)
         if not x > 0:
             v.append(f"{name} must be > 0, got {x}")
-    if config.n_trials < 1:
-        v.append(f"n_trials must be >= 1, got {config.n_trials}")
-    if config.baseline_peaks < 1:
-        v.append(f"baseline_peaks must be >= 1, got {config.baseline_peaks}")
-    if not 0 <= config.rng_seed < 2 ** 64:
-        v.append(f"rng_seed must be a 64-bit unsigned integer, got {config.rng_seed}")
+    integral = True
+    for name in _INT_FIELDS:
+        try:
+            as_integer(getattr(config, name), name)
+        except ValueError as err:
+            v.append(str(err))
+            integral = False
+    if integral:  # the bounds below compare the integer fields
+        if config.n_trials < 1:
+            v.append(f"n_trials must be >= 1, got {config.n_trials}")
+        if config.baseline_peaks < 1:
+            v.append(f"baseline_peaks must be >= 1, got {config.baseline_peaks}")
+        if not 0 <= config.rng_seed < 2 ** 64:
+            v.append(f"rng_seed must be a 64-bit unsigned integer, got {config.rng_seed}")
+        span_min = (config.baseline_peaks + 1) * config.cycle_period
+        if config.hist_span < span_min:
+            v.append("hist_span too small for baseline extraction: "
+                     f"need >= (baseline_peaks + 1) * cycle_period = {span_min}, "
+                     f"got {config.hist_span}")
     if config.gate_width > config.cycle_period / 2:
         # A longer gate lets the histogram window of peak j also collect
         # pairs at trial lag j + 1, which the peak areas leave out.
@@ -142,11 +166,6 @@ def validate(config: ExperimentConfig) -> list[str]:
     if config.delay_dt + config.gate_width > config.cycle_period:
         v.append("read gate must fit inside cycle: "
                  f"delay_dt + gate_width exceeds cycle_period {config.cycle_period}")
-    span_min = (config.baseline_peaks + 1) * config.cycle_period
-    if config.hist_span < span_min:
-        v.append("hist_span too small for baseline extraction: "
-                 f"need >= (baseline_peaks + 1) * cycle_period = {span_min}, "
-                 f"got {config.hist_span}")
     if config.hist_bin > 0 and config.hist_span > 0:
         try:
             _bin_count(config.hist_span, config.hist_bin)
@@ -228,7 +247,7 @@ def render_value(value) -> str:
     """Render a config or sweep value: enum literal, float repr, else str."""
     if isinstance(value, SourceModel):
         return value.value
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def render_config(config: ExperimentConfig) -> str:

@@ -11,12 +11,11 @@ Blocks are reduced to click tables (block-local trial index as uint16 and
 within-cycle offset as float64 of every click, 10 bytes a click) and
 per-trial click-pattern counts immediately; raw events are never kept.
 
-The block tables are the run's storage.  Peak areas are counted one block
-at a time and singles come from the table lengths, so a run that nothing
-else reads never builds run-level arrays.  The first read of
-``RunResult.streams`` or ``click_trials`` (``export_run``, ``histograms``)
-merges the blocks into run-level trial indices and timestamps (16 bytes a
-click) and drops the block tables.
+The block tables are the run's storage, and ``_clicks_in`` their one
+reader.  Peak areas are counted one block at a time and singles come from
+the table lengths, so a run that nothing else reads never builds run-level
+arrays.  ``RunResult.streams`` and ``click_trials`` are built from the
+blocks on each read, and ``export_run`` reads one detector at a time.
 
 With more than one worker, ``simulate_run`` starts a process pool for its
 blocks and stops it when they are done.  ``sweep`` starts one pool for all
@@ -69,7 +68,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -79,10 +77,11 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .analysis import (CorrelationReport, SinglesRates, UndefinedCorrelationError,
-                       cauchy_schwarz, g_ratio, render_report, singles_rates)
-from .config import (ConfigError, ExperimentConfig, ensure_valid, render_config,
-                     render_value)
+from .analysis import (REPORT_FIELDS, CorrelationReport, SinglesRates,
+                       UndefinedCorrelationError, cauchy_schwarz, g_ratio,
+                       render_report, singles_rates, verdict)
+from .config import (ConfigError, ExperimentConfig, as_integer, ensure_valid,
+                     render_config, render_value)
 from .optics import DETECTOR_IDS, add_background, detect_batch, split, thin
 from .source import SourceModel, decohere_memory, retrieve, sample_write
 from .tia import CoincidenceHistogram, PeakAreas, TimestampStream, export_histogram
@@ -138,16 +137,15 @@ class RunResult:
 
     The clicks are held as ``block_clicks``: per block, per detector, the
     block-local trial indices (uint16) and within-cycle offsets (float64).
-    ``streams`` and ``click_trials`` are merged from them on first read,
-    and ``block_clicks`` is then None; ``histograms`` are built on first
-    read.
+    Reading the result never changes them.  ``streams`` and
+    ``click_trials`` are built from them on each read; ``histograms`` are
+    built on first read and kept.
     """
 
     config: ExperimentConfig
     trials: int
     seed: int
-    block_clicks: list[dict[str, tuple[np.ndarray, np.ndarray]]] | None = field(
-        repr=False)
+    block_clicks: list[dict[str, tuple[np.ndarray, np.ndarray]]] = field(repr=False)
     peaks: dict[str, PeakAreas]
     g: dict[str, tuple[float, float]]
     report: CorrelationReport | None
@@ -157,46 +155,27 @@ class RunResult:
     wall_time_seconds: float
     workers: int
 
-    @functools.cached_property
+    def _clicks(self, det: str) -> tuple[np.ndarray, np.ndarray]:
+        """Run-level trial indices and timestamps of every click of ``det``."""
+        trials, timestamps = _clicks_in(self.block_clicks, det, 0, self.trials)
+        timestamps += trials * self.config.cycle_period
+        return trials, timestamps
+
+    @property
     def streams(self) -> dict[str, TimestampStream]:
-        """Click timestamps of every detector over the run, merged on first read."""
-        self._merge_blocks()
-        return self.__dict__["streams"]
+        """Click timestamps of every detector over the run, built on each read."""
+        return {det: TimestampStream(det, self._clicks(det)[1]) for det in DETECTOR_IDS}
 
-    @functools.cached_property
+    @property
     def click_trials(self) -> dict[str, np.ndarray]:
-        """Trial index of every click per detector, merged on first read."""
-        self._merge_blocks()
-        return self.__dict__["click_trials"]
-
-    def _merge_blocks(self) -> None:
-        """Concatenate the block tables in block order, then drop them.
-
-        Block order keeps every detector's clicks sorted without a sort.
-        Each detector's block tables are dropped as soon as they are
-        copied, and the trial start times are added to the offsets in place.
-        """
-        blocks, self.block_clicks = self.block_clicks, None
-        click_trials, streams = {}, {}
-        for det in DETECTOR_IDS:
-            size = sum(len(block[det][0]) for block in blocks)
-            trials, timestamps = np.empty(size, dtype=np.int64), np.empty(size)
-            at = 0
-            for index, block in enumerate(blocks):
-                local, offsets = block.pop(det)
-                trials[at:at + local.size] = local
-                trials[at:at + local.size] += index * BLOCK_TRIALS
-                timestamps[at:at + local.size] = offsets
-                at += local.size
-            timestamps += trials * self.config.cycle_period
-            click_trials[det] = trials
-            streams[det] = TimestampStream(detector_id=det, timestamps=timestamps)
-        self.__dict__.update(streams=streams, click_trials=click_trials)
+        """Trial index of every click per detector, built on each read."""
+        return {det: self._clicks(det)[0] for det in DETECTOR_IDS}
 
     @functools.cached_property
     def histograms(self) -> dict[str, CoincidenceHistogram]:
         """Coincidence histogram of every pair, built on first access."""
-        return {label: build_histogram(self.streams[start], self.streams[stop],
+        streams = self.streams
+        return {label: build_histogram(streams[start], streams[stop],
                                        self.config.hist_bin, self.config.hist_span)
                 for label, start, stop, _ in HISTOGRAM_PAIRS}
 
@@ -373,20 +352,30 @@ def _block_tasks(config: ExperimentConfig, trials: int, seed: int) -> list[tuple
             for b in range(n_blocks)]
 
 
-def _stops_ahead(blocks, index: int, det: str, reach: int):
-    """Clicks of ``det`` in block ``index`` and in the ``reach`` trials after it.
+def _clicks_in(blocks, det: str, first: int, stop: int):
+    """Clicks of ``det`` in trials [first, stop) of the run, copied from the blocks.
 
-    Trial indices are local to block ``index``.
+    Returns their trial indices relative to ``first`` (int64) and their
+    within-cycle offsets, in trial order; ``stop`` may lie past the run.
+    This is the only reader of the block tables.
     """
-    pieces = [blocks[index][det]]
-    for ahead in range(1, min(len(blocks) - index, 1 + -(-reach // BLOCK_TRIALS))):
-        local, offsets = blocks[index + ahead][det]
-        # The reach ends at this local trial of block index + ahead.
-        end = local.searchsorted(reach - (ahead - 1) * BLOCK_TRIALS)
-        pieces.append((local[:end].astype(np.int64) + ahead * BLOCK_TRIALS,
-                       offsets[:end]))
-    trials, offsets = zip(*pieces)
-    return np.concatenate(trials), np.concatenate(offsets)
+    pieces, size = [], 0
+    for b in range(first // BLOCK_TRIALS, min(len(blocks), -(-stop // BLOCK_TRIALS))):
+        local, offsets = blocks[b][det]
+        base = b * BLOCK_TRIALS
+        lo = local.searchsorted(first - base) if first > base else 0
+        hi = local.searchsorted(stop - base) if stop - base < BLOCK_TRIALS else local.size
+        pieces.append((base - first, local[lo:hi], offsets[lo:hi]))
+        size += hi - lo
+    trials, times = np.empty(size, dtype=np.int64), np.empty(size)
+    at = 0
+    for shift, local, offsets in pieces:
+        trials[at:at + local.size] = local
+        if shift:
+            trials[at:at + local.size] += shift
+        times[at:at + local.size] = offsets
+        at += local.size
+    return trials, times
 
 
 def _count_peaks(blocks, start_det: str, stop_det: str, shift: float,
@@ -401,33 +390,27 @@ def _count_peaks(blocks, start_det: str, stop_det: str, shift: float,
     """
     counts = np.zeros(baseline_peaks + 1, dtype=np.int64)
     table = np.full(BLOCK_TRIALS + baseline_peaks, -np.inf)
-    for index, block in enumerate(blocks):
-        stops = _stops_ahead(blocks, index, stop_det, baseline_peaks)
-        counts += extract_peak_areas(*block[start_det], *stops, shift, baseline_peaks,
-                                     table)
+    for first in range(0, len(blocks) * BLOCK_TRIALS, BLOCK_TRIALS):
+        starts = _clicks_in(blocks, start_det, first, first + BLOCK_TRIALS)
+        stops = _clicks_in(blocks, stop_det, first, first + BLOCK_TRIALS + baseline_peaks)
+        counts += extract_peak_areas(*starts, *stops, shift, baseline_peaks, table)
     return PeakAreas.from_counts(counts)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` through ``operator.index``: 1.9 is refused, not truncated to 1."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+def _run_arguments(config: ExperimentConfig, trials, seed, workers: int):
+    """``trials`` and ``seed`` as integers, the seed defaulting to the config's.
 
-
-def _check_run_arguments(trials: int | None, seed: int, workers: int) -> None:
-    """Raise ValueError for a worker count, trial count or seed no run accepts.
-
-    ``trials`` None stands for the configs' own n_trials, which
-    ``ensure_valid`` checks.
+    ValueError for a worker count, trial count or seed that no run accepts.
     """
+    trials = None if trials is None else as_integer(trials, "trials")
+    seed = config.rng_seed if seed is None else as_integer(seed, "seed")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return trials, seed
 
 
 def simulate_run(config: ExperimentConfig, trials: int | None = None,
@@ -449,9 +432,8 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
     starts no pool of its own and reduces their results.
     """
     ensure_valid(config)
-    trials = config.n_trials if trials is None else _integer(trials, "trials")
-    seed = config.rng_seed if seed is None else _integer(seed, "seed")
-    _check_run_arguments(trials, seed, workers)
+    trials, seed = _run_arguments(config, config.n_trials if trials is None else trials,
+                                  seed, workers)
     started = time.perf_counter()
 
     if _blocks is not None:
@@ -538,9 +520,9 @@ def export_run(result: RunResult, out_dir, keep_events: bool = False) -> RunMani
         with open(out / "events.csv", "w") as fh:
             fh.write("detector,trial_index,timestamp_seconds\n")
             for det in DETECTOR_IDS:
+                trials, timestamps = result._clicks(det)
                 fh.writelines(map(f"{det},{{}},{{!r}}\n".format,
-                                  result.click_trials[det].tolist(),
-                                  result.streams[det].timestamps.tolist()))
+                                  trials.tolist(), timestamps.tolist()))
         outputs.append("events.csv")
 
     manifest = RunManifest(seed=result.seed, trials=result.trials,
@@ -551,9 +533,7 @@ def export_run(result: RunResult, out_dir, keep_events: bool = False) -> RunMani
     return manifest
 
 
-SWEEP_COLUMNS = ("value", "g11", "g11_sigma", "g22", "g22_sigma", "g12",
-                 "g12_sigma", "lhs", "lhs_sigma", "rhs", "rhs_sigma",
-                 "ratio", "ratio_sigma", "significance", "verdict")
+SWEEP_COLUMNS = ("value",) + REPORT_FIELDS + ("verdict",)
 
 
 def derived_seed(seed: int, index: int) -> int:
@@ -591,9 +571,7 @@ def sweep(config: ExperimentConfig, parameter: str, values,
     or held at a time.  Rows do not depend on ``workers``.
     """
     check_sweep_parameter(parameter, trials)
-    trials = None if trials is None else _integer(trials, "trials")
-    seed = config.rng_seed if seed is None else _integer(seed, "seed")
-    _check_run_arguments(trials, seed, workers)
+    trials, seed = _run_arguments(config, trials, seed, workers)
     variants = [(v, ensure_valid(replace(config, **{parameter: v}))) for v in values]
     seeds = [derived_seed(seed, index) for index in range(len(variants))]
     tasks = [_block_tasks(variant, variant.n_trials if trials is None else trials,
@@ -615,12 +593,9 @@ def sweep(config: ExperimentConfig, parameter: str, values,
             blocks, queued = queued, submit(index + 1)
             rep = simulate_run(variant, trials=trials, seed=seeds[index],
                                workers=workers, _blocks=blocks).report
-            rows.append({
-                "value": value,
-                **{c: float("nan") if rep is None else getattr(rep, c)
-                   for c in SWEEP_COLUMNS[1:-1]},
-                "verdict": ("undefined" if rep is None
-                            else "violated" if rep.violated else "not_violated")})
+            numbers = {c: float("nan") if rep is None else getattr(rep, c)
+                       for c in REPORT_FIELDS}
+            rows.append({"value": value, **numbers, "verdict": verdict(rep)})
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -110,6 +110,18 @@ def test_run_rejects_out_of_bound_override(preset_file, capsys):
     assert "retrieval_eff" in err
 
 
+@pytest.mark.parametrize("override", [
+    "p_excitation=nan", "delay_dt=nan", "dark_mean=nan", "memory_diffusion_in=nan",
+    "bg_stokes_mean=inf", "p_excitation=inf",
+])
+def test_run_rejects_non_finite_values(preset_file, capsys, override):
+    code, out, err = run_cli(capsys, "run", "--config", preset_file,
+                             "--trials", "2000", "--set", override)
+    assert code == EXIT_CONFIG
+    assert f"{override.partition('=')[0]} must be finite and >= 0" in err
+    assert out == ""
+
+
 def test_run_rejects_gate_longer_than_half_a_cycle(preset_file, capsys):
     code, _, err = run_cli(capsys, "run", "--config", preset_file, "--trials", "1000",
                            "--set", "gate_width=1.2e-4", "--set", "delay_dt=0")

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from pairsim import (ConfigDomainError, ConfigError, ConfigSyntaxError,
                      ExperimentConfig, SourceModel, parse_config,
                      render_config, validate)
-from pairsim.config import NO_DECAY, ensure_valid
+from pairsim.config import NO_DECAY, as_integer, ensure_valid, render_value
 
 MINIMAL = """
 source_model = quantum_tms
@@ -161,6 +162,59 @@ def test_bounds_accepted_at_bound_rejected_outside(preset, field, value, ok):
     cfg = dataclasses.replace(preset, **{field: value})
     violations = [v for v in validate(cfg) if field in v]
     assert (violations == []) is ok
+
+
+@pytest.mark.parametrize("field", ["p_excitation", "delay_dt", "memory_diffusion_in",
+                                   "dark_mean", "bg_stokes_mean", "bg_antistokes_mean"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_negative_fields_must_be_finite(preset, field, value):
+    violations = validate(dataclasses.replace(preset, **{field: value}))
+    assert f"{field} must be finite and >= 0, got {value}" in violations
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_trials", 2.5),
+    ("n_trials", True),
+    ("n_trials", 1000.0),
+    ("baseline_peaks", 7.0),
+    ("baseline_peaks", np.float64(7.0)),
+    ("rng_seed", 1.5),
+    ("rng_seed", "12345"),
+])
+def test_integer_fields_must_be_integers(preset, field, value):
+    violations = validate(dataclasses.replace(preset, **{field: value}))
+    assert violations == [f"{field} must be an integer, got {value!r}"]
+    with pytest.raises(ConfigDomainError, match=f"{field} must be an integer"):
+        ensure_valid(dataclasses.replace(preset, **{field: value}))
+
+
+def test_numpy_integers_are_integers(preset):
+    cfg = dataclasses.replace(preset, n_trials=np.int64(1000), rng_seed=np.uint64(3),
+                              baseline_peaks=np.int8(5))
+    assert validate(cfg) == []
+
+
+def test_as_integer_refuses_bool_and_fractions():
+    assert as_integer(np.uint64(2 ** 64 - 1), "seed") == 2 ** 64 - 1
+    assert type(as_integer(np.int32(4), "trials")) is int
+    for value in (True, np.True_, 1.9, 2.0, "3", None):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            as_integer(value, "trials")
+
+
+def test_source_model_must_be_the_enum(preset):
+    bad = dataclasses.replace(preset, source_model="quantum_tms")
+    assert validate(bad) == [
+        "source_model must be a SourceModel, got 'quantum_tms'"]
+
+
+def test_round_trip_numpy_floats(preset):
+    cfg = dataclasses.replace(preset, delay_dt=np.float64(2e-06),
+                              p_excitation=np.float64(0.1))
+    text = render_config(cfg)
+    assert "delay_dt = 2e-06\n" in text and "np." not in text
+    assert parse_config(text) == cfg
+    assert render_value(np.float64(0.1)) == render_value(0.1) == "0.1"
 
 
 def test_round_trip_preset(preset):

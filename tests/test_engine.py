@@ -129,21 +129,53 @@ def test_export_format_is_pinned_to_version(preset, tmp_path):
             for name in expected} == expected
 
 
-def test_streams_are_merged_on_first_read_only(preset):
+def test_streams_are_built_on_each_read_and_leave_the_blocks(preset, tmp_path):
     result = simulate_run(preset, trials=3 * BLOCK_TRIALS, seed=2026)
-    render_run_report(result)
-    assert "streams" not in vars(result) and "click_trials" not in vars(result)
-    assert result.block_clicks is not None
+    blocks = result.block_clicks
+    before = [{det: (trials.copy(), offsets.copy()) for det, (trials, offsets)
+               in block.items()} for block in blocks]
     digest = hashlib.sha256(result.pattern_counts.astype("<i8").tobytes())
     for det in "ABCD":
         digest.update(result.click_trials[det].astype("<i8").tobytes())
     assert digest.hexdigest() == STREAM_DIGESTS[__version__]
-    assert result.block_clicks is None
-    assert result.streams is result.streams
+    first, second = result.streams, result.streams
+    assert first is not second
+    for det in "ABCD":
+        assert np.array_equal(first[det].timestamps, second[det].timestamps)
+        assert np.array_equal(result.click_trials[det], result.click_trials[det])
+    export_run(result, tmp_path, keep_events=True)
+    render_run_report(result)
+    assert result.block_clicks is blocks and len(blocks) == len(before)
+    for block, kept in zip(blocks, before):
+        assert block.keys() == kept.keys()
+        for det, (trials, offsets) in kept.items():
+            assert np.array_equal(block[det][0], trials) and block[det][0].dtype == np.uint16
+            assert np.array_equal(block[det][1], offsets)
+
+
+def test_reading_streams_holds_nothing_after_the_read(preset):
+    # A saturated run over 4 blocks; a cached copy of the streams would
+    # hold 16 bytes a click after the read.
+    result = simulate_run(dataclasses.replace(preset, dark_mean=5.0),
+                          trials=4 * BLOCK_TRIALS, seed=3)
+    clicks = int(result.pattern_counts @ [bin(mask).count("1") for mask in range(16)])
+    assert clicks > 4 * BLOCK_TRIALS * 3.9
+    tracemalloc.start()
+    try:
+        held_before, _ = tracemalloc.get_traced_memory()
+        streams = result.streams
+        held_while, _ = tracemalloc.get_traced_memory()
+        del streams
+        result.click_trials  # read and dropped as well
+        held_after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held_while - held_before > 8 * clicks
+    assert held_after - held_before < clicks
 
 
 def merged_offsets(result):
-    """Within-cycle click offsets of the whole run, read before the merge."""
+    """Within-cycle click offsets of the whole run, concatenated from the block tables."""
     return {det: np.concatenate([block[det][1] for block in result.block_clicks])
             for det in "ABCD"}
 
@@ -202,6 +234,64 @@ def test_peaks_reach_past_the_next_block():
         counts_in_one_call(*merged["A"], *merged["B"], 0.0, reach))
     assert engine._count_peaks(blocks, "A", "B", 0.0, reach) == expected
     assert sum(expected.per_peak[BLOCK_TRIALS:]) > 0  # lags past one block
+
+
+def reader_blocks():
+    """Block tables of detectors A and B over 3 blocks and a 1000-trial
+    remainder, with clicks on both edges of block 0 and none in block 1;
+    and the run-level trial indices and offsets of A."""
+    rng = np.random.default_rng(6)
+    local_trials = [
+        np.concatenate([[0], np.sort(rng.choice(np.arange(1, BLOCK_TRIALS - 1), 300,
+                                                replace=False)), [BLOCK_TRIALS - 1]]),
+        np.empty(0, dtype=np.int64),
+        np.sort(rng.choice(BLOCK_TRIALS, 500, replace=False)),
+        np.sort(rng.choice(1000, 40, replace=False)),
+    ]
+    blocks = [{"A": (trials.astype(np.uint16), rng.random(trials.size)),
+               "B": (trials[::2].astype(np.uint16), rng.random(trials[::2].size))}
+              for trials in local_trials]
+    merged = (np.concatenate([b * BLOCK_TRIALS + block["A"][0].astype(np.int64)
+                              for b, block in enumerate(blocks)]),
+              np.concatenate([block["A"][1] for block in blocks]))
+    return blocks, merged
+
+
+READER_RANGES = [
+    (0, 3 * BLOCK_TRIALS + 1000),  # the whole run
+    (0, BLOCK_TRIALS),  # exactly one block, clicks on both of its edges
+    (BLOCK_TRIALS, 2 * BLOCK_TRIALS),  # exactly the empty block
+    (BLOCK_TRIALS, 3 * BLOCK_TRIALS),  # from block edge to block edge
+    (BLOCK_TRIALS - 1, BLOCK_TRIALS + 1),  # the last trial before an edge
+    (3, BLOCK_TRIALS - 1),  # inside one block, stopping just before its last trial
+    (BLOCK_TRIALS - 5, 3 * BLOCK_TRIALS + 5),  # a reach longer than one block
+    (2 * BLOCK_TRIALS, 2 * BLOCK_TRIALS + BLOCK_TRIALS + 7),  # into the remainder
+    (3 * BLOCK_TRIALS + 500, 10 * BLOCK_TRIALS),  # stop past the run's end
+    (5 * BLOCK_TRIALS, 6 * BLOCK_TRIALS),  # wholly past the run's end
+    (7, 7),  # empty
+]
+
+
+@pytest.mark.parametrize("first, stop", READER_RANGES)
+def test_clicks_in_is_a_slice_of_the_merged_tables(first, stop):
+    blocks, (trials, offsets) = reader_blocks()
+    inside = (trials >= first) & (trials < stop)
+    got_trials, got_offsets = engine._clicks_in(blocks, "A", first, stop)
+    assert got_trials.dtype == np.int64
+    assert np.array_equal(got_trials, trials[inside] - first)
+    assert np.array_equal(got_offsets, offsets[inside])
+
+
+def test_clicks_in_random_ranges():
+    blocks, (trials, offsets) = reader_blocks()
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        first = int(rng.integers(0, 4 * BLOCK_TRIALS))
+        stop = first + int(rng.integers(0, 2 * BLOCK_TRIALS))
+        inside = (trials >= first) & (trials < stop)
+        got_trials, got_offsets = engine._clicks_in(blocks, "A", first, stop)
+        assert np.array_equal(got_trials, trials[inside] - first), (first, stop)
+        assert np.array_equal(got_offsets, offsets[inside]), (first, stop)
 
 
 def test_run_holds_at_most_16_bytes_per_click(preset):
@@ -562,6 +652,15 @@ def test_sweep_rows_and_export(preset, tmp_path):
     assert len(lines) == 3
 
 
+def test_sweep_csv_is_the_same_for_numpy_values(preset, tmp_path):
+    paths = []
+    for values in ([0.0, 2e-6], np.array([0.0, 2e-6])):
+        paths.append(tmp_path / f"sweep_{len(paths)}.csv")
+        export_sweep(sweep(preset, "delay_dt", values, trials=2000, seed=4), paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert paths[0].read_text().splitlines()[1].startswith("0.0,")
+
+
 def test_sweep_uses_derived_seeds(preset):
     rows = sweep(preset, "p_excitation", [0.14, 0.14], trials=20_000)
     # Same value swept twice must use different derived seeds.
@@ -686,6 +785,14 @@ def test_non_integral_trials_and_seed_are_refused(preset, arguments, name):
         simulate_run(preset, **arguments)
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         sweep(preset, "delay_dt", [0.0], **arguments)
+
+
+def test_bool_trials_and_seed_are_refused(preset):
+    for arguments, name in (({"trials": True}, "trials"), ({"seed": False}, "seed")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            simulate_run(preset, **arguments)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            sweep(preset, "delay_dt", [0.0], **arguments)
 
 
 def test_numpy_integer_trials_and_seed_are_accepted(preset):
