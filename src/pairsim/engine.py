@@ -17,12 +17,8 @@ the table lengths, so a run that nothing else reads never builds run-level
 arrays.  ``RunResult.streams`` and ``click_trials`` are built from the
 blocks on each read, and ``export_run`` reads one detector at a time.
 
-With more than one worker, ``simulate_run`` starts a process pool for its
-blocks and stops it when they are done.  ``sweep`` starts one pool for all
-its values instead: it queues the blocks of value k + 1 before value k is
-reduced, so workers keep sampling while this process reduces,
-and at most two values' blocks are queued or held at once.  At one worker
-no pool is started and nothing is computed ahead.
+Blocks are sampled by ``_sampled``, the one scheduler of runs and sweeps
+(see its docstring).
 
 Active-trial sampler.  Every trial has eight independent sources (see
 ``SOURCES``): the write excitation, the diffused-in memory excitations
@@ -65,6 +61,7 @@ histograms are built from the timestamps the first time
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -352,6 +349,31 @@ def _block_tasks(config: ExperimentConfig, trials: int, seed: int) -> list[tuple
             for b in range(n_blocks)]
 
 
+def _sampled(runs: list[list[tuple]], workers: int):
+    """Yield the block results of each run's ``_block_tasks``, in run order.
+
+    With more than one worker, CPU and block, the package's one process pool
+    runs them: run k + 1 is queued before run k is yielded, so the workers
+    sample while the caller reduces, and at most two runs' blocks are queued
+    or held.  Otherwise each run is sampled here when asked for.  Ending or
+    closing the generator shuts the pool down with queued blocks cancelled.
+    """
+    pool_size = _pool_size(workers, sum(map(len, runs)))
+    if pool_size < 2:
+        for tasks in runs:
+            yield [_block_task(task) for task in tasks]
+        return
+    pool = ProcessPoolExecutor(max_workers=pool_size)
+    try:
+        queued = [pool.submit(_block_task, task) for task in runs[0]]
+        for following in runs[1:] + [[]]:
+            current = queued
+            queued = [pool.submit(_block_task, task) for task in following]
+            yield [future.result() for future in current]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _clicks_in(blocks, det: str, first: int, stop: int):
     """Clicks of ``det`` in trials [first, stop) of the run, copied from the blocks.
 
@@ -397,20 +419,21 @@ def _count_peaks(blocks, start_det: str, stop_det: str, shift: float,
     return PeakAreas.from_counts(counts)
 
 
-def _run_arguments(config: ExperimentConfig, trials, seed, workers: int):
-    """``trials`` and ``seed`` as integers, the seed defaulting to the config's.
+def _run_arguments(config: ExperimentConfig, trials, seed, workers):
+    """Integer trials, seed (the config's by default) and workers.
 
     ValueError for a worker count, trial count or seed that no run accepts.
     """
     trials = None if trials is None else as_integer(trials, "trials")
     seed = config.rng_seed if seed is None else as_integer(seed, "seed")
+    workers = as_integer(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if trials is not None and trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return trials, seed
+    return trials, seed, workers
 
 
 def simulate_run(config: ExperimentConfig, trials: int | None = None,
@@ -420,35 +443,27 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
 
     ``trials`` and ``seed`` default to the config's n_trials and rng_seed;
     given, they must be integers (numpy integers too), never truncated floats.
-    Results are independent of ``workers``: with more than one worker,
-    CPU and block, the blocks run on a process pool started for this run.
+    Results are independent of ``workers`` (see ``_sampled``).
     When a baseline peak area of (A,B), (C,D) or (A,C) is zero the
     correlation is undefined; the run still succeeds and reports every
     pair with a zero baseline instead of a verdict.  Histograms are not
     built here (see ``RunResult.histograms``).
 
-    ``_blocks`` is for ``sweep`` only: the futures of this run's
-    ``_block_tasks``, already submitted to the sweep's pool.  The run then
-    starts no pool of its own and reduces their results.
+    ``_blocks`` is for ``sweep`` only: the results of this run's
+    ``_block_tasks``, sampled by the sweep's ``_sampled``.
     """
     ensure_valid(config)
-    trials, seed = _run_arguments(config, config.n_trials if trials is None else trials,
-                                  seed, workers)
+    trials, seed, workers = _run_arguments(
+        config, config.n_trials if trials is None else trials, seed, workers)
     started = time.perf_counter()
 
-    if _blocks is not None:
-        results = [block.result() for block in _blocks]
-    else:
-        tasks = _block_tasks(config, trials, seed)
-        pool_size = _pool_size(workers, len(tasks))
-        if pool_size == 1:
-            results = [_block_task(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                results = list(pool.map(_block_task, tasks, chunksize=1))
-    blocks = [clicks for clicks, _ in results]
-    pattern_counts = np.sum([counts for _, counts in results], axis=0).astype(np.int64)
-    del results
+    if _blocks is None:
+        with contextlib.closing(_sampled([_block_tasks(config, trials, seed)],
+                                         workers)) as sampled:
+            _blocks = next(sampled)
+    blocks = [clicks for clicks, _ in _blocks]
+    pattern_counts = np.sum([counts for _, counts in _blocks], axis=0).astype(np.int64)
+    del _blocks
 
     peaks: dict[str, PeakAreas] = {}
     g: dict[str, tuple[float, float]] = {}
@@ -563,42 +578,24 @@ def sweep(config: ExperimentConfig, parameter: str, values,
     config (ConfigError), and worker counts, trial counts or seeds that
     ``simulate_run`` refuses (ValueError) raise before the first run.
 
-    With more than one worker, CPU and block in the whole sweep, every
-    value's blocks run on one process pool started for the sweep.
-    The blocks of the next value are queued before the current value is
-    reduced, so the workers keep sampling while this process counts peak
-    areas and analyses; at most two values' blocks are queued
-    or held at a time.  Rows do not depend on ``workers``.
+    Every value's blocks come from one ``_sampled`` over the whole sweep.
+    Rows do not depend on ``workers``.
     """
     check_sweep_parameter(parameter, trials)
-    trials, seed = _run_arguments(config, trials, seed, workers)
+    trials, seed, workers = _run_arguments(config, trials, seed, workers)
     variants = [(v, ensure_valid(replace(config, **{parameter: v}))) for v in values]
     seeds = [derived_seed(seed, index) for index in range(len(variants))]
     tasks = [_block_tasks(variant, variant.n_trials if trials is None else trials,
                           value_seed)
              for (_, variant), value_seed in zip(variants, seeds)]
-    pool_size = _pool_size(workers, sum(map(len, tasks)))
-    pool = ProcessPoolExecutor(max_workers=pool_size) if pool_size > 1 else None
-
-    def submit(index: int):
-        """Queue the blocks of value ``index`` on the pool, if there is one."""
-        if pool is None or index == len(tasks):
-            return None
-        return [pool.submit(_block_task, task) for task in tasks[index]]
-
     rows: list[dict[str, object]] = []
-    try:
-        queued = submit(0)
-        for index, (value, variant) in enumerate(variants):
-            blocks, queued = queued, submit(index + 1)
-            rep = simulate_run(variant, trials=trials, seed=seeds[index],
-                               workers=workers, _blocks=blocks).report
+    with contextlib.closing(_sampled(tasks, workers)) as sampled:
+        for (value, variant), value_seed in zip(variants, seeds):
+            rep = simulate_run(variant, trials=trials, seed=value_seed,
+                               workers=workers, _blocks=next(sampled)).report
             numbers = {c: float("nan") if rep is None else getattr(rep, c)
                        for c in REPORT_FIELDS}
             rows.append({"value": value, **numbers, "verdict": verdict(rep)})
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     return rows
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CorrelationReport, SinglesRates, cauchy_schwarz
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, ensure_valid
 from .source import SourceModel
 
 # Bitmask layout of the 16 click patterns: bit 0 = A, 1 = B, 2 = C, 3 = D.
@@ -118,7 +118,11 @@ def _no_click_factors(config: ExperimentConfig, subset_mask: int) -> float:
 
 
 def pattern_distribution(config: ExperimentConfig) -> ClickPatternDistribution:
-    """Exact click-pattern distribution of one trial."""
+    """Exact click-pattern distribution of one trial.
+
+    ConfigError (from ``ensure_valid``) for a config that no run accepts.
+    """
+    ensure_valid(config)
     no_click = np.array([_no_click_factors(config, mask) for mask in range(16)])
     probs = np.zeros(16)
     for pattern in range(16):
@@ -142,8 +146,8 @@ def oracle_report(config: ExperimentConfig) -> OraclePrediction:
     """Full analytic prediction: pattern law, click and joint probabilities,
     correlation functions and a zero-sigma CorrelationReport.
 
-    Raises ConfigError when a detector can never click, since its
-    correlation functions are then undefined.
+    Raises ConfigError for an invalid config, and when a detector can never
+    click, since its correlation functions are then undefined.
     """
     pattern = pattern_distribution(config)
     masks = np.arange(16)

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -12,3 +14,10 @@ def rng():
 @pytest.fixture(scope="session")
 def preset():
     return reference_preset()
+
+
+@pytest.fixture(autouse=True)
+def no_process_left():
+    """Every test ends with no child process of this one still running."""
+    yield
+    assert multiprocessing.active_children() == []

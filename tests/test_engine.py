@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import multiprocessing
 import tracemalloc
 from pathlib import Path
 
@@ -628,7 +629,8 @@ def test_sweep_on_one_worker_starts_no_pool(preset, counting_pool):
     sweep(preset, "delay_dt", SWEEP_DELAYS, trials=2000, seed=7, workers=1)
     assert pool.created == 0 and pool.submitted == []
     assert len(calls) == len(SWEEP_DELAYS)
-    assert not any(with_blocks for _, with_blocks, _ in calls)
+    # Every value's blocks come from the sweep's scheduler, sampled in process.
+    assert all(with_blocks for _, with_blocks, _ in calls)
 
 
 def test_failed_sweep_value_shuts_the_pool_down(preset, counting_pool):
@@ -639,6 +641,30 @@ def test_failed_sweep_value_shuts_the_pool_down(preset, counting_pool):
     assert len(calls) == 2
     assert pool.created == 1 and pool.shutdowns == [True]
     assert len(pool.submitted) < len(SWEEP_DELAYS)
+
+
+def test_run_on_two_workers_shuts_its_pool_down(preset, counting_pool):
+    pool, _, _ = counting_pool
+    trials = 3 * BLOCK_TRIALS + 5
+    result = simulate_run(preset, trials=trials, seed=7, workers=2)
+    assert pool.created == 1 and pool.shutdowns == [True]
+    assert pool.submitted == [7] * 4  # every block submitted once
+    assert result.pattern_counts.sum() == trials
+
+
+def _failing_block(config, seed, block_index, n):
+    raise RuntimeError(f"block {block_index} failed")
+
+
+def test_failed_block_on_a_pool_propagates_and_leaves_no_process(preset, monkeypatch,
+                                                                 counting_pool):
+    pool, _, _ = counting_pool
+    # The workers are forked after the patch, so they run the failing block.
+    monkeypatch.setattr(engine, "_simulate_block", _failing_block)
+    with pytest.raises(RuntimeError, match="block 0 failed"):
+        simulate_run(preset, trials=3 * BLOCK_TRIALS, seed=7, workers=2)
+    assert pool.created == 1 and pool.shutdowns == [True]
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_rows_and_export(preset, tmp_path):
@@ -773,6 +799,21 @@ def test_pattern_counts_match_oracle_property(config):
 def test_workers_must_be_positive(preset):
     with pytest.raises(ValueError, match="workers"):
         simulate_run(preset, trials=1000, workers=0)
+
+
+@pytest.mark.parametrize("workers", [2.5, 1.5, True, "2"])
+@pytest.mark.parametrize("entry", ["simulate_run", "sweep"])
+def test_workers_must_be_an_integer(preset, monkeypatch, entry, workers):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="workers must be an integer"):
+        if entry == "simulate_run":
+            simulate_run(preset, trials=3 * BLOCK_TRIALS, workers=workers)
+        else:
+            sweep(preset, "delay_dt", [0.0, 2e-6], trials=2000, workers=workers)
 
 
 @pytest.mark.parametrize("arguments, name", [

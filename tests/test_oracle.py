@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from pairsim import ExperimentConfig, SourceModel, compare, engine, oracle, oracle_report
-from pairsim.config import NO_DECAY, reference_preset
+from pairsim.config import NO_DECAY, ConfigDomainError, ConfigError, reference_preset
 from pairsim.oracle import _classical_expect, _thermal_expect, pattern_distribution
 from pairsim.source import joint_pmf
 
@@ -207,3 +207,17 @@ def test_preset_oracle_reproduces_calibration_targets(preset):
     assert pred.singles.antistokes == pytest.approx(70.0, rel=1e-9)
     assert pred.g12 == pytest.approx(2.4, rel=1e-9)
     assert pred.report.violated
+
+
+@pytest.mark.parametrize("overrides, error, message", [
+    ({"retrieval_eff": 1.5}, ConfigDomainError, "retrieval_eff"),
+    # Longer than half the 2e-4 s cycle of the preset.
+    ({"gate_width": 1.5e-4}, ConfigDomainError, "gate_width"),
+    ({"source_model": "quantum_tms"}, ConfigError, "source_model"),
+])
+def test_oracle_refuses_invalid_configs(preset, overrides, error, message):
+    config = dataclasses.replace(preset, **overrides)
+    with pytest.raises(error, match=message):
+        oracle_report(config)
+    with pytest.raises(error, match=message):
+        pattern_distribution(config)
