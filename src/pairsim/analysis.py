@@ -131,10 +131,12 @@ def ideal_violation(p: float) -> float:
     return ((1.0 + p) / (2.0 * p)) ** 2
 
 
-def singles_rates(click_counts: dict[str, int], duration: float) -> SinglesRates:
+def singles_rates(click_counts: dict[str, float], duration: float) -> SinglesRates:
     """Click rates per detector plus Stokes (A+B) and anti-Stokes (C+D) sums.
 
-    ``click_counts`` maps each detector to its number of clicks in ``duration``.
+    ``click_counts`` maps each detector to its number of clicks in
+    ``duration``, counted or expected (the oracle passes click probabilities
+    per trial with the cycle period as the duration).
     """
     if duration <= 0:
         raise ValueError(f"duration must be > 0, got {duration}")

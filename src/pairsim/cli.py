@@ -42,7 +42,10 @@ def _load_config(args) -> ExperimentConfig:
         if "=" not in override:
             raise ConfigError(f"--set expects key=value, got {override!r}")
         key, _, value = override.partition("=")
-        overrides[key.strip()] = parse_value(key.strip(), value.strip())
+        key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"--set repeats key {key!r}")
+        overrides[key] = parse_value(key, value.strip())
     return ensure_valid(replace(config, **overrides))
 
 
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_run)
     p_run.add_argument("--out", default=None, help="export directory")
     p_run.add_argument("--keep-events", action="store_true",
-                       help="also persist raw click events")
+                       help="also persist raw click events (needs --out)")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="repeat a run over parameter values")
@@ -197,6 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "keep_events", False) and args.out is None:
+        parser.error("--keep-events needs --out: without it nothing is written")
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -425,7 +425,7 @@ def _run_arguments(config: ExperimentConfig, trials, seed, workers):
     ValueError for a worker count, trial count or seed that no run accepts.
     """
     trials = None if trials is None else as_integer(trials, "trials")
-    seed = config.rng_seed if seed is None else as_integer(seed, "seed")
+    seed = as_integer(config.rng_seed if seed is None else seed, "seed")
     workers = as_integer(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")

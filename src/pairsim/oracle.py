@@ -25,8 +25,11 @@ composing, in probability space, the same pipeline the sampler implements:
    This derivation does not use the sampler's geometric-total and
    binomial-split route.  The differences 1 - a and 1 - b are formed
    directly as products of losses, which avoids cancellation.
-3. Exact click-pattern probabilities follow by inclusion-exclusion over
-   the 16 detector subsets.
+3. Exact click-pattern probabilities follow from the 16 no-click
+   factors by one difference pass per detector: subtracting, for every
+   subset S without the detector, the factor of S plus that detector
+   leaves P(exactly the detectors in S stay dark), the probability of the
+   pattern in which every other detector clicks.
 
 Predicted correlations use per-gate probabilities: the same-trial
 coincidence probability normalized by the product of singles
@@ -45,12 +48,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import CorrelationReport, SinglesRates, cauchy_schwarz
+from .analysis import CorrelationReport, SinglesRates, cauchy_schwarz, singles_rates
 from .config import ConfigError, ExperimentConfig, ensure_valid
 from .source import SourceModel
 
 # Bitmask layout of the 16 click patterns: bit 0 = A, 1 = B, 2 = C, 3 = D.
 _BITS = {"A": 1, "B": 2, "C": 4, "D": 8}
+_MASKS = np.arange(16)
 
 
 @dataclass(frozen=True)
@@ -123,20 +127,12 @@ def pattern_distribution(config: ExperimentConfig) -> ClickPatternDistribution:
     ConfigError (from ``ensure_valid``) for a config that no run accepts.
     """
     ensure_valid(config)
-    no_click = np.array([_no_click_factors(config, mask) for mask in range(16)])
-    probs = np.zeros(16)
-    for pattern in range(16):
-        complement = 0b1111 & ~pattern
-        total = 0.0
-        sub = pattern
-        # Enumerate subsets W of the click set in a fixed descending order.
-        while True:
-            sign = -1.0 if bin(sub).count("1") % 2 else 1.0
-            total += sign * no_click[complement | sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & pattern
-        probs[pattern] = total
+    dark = np.array([_no_click_factors(config, mask) for mask in range(16)])
+    for bit in _BITS.values():
+        without = _MASKS[(_MASKS & bit) == 0]
+        dark[without] -= dark[without | bit]
+    # dark[S] is now P(exactly the detectors in S stay dark): pattern 15 - S.
+    probs = dark[15 - _MASKS]
     # Round-off can leave patterns at tiny negative values; clamp it.
     probs[(probs < 0) & (probs > -1e-12)] = 0.0
     return ClickPatternDistribution(probs=probs)
@@ -150,33 +146,24 @@ def oracle_report(config: ExperimentConfig) -> OraclePrediction:
     click, since its correlation functions are then undefined.
     """
     pattern = pattern_distribution(config)
-    masks = np.arange(16)
-    p_click = {det: float(pattern.probs[(masks & bit) != 0].sum())
-               for det, bit in _BITS.items()}
 
-    def joint(d1: str, d2: str) -> float:
-        both = _BITS[d1] | _BITS[d2]
-        return float(pattern.probs[(masks & both) == both].sum())
+    def all_click(detectors: str) -> float:
+        """P(every detector in ``detectors`` clicks)."""
+        bits = sum(_BITS[det] for det in detectors)
+        return float(pattern.probs[(_MASKS & bits) == bits].sum())
 
-    p_joint = {"AB": joint("A", "B"), "CD": joint("C", "D"),
-               "AC": joint("A", "C"), "BD": joint("B", "D")}
+    p_click = {det: all_click(det) for det in _BITS}
+    p_joint = {pair: all_click(pair) for pair in ("AB", "CD", "AC", "BD")}
 
-    def g(pair: str, d1: str, d2: str) -> float:
-        never = [d for d in (d1, d2) if p_click[d] == 0]
+    def g(pair: str) -> float:
+        never = [det for det in pair if p_click[det] == 0]
         if never:
             raise ConfigError(f"correlation {pair} is undefined: detector "
                               f"{never[0]} can never click in this configuration")
-        return p_joint[pair] / (p_click[d1] * p_click[d2])
+        return p_joint[pair] / (p_click[pair[0]] * p_click[pair[1]])
 
-    g11 = g("AB", "A", "B")
-    g22 = g("CD", "C", "D")
-    g12 = g("AC", "A", "C")
-    trials_per_second = 1.0 / config.cycle_period
-    per_detector = {det: p_click[det] * trials_per_second for det in _BITS}
-    singles = SinglesRates(
-        per_detector=per_detector,
-        stokes=per_detector["A"] + per_detector["B"],
-        antistokes=per_detector["C"] + per_detector["D"])
+    g11, g22, g12 = g("AB"), g("CD"), g("AC")
+    singles = singles_rates(p_click, config.cycle_period)
     report = cauchy_schwarz((g11, 0.0), (g22, 0.0), (g12, 0.0),
                             delay_dt=config.delay_dt)
     return OraclePrediction(pattern=pattern, p_click=p_click, p_joint=p_joint,
@@ -213,27 +200,22 @@ def compare(mc_pattern_counts: np.ndarray, mc_g: dict[str, tuple[float, float]],
     """
     if mc_pattern_counts.shape != (16,):
         raise ValueError("expected 16 click-pattern counts")
-    rows: list[ComparisonRow] = []
-    for mask in range(16):
-        p = float(prediction.pattern.probs[mask])
-        observed = float(mc_pattern_counts[mask]) / trials
-        sigma = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-        if sigma > 0:
-            z = (observed - p) / sigma
-        else:
-            z = 0.0 if observed == p else math.inf
-        label = "".join(det for det, bit in _BITS.items() if mask & bit) or "none"
-        rows.append(ComparisonRow(
-            quantity=f"pattern_{label}", mc_value=observed, oracle_value=p,
-            sigma=sigma, z=z, flagged=abs(z) > FLAG_THRESHOLD))
-    oracle_g = {"g11": prediction.g11, "g22": prediction.g22, "g12": prediction.g12}
-    for name, (value, sigma) in mc_g.items():
-        target = oracle_g[name]
+
+    def row(quantity: str, value: float, target: float, sigma: float) -> ComparisonRow:
         if sigma > 0:
             z = (value - target) / sigma
         else:
             z = 0.0 if value == target else math.inf
-        rows.append(ComparisonRow(quantity=name, mc_value=value,
-                                  oracle_value=target, sigma=sigma, z=z,
-                                  flagged=abs(z) > FLAG_THRESHOLD))
+        return ComparisonRow(quantity=quantity, mc_value=value, oracle_value=target,
+                             sigma=sigma, z=z, flagged=abs(z) > FLAG_THRESHOLD)
+
+    rows = []
+    for mask in range(16):
+        p = float(prediction.pattern.probs[mask])
+        label = "".join(det for det, bit in _BITS.items() if mask & bit) or "none"
+        rows.append(row(f"pattern_{label}", float(mc_pattern_counts[mask]) / trials,
+                        p, math.sqrt(max(p * (1.0 - p), 0.0) / trials)))
+    oracle_g = {"g11": prediction.g11, "g22": prediction.g22, "g12": prediction.g12}
+    rows += [row(name, value, oracle_g[name], sigma)
+             for name, (value, sigma) in mc_g.items()]
     return rows

@@ -1,4 +1,5 @@
-"""Reference implementations that only the tests use.
+"""Reference implementations, and a strategy of valid configs, that only the
+tests use.
 
 The package counts N and M from click tables (``tia.peak_areas_from_clicks``).
 The histogram-window reader here is the independent second reduction: it
@@ -10,8 +11,32 @@ exported files against it.  The package never imports this module.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
+from pairsim import ExperimentConfig, SourceModel
+from pairsim.config import NO_DECAY
 from pairsim.tia import CoincidenceHistogram, PeakAreas, peak_areas_from_clicks
+
+_means = st.one_of(st.just(0.0), st.floats(1e-4, 0.5))
+
+
+def valid_configs(dark_max: float) -> st.SearchStrategy[ExperimentConfig]:
+    """Configs every run accepts, over both source models, with dark counts
+    up to ``dark_max`` per gate."""
+    return st.builds(
+        ExperimentConfig,
+        source_model=st.sampled_from(SourceModel),
+        p_excitation=st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),
+        delay_dt=st.floats(0.0, 1e-5),
+        retrieval_eff=st.floats(0.0, 1.0),
+        transmission=st.floats(0.0, 1.0),
+        detector_eff=st.floats(0.0, 1.0),
+        memory_lifetime=st.one_of(st.just(NO_DECAY), st.floats(1e-7, 1e-4)),
+        memory_diffusion_in=_means,
+        dark_mean=st.one_of(st.just(0.0), st.floats(1e-4, dark_max)),
+        bg_stokes_mean=_means,
+        bg_antistokes_mean=_means,
+    )
 
 
 def _window_slice(hist: CoincidenceHistogram, lo: float, hi: float) -> slice:

@@ -1,5 +1,7 @@
 """Command-line interface behavior and exit codes."""
 
+import argparse
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -276,3 +278,63 @@ def test_oracle_answers_for_huge_classical_source_mean(preset_file, capsys):
                            "--set", "p_excitation=1e6")
     assert code == 0
     assert "verdict" in out
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate_run called")
+
+    monkeypatch.setattr(cli, "simulate_run", no_run)
+
+
+def test_keep_events_without_out_is_a_usage_error(tmp_path, capsys, no_simulation):
+    # A config that is never read: reading it would be an i/o error (exit 3).
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(tmp_path / "missing.cfg"), "--keep-events"])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--keep-events" in capsys.readouterr().err
+
+
+def test_repeated_set_key_is_refused(preset_file, capsys, no_simulation):
+    code, out, err = run_cli(capsys, "run", "--config", preset_file, "--trials", "1000",
+                             "--set", "dark_mean=1", "--set", "dark_mean=0")
+    assert code == EXIT_CONFIG
+    assert "--set" in err and "'dark_mean'" in err
+    assert out == ""
+
+
+def _usage(text):
+    """{subcommand: long options on its ``pairsim <subcommand>`` usage lines}."""
+    usage, command = {}, None
+    for line in text.splitlines():
+        words = line.split()
+        if words[:1] == ["pairsim"]:
+            command = words[1]
+            usage[command] = set()
+        elif not (command and words and line.startswith(" ")):
+            command = None
+        if command:
+            usage[command].update(re.findall(r"--[a-z-]+", line))
+    return usage
+
+
+def _parser_options():
+    """{subcommand: its long options}, from the parser itself."""
+    [commands] = [action for action in cli.build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    return {name: {option for action in parser._actions
+                   for option in action.option_strings
+                   if option.startswith("--") and option != "--help"}
+            for name, parser in commands.choices.items()}
+
+
+def _readme_usage():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("source", ["README", "cli docstring"])
+def test_usage_lines_list_every_long_option(source):
+    text = _readme_usage() if source == "README" else cli.__doc__
+    assert _usage(text) == _parser_options()

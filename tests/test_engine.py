@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.stats import binomtest
 
 from pairsim import (ConfigError, ExperimentConfig, SourceModel, __version__,
@@ -23,7 +22,7 @@ from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, HISTOGRAM_PAIRS, derived_seed, export_sweep
 from pairsim.oracle import pattern_distribution
 from pairsim.tia import PeakAreas
-from reference import counts_in_one_call, load_histogram, peak_areas
+from reference import counts_in_one_call, load_histogram, peak_areas, valid_configs
 
 LOSSLESS = ExperimentConfig(
     source_model=SourceModel.QUANTUM_TMS, p_excitation=0.1, delay_dt=2e-6,
@@ -768,27 +767,12 @@ def test_run_matches_oracle_quickly(name):
     assert abs(result.singles.stokes - pred.singles.stokes) < max(10.0, 4.0 * sigma_hz)
 
 
-_means = st.one_of(st.just(0.0), st.floats(1e-4, 0.5))
-_valid_configs = st.builds(
-    ExperimentConfig,
-    source_model=st.sampled_from(SourceModel),
-    p_excitation=st.one_of(st.just(0.0), st.floats(1e-3, 1.5)),
-    delay_dt=st.floats(0.0, 1e-5),
-    retrieval_eff=st.floats(0.0, 1.0),
-    transmission=st.floats(0.0, 1.0),
-    detector_eff=st.floats(0.0, 1.0),
-    memory_lifetime=st.one_of(st.just(NO_DECAY), st.floats(1e-7, 1e-4)),
-    memory_diffusion_in=_means,
-    dark_mean=st.one_of(st.just(0.0), st.floats(1e-4, 3.0)),
-    bg_stokes_mean=_means,
-    bg_antistokes_mean=_means,
-)
 PROPERTY_EXAMPLES = 30
 
 
 @settings(max_examples=PROPERTY_EXAMPLES, derandomize=True, database=None,
           deadline=None)
-@given(config=_valid_configs)
+@given(config=valid_configs(dark_max=3.0))
 def test_pattern_counts_match_oracle_property(config):
     # Bonferroni over every cell of every example: family-wise error 1e-6.
     result = simulate_run(config, trials=BLOCK_TRIALS + 4321, seed=77)
@@ -846,6 +830,14 @@ def test_numpy_integer_trials_and_seed_are_accepted(preset):
     rows = [sweep(preset, "delay_dt", [0.0], trials=trials, seed=seed)
             for trials, seed in ((np.int32(1000), np.uint8(3)), (1000, 3))]
     assert repr(rows[0]) == repr(rows[1])
+
+
+def test_numpy_integer_config_seed_is_recorded_as_int(preset, tmp_path):
+    config = dataclasses.replace(preset, rng_seed=np.uint64(3), n_trials=np.int64(2000))
+    result = simulate_run(config)
+    assert type(result.seed) is int
+    export_run(result, tmp_path / "out")
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == 3
 
 
 def test_pool_is_clamped_to_cpus_and_blocks(monkeypatch):

@@ -3,16 +3,21 @@
 import ast
 import dataclasses
 import functools
+import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from pairsim import ExperimentConfig, SourceModel, compare, engine, oracle, oracle_report
 from pairsim.config import NO_DECAY, ConfigDomainError, ConfigError, reference_preset
-from pairsim.oracle import _classical_expect, _thermal_expect, pattern_distribution
+from pairsim.oracle import (_classical_expect, _no_click_factors, _thermal_expect,
+                            pattern_distribution)
 from pairsim.source import joint_pmf
+from reference import valid_configs
 
 Q = SourceModel.QUANTUM_TMS
 C = SourceModel.CLASSICAL_CORRELATED
@@ -199,6 +204,66 @@ def test_compare_flags_injected_offset():
     assert rows["pattern_A"].flagged
     assert rows["g12"].flagged
     assert not rows["g11"].flagged
+
+
+def test_compare_zero_sigma_flags_only_a_discrepancy():
+    pred = oracle_report(make_config(p=0.1))
+    # Lossless: a Stokes click always comes with an anti-Stokes click.
+    assert pred.pattern.probs[0b0001] == 0.0
+    trials = 10 ** 6
+    counts = pred.pattern.probs * trials
+    g12 = pred.g12
+    rows = {row.quantity: row for row in compare(
+        counts, {"g12": (g12, 0.0)}, pred, trials)}
+    for name in ("pattern_A", "g12"):
+        assert (rows[name].sigma, rows[name].z, rows[name].flagged) == (0.0, 0.0, False)
+    counts[0b0001] = 1.0
+    rows = {row.quantity: row for row in compare(
+        counts, {"g12": (g12 + 0.1, 0.0)}, pred, trials)}
+    for name in ("pattern_A", "g12"):
+        assert (rows[name].sigma, rows[name].z, rows[name].flagged) == (0.0, math.inf, True)
+
+
+DETECTOR_BITS = {"A": 1, "B": 2, "C": 4, "D": 8}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(config=valid_configs(dark_max=5.0))
+def test_oracle_matches_inclusion_exclusion_of_no_click_factors(config):
+    dark = [_no_click_factors(config, mask) for mask in range(16)]
+    exact = []
+    for pattern in range(16):
+        clicks = [bit for bit in DETECTOR_BITS.values() if pattern & bit]
+        # P(exactly ``clicks`` click) = sum over W in clicks of
+        # (-1)**|W| P(every detector outside clicks, and in W, stays dark),
+        # summed without round-off.
+        exact.append(math.fsum((-1) ** size * dark[(15 - pattern) | sum(subset)]
+                               for size in range(len(clicks) + 1)
+                               for subset in itertools.combinations(clicks, size)))
+    # The oracle clamps negative round-off to 0.  When every detection
+    # chance is tiny that lifts a cell by up to about 1e-15, and a sum of
+    # cells by the sum of their lifts.
+    lifted = [max(p, 0.0) - p for p in exact]
+
+    def lift(bits):
+        return math.fsum(lifted[mask] for mask in range(16) if mask & bits == bits)
+
+    probs = pattern_distribution(config).probs
+    for pattern in range(16):
+        assert abs(probs[pattern] - max(exact[pattern], 0.0)) <= 1e-15, pattern
+    try:
+        pred = oracle_report(config)
+    except ConfigError as exc:
+        never = re.search(r"detector (\w) can never click", str(exc)).group(1)
+        assert abs(1.0 - dark[DETECTOR_BITS[never]]) <= 1e-15
+        return
+    for det, bit in DETECTOR_BITS.items():
+        expected = 1.0 - dark[bit] + lift(bit)
+        assert abs(pred.p_click[det] - expected) <= 1e-15, det
+    for pair in ("AB", "CD", "AC", "BD"):
+        x, y = DETECTOR_BITS[pair[0]], DETECTOR_BITS[pair[1]]
+        expected = 1.0 - dark[x] - dark[y] + dark[x | y] + lift(x | y)
+        assert abs(pred.p_joint[pair] - expected) <= 1e-15, pair
 
 
 def test_preset_oracle_reproduces_calibration_targets(preset):
