@@ -13,7 +13,7 @@ from .analysis import (UndefinedCorrelationError, cauchy_schwarz, g_ratio,
                        ideal_violation, render_report, singles_rates)
 from .config import (ConfigDomainError, ConfigError, ConfigSyntaxError,
                      ExperimentConfig, parse_config, reference_preset,
-                     render_config, validate)
+                     render_config)
 from .engine import export_run, render_run_report, simulate_run, sweep
 from .optics import add_background, detect_batch, split, thin
 from .oracle import compare, oracle_report

@@ -23,8 +23,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from .analysis import render_report
-from .config import ConfigError, ExperimentConfig, ensure_valid, parse_config, \
-    parse_value, reference_preset, render_config, render_value
+from .config import ConfigError, ExperimentConfig, parse_config, parse_value, \
+    reference_preset, render_config, render_value
 from .engine import (check_sweep_parameter, export_run, export_sweep,
                      render_run_report, simulate_run, sweep)
 from .oracle import FLAG_THRESHOLD, compare, oracle_report
@@ -36,7 +36,11 @@ EXIT_IO = 3
 
 
 def _load_config(args) -> ExperimentConfig:
-    config = parse_config(Path(args.config).read_text())
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{args.config} is not UTF-8 text") from None
+    config = parse_config(text)
     overrides = {}
     for override in args.overrides:
         if "=" not in override:
@@ -46,7 +50,7 @@ def _load_config(args) -> ExperimentConfig:
         if key in overrides:
             raise ConfigError(f"--set repeats key {key!r}")
         overrides[key] = parse_value(key, value.strip())
-    return ensure_valid(replace(config, **overrides))
+    return replace(config, **overrides)
 
 
 def _cmd_preset(args) -> int:

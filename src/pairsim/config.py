@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .source import SourceModel
 from .tia import _bin_count
@@ -75,7 +75,9 @@ class ConfigDomainError(ConfigError):
 class ExperimentConfig:
     """Every physical and acquisition parameter of one simulated run.
 
-    Immutable after validation; safe to share read-only across workers.
+    Valid by construction: making one, directly or by ``dataclasses.replace``,
+    raises ConfigDomainError listing every bound it breaks.  Immutable, so
+    safe to share read-only across workers.
     """
 
     source_model: SourceModel
@@ -97,6 +99,11 @@ class ExperimentConfig:
     hist_span: float = 1.8e-3
     baseline_peaks: int = 7
 
+    def __post_init__(self):
+        violations = _violations(self)
+        if violations:
+            raise ConfigDomainError(violations)
+
 
 _INT_FIELDS = ("n_trials", "rng_seed", "baseline_peaks")
 
@@ -110,6 +117,7 @@ _POSITIVE_FIELDS = {"memory_lifetime", "gate_width", "cycle_period",
                     "hist_bin", "hist_span"}
 
 _FIELD_NAMES = tuple(f.name for f in fields(ExperimentConfig))
+_REQUIRED = tuple(f.name for f in fields(ExperimentConfig) if f.default is MISSING)
 
 
 def as_integer(value, name: str) -> int:
@@ -119,11 +127,8 @@ def as_integer(value, name: str) -> int:
     return operator.index(value)
 
 
-def validate(config: ExperimentConfig) -> list[str]:
-    """Check every invariant; return the complete list of violations.
-
-    An empty list means the configuration is valid.
-    """
+def _violations(config: ExperimentConfig) -> list[str]:
+    """Every invariant ``config`` breaks, as messages; empty if it is valid."""
     v: list[str] = []
     if not isinstance(config.source_model, SourceModel):
         v.append(f"source_model must be a SourceModel, got {config.source_model!r}")
@@ -172,14 +177,6 @@ def validate(config: ExperimentConfig) -> list[str]:
         except ValueError as err:
             v.append(f"hist_span must be a whole number of hist_bin: {err}")
     return v
-
-
-def ensure_valid(config: ExperimentConfig) -> ExperimentConfig:
-    """Return the config unchanged iff all invariants hold, else raise."""
-    violations = validate(config)
-    if violations:
-        raise ConfigDomainError(violations)
-    return config
 
 
 def parse_value(key: str, text: str):
@@ -235,12 +232,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raw[key] = value
 
     kwargs = {key: parse_value(key, value) for key, value in raw.items()}
-    missing = [name for name in ("source_model", "p_excitation", "delay_dt",
-                                 "retrieval_eff", "transmission", "detector_eff")
-               if name not in kwargs]
+    missing = [name for name in _REQUIRED if name not in kwargs]
     if missing:
         raise ConfigError("missing required keys: " + ", ".join(missing))
-    return ensure_valid(ExperimentConfig(**kwargs))
+    return ExperimentConfig(**kwargs)
 
 
 def render_value(value) -> str:
@@ -287,7 +282,7 @@ PRESET_MEMORY_DIFFUSION_IN = 0.1015851251971547
 
 def reference_preset() -> ExperimentConfig:
     """The documented reference configuration (see module comment above)."""
-    return ensure_valid(ExperimentConfig(
+    return ExperimentConfig(
         source_model=SourceModel.QUANTUM_TMS,
         p_excitation=0.14,
         delay_dt=2e-6,
@@ -306,4 +301,4 @@ def reference_preset() -> ExperimentConfig:
         hist_bin=1e-8,
         hist_span=1.8e-3,
         baseline_peaks=7,
-    ))
+    )

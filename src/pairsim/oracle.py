@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import CorrelationReport, SinglesRates, cauchy_schwarz, singles_rates
-from .config import ConfigError, ExperimentConfig, ensure_valid
+from .config import ConfigError, ExperimentConfig
 from .source import SourceModel
 
 # Bitmask layout of the 16 click patterns: bit 0 = A, 1 = B, 2 = C, 3 = D.
@@ -122,11 +122,7 @@ def _no_click_factors(config: ExperimentConfig, subset_mask: int) -> float:
 
 
 def pattern_distribution(config: ExperimentConfig) -> ClickPatternDistribution:
-    """Exact click-pattern distribution of one trial.
-
-    ConfigError (from ``ensure_valid``) for a config that no run accepts.
-    """
-    ensure_valid(config)
+    """Exact click-pattern distribution of one trial."""
     dark = np.array([_no_click_factors(config, mask) for mask in range(16)])
     for bit in _BITS.values():
         without = _MASKS[(_MASKS & bit) == 0]

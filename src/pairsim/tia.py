@@ -159,8 +159,9 @@ def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
     the start in some trial i, the stop in trial i + j and ``stop offset -
     shift >= start offset``; ``shift`` is the start-stop gate offset of the
     pair (zero for same-gate pairs).  These are exactly the pairs that the
-    histogram window of peak j collects: ``config.validate`` holds gates to
-    at most half a cycle, so no pair at trial lag j + 1 reaches that window.
+    histogram window of peak j collects: every ``ExperimentConfig`` holds
+    gates to at most half a cycle, so no pair at trial lag j + 1 reaches
+    that window.
 
     ``table`` is a float array, all -inf, with one entry per trial.  The
     stops set their entries to ``stop offset - shift`` and every start is

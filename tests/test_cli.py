@@ -296,6 +296,15 @@ def test_keep_events_without_out_is_a_usage_error(tmp_path, capsys, no_simulatio
     assert "--keep-events" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, no_simulation):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"source_model = quantum_tms\n# \xff\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(bad))
+    assert code == EXIT_CONFIG
+    assert err == f"configuration error: {bad} is not UTF-8 text\n"
+    assert out == ""
+
+
 def test_repeated_set_key_is_refused(preset_file, capsys, no_simulation):
     code, out, err = run_cli(capsys, "run", "--config", preset_file, "--trials", "1000",
                              "--set", "dark_mean=1", "--set", "dark_mean=0")

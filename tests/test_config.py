@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairsim import (ConfigDomainError, ConfigError, ConfigSyntaxError,
-                     ExperimentConfig, SourceModel, parse_config,
-                     render_config, validate)
-from pairsim.config import NO_DECAY, as_integer, ensure_valid, render_value
+                     ExperimentConfig, SourceModel, parse_config, render_config)
+from pairsim.config import NO_DECAY, as_integer, render_value
 
 MINIMAL = """
 source_model = quantum_tms
@@ -20,6 +19,15 @@ retrieval_eff = 0.32
 transmission = 0.5
 detector_eff = 0.64
 """
+
+
+def violations(config, **changes):
+    """The messages ConfigDomainError gives for ``config`` with ``changes``."""
+    try:
+        dataclasses.replace(config, **changes)
+    except ConfigDomainError as err:
+        return err.violations
+    return []
 
 
 def test_minimal_config_applies_documented_defaults():
@@ -83,7 +91,7 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_preset_self_validates(preset):
-    assert validate(preset) == []
+    assert violations(preset) == []
 
 
 def test_preset_reference_values(preset):
@@ -98,42 +106,59 @@ def test_preset_reference_values(preset):
 
 
 def test_gate_must_fit_inside_cycle(preset):
-    bad = dataclasses.replace(preset, gate_width=preset.cycle_period)
-    assert any("gate must fit inside cycle" in v for v in validate(bad))
+    assert any("gate must fit inside cycle" in v
+               for v in violations(preset, gate_width=preset.cycle_period))
 
 
 def test_gate_longer_than_half_a_cycle_is_invalid(preset):
-    bad = dataclasses.replace(preset, gate_width=1.2e-4, delay_dt=0.0, dark_mean=1.0)
-    assert any("gate must fit inside cycle" in v for v in validate(bad))
-    assert validate(dataclasses.replace(bad, gate_width=preset.cycle_period / 2)) == []
+    bad = dict(delay_dt=0.0, dark_mean=1.0)
+    assert any("gate must fit inside cycle" in v
+               for v in violations(preset, gate_width=1.2e-4, **bad))
+    assert violations(preset, gate_width=preset.cycle_period / 2, **bad) == []
 
 
 def test_read_gate_must_fit_inside_cycle(preset):
-    bad = dataclasses.replace(preset, delay_dt=preset.cycle_period - 1e-7)
-    assert any("read gate" in v for v in validate(bad))
+    assert any("read gate" in v
+               for v in violations(preset, delay_dt=preset.cycle_period - 1e-7))
 
 
 def test_hist_span_too_small(preset):
-    bad = dataclasses.replace(preset, hist_span=3 * preset.cycle_period)
-    assert any("hist_span too small" in v for v in validate(bad))
+    assert any("hist_span too small" in v
+               for v in violations(preset, hist_span=3 * preset.cycle_period))
 
 
 def test_hist_span_must_be_a_whole_number_of_bins(preset):
-    bad = dataclasses.replace(preset, hist_bin=7e-9)
-    assert [v for v in validate(bad) if "hist_span" in v] == [
+    assert [v for v in violations(preset, hist_bin=7e-9) if "hist_span" in v] == [
         "hist_span must be a whole number of hist_bin: span 0.0018 must be a "
         "positive integer multiple of bin_width 7e-09"]
-    assert validate(dataclasses.replace(preset, hist_bin=3e-9)) == []
+    assert violations(preset, hist_bin=3e-9) == []
     # A bin of zero is its own violation, not a failed division.
-    assert validate(dataclasses.replace(preset, hist_bin=0.0)) == [
+    assert violations(preset, hist_bin=0.0) == [
         "hist_bin must be > 0, got 0.0"]
 
 
+BAD_FIELDS = {"retrieval_eff": -0.1, "dark_mean": -1.0, "n_trials": 0}
+BAD_MESSAGES = ["retrieval_eff must be in [0, 1], got -0.1",
+                "dark_mean must be finite and >= 0, got -1.0",
+                "n_trials must be >= 1, got 0"]
+
+
 def test_validate_returns_complete_violation_list(preset):
-    bad = dataclasses.replace(preset, retrieval_eff=-0.1, dark_mean=-1.0,
-                              n_trials=0)
-    violations = validate(bad)
-    assert len(violations) == 3
+    assert sorted(violations(preset, **BAD_FIELDS)) == sorted(BAD_MESSAGES)
+
+
+def test_constructor_lists_every_violation(preset):
+    fields = {**dataclasses.asdict(preset), **BAD_FIELDS}
+    with pytest.raises(ConfigDomainError) as exc:
+        ExperimentConfig(**fields)
+    assert sorted(exc.value.violations) == sorted(BAD_MESSAGES)
+
+
+def test_parse_config_lists_every_violation():
+    text = MINIMAL.replace("retrieval_eff = 0.32", "retrieval_eff = -0.1")
+    with pytest.raises(ConfigDomainError) as exc:
+        parse_config(text + "dark_mean = -1.0\nn_trials = 0\n")
+    assert sorted(exc.value.violations) == sorted(BAD_MESSAGES)
 
 
 @pytest.mark.parametrize("field,value,ok", [
@@ -159,17 +184,15 @@ def test_validate_returns_complete_violation_list(preset):
     ("rng_seed", -1, False),
 ])
 def test_bounds_accepted_at_bound_rejected_outside(preset, field, value, ok):
-    cfg = dataclasses.replace(preset, **{field: value})
-    violations = [v for v in validate(cfg) if field in v]
-    assert (violations == []) is ok
+    assert ([v for v in violations(preset, **{field: value}) if field in v] == []) is ok
 
 
 @pytest.mark.parametrize("field", ["p_excitation", "delay_dt", "memory_diffusion_in",
                                    "dark_mean", "bg_stokes_mean", "bg_antistokes_mean"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_negative_fields_must_be_finite(preset, field, value):
-    violations = validate(dataclasses.replace(preset, **{field: value}))
-    assert f"{field} must be finite and >= 0, got {value}" in violations
+    assert (f"{field} must be finite and >= 0, got {value}"
+            in violations(preset, **{field: value}))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -182,16 +205,13 @@ def test_non_negative_fields_must_be_finite(preset, field, value):
     ("rng_seed", "12345"),
 ])
 def test_integer_fields_must_be_integers(preset, field, value):
-    violations = validate(dataclasses.replace(preset, **{field: value}))
-    assert violations == [f"{field} must be an integer, got {value!r}"]
-    with pytest.raises(ConfigDomainError, match=f"{field} must be an integer"):
-        ensure_valid(dataclasses.replace(preset, **{field: value}))
+    assert violations(preset, **{field: value}) == [
+        f"{field} must be an integer, got {value!r}"]
 
 
 def test_numpy_integers_are_integers(preset):
-    cfg = dataclasses.replace(preset, n_trials=np.int64(1000), rng_seed=np.uint64(3),
-                              baseline_peaks=np.int8(5))
-    assert validate(cfg) == []
+    assert violations(preset, n_trials=np.int64(1000), rng_seed=np.uint64(3),
+                      baseline_peaks=np.int8(5)) == []
 
 
 def test_as_integer_refuses_bool_and_fractions():
@@ -203,8 +223,7 @@ def test_as_integer_refuses_bool_and_fractions():
 
 
 def test_source_model_must_be_the_enum(preset):
-    bad = dataclasses.replace(preset, source_model="quantum_tms")
-    assert validate(bad) == [
+    assert violations(preset, source_model="quantum_tms") == [
         "source_model must be a SourceModel, got 'quantum_tms'"]
 
 
@@ -222,13 +241,13 @@ def test_round_trip_preset(preset):
 
 
 def test_round_trip_custom():
-    cfg = ensure_valid(ExperimentConfig(
+    cfg = ExperimentConfig(
         source_model=SourceModel.CLASSICAL_CORRELATED, p_excitation=0.3333333333,
         delay_dt=1.7e-6, retrieval_eff=0.25, transmission=0.9, detector_eff=1.0,
         memory_lifetime=3.3e-6, memory_diffusion_in=0.125, dark_mean=1e-4,
         bg_stokes_mean=0.01, bg_antistokes_mean=0.02, gate_width=5e-7,
         cycle_period=1e-4, n_trials=42, rng_seed=2 ** 63 + 17, hist_bin=1e-8,
-        hist_span=9e-4, baseline_peaks=3))
+        hist_span=9e-4, baseline_peaks=3)
     assert parse_config(render_config(cfg)) == cfg
 
 
@@ -249,6 +268,4 @@ def test_round_trip_property(p, delay, eta, t, d, lifetime, trials, seed, model)
         source_model=model, p_excitation=p, delay_dt=delay, retrieval_eff=eta,
         transmission=t, detector_eff=d, memory_lifetime=lifetime,
         n_trials=trials, rng_seed=seed)
-    if validate(cfg):
-        return
     assert parse_config(render_config(cfg)) == cfg

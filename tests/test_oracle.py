@@ -281,8 +281,5 @@ def test_preset_oracle_reproduces_calibration_targets(preset):
     ({"source_model": "quantum_tms"}, ConfigError, "source_model"),
 ])
 def test_oracle_refuses_invalid_configs(preset, overrides, error, message):
-    config = dataclasses.replace(preset, **overrides)
     with pytest.raises(error, match=message):
-        oracle_report(config)
-    with pytest.raises(error, match=message):
-        pattern_distribution(config)
+        oracle_report(dataclasses.replace(preset, **overrides))

@@ -12,7 +12,7 @@ PUBLIC_NAMES = {
     "histogram", "ideal_violation", "joint_pmf", "oracle_report", "parse_config",
     "reference_preset", "render_config", "render_report", "render_run_report",
     "retrieve", "sample_write", "simulate_run", "singles_rates", "split", "sweep",
-    "thin", "validate",
+    "thin",
 }
 
 
