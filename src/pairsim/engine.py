@@ -50,11 +50,15 @@ time-interval analysis for the cross pairs, matching the write-then-read
 time order; the lower-lettered detector starts for the auto pairs.  Peak
 windows of the cross pairs are shifted by the write-read delay since their
 stop gate lags the start gate by exactly that amount.  N and M come
-straight from the click tables (``tia.peak_areas_from_clicks``, once per
-block and pair, on one stop table per pair: the starts of block b against
-the stops of block b and of the first ``baseline_peaks`` trials after it,
-so every start is counted once); only (A,B), (C,D) and (A,C) decide the
-Cauchy-Schwarz report, and (B,D) is reported as a check.  The coincidence
+straight from the click tables, one block at a time: the starts of block b
+against the stops of block b and of the first ``baseline_peaks`` trials
+after it, so every start is counted once.  ``_count_peaks`` reads each
+detector once per block and counts by density: a detector with more than
+``DENSE_CLICKS`` clicks becomes an array of per-trial offsets, and a pair
+whose start is dense is counted by whole-array comparisons at each lag;
+other pairs go through ``tia.peak_areas_from_clicks``.  Both count the same
+pairs exactly.  Only (A,B), (C,D) and (A,C) decide the Cauchy-Schwarz
+report, and (B,D) is reported as a check.  The coincidence
 histograms are built from the timestamps the first time
 ``RunResult.histograms`` is read, which ``export_run`` does.
 """
@@ -81,7 +85,8 @@ from .config import (ConfigError, ExperimentConfig, as_integer, render_config,
                      render_value)
 from .optics import DETECTOR_IDS, add_background, detect_batch, split, thin
 from .source import SourceModel, decohere_memory, retrieve, sample_write
-from .tia import CoincidenceHistogram, PeakAreas, TimestampStream, export_histogram
+from .tia import (CoincidenceHistogram, PeakAreas, TimestampStream, _require_sorted,
+                  export_histogram)
 from .tia import histogram as build_histogram
 from .tia import peak_areas_from_clicks as extract_peak_areas
 
@@ -90,6 +95,13 @@ BLOCK_TRIALS = 1 << 16
 worker count.  Do not change without bumping the package version: block
 boundaries are part of the reproducibility contract."""
 assert BLOCK_TRIALS <= 1 << 16, "block-local trial indices are stored as uint16"
+
+DENSE_CLICKS = BLOCK_TRIALS // 4
+"""Clicks above which one detector's read of a block is counted on per-trial
+offset arrays (see ``_count_peaks``).  The counts do not depend on it; it
+picks the faster path.  On 8 blocks of four detectors with one click rate
+(2-core Xeon host), the two paths break even near 0.23 clicks per trial:
+all sparse 3.8 and all dense 11.5 ms at 0.03, 78.8 and 22.2 ms at 0.99."""
 
 GATE1_START = 0.0
 
@@ -385,8 +397,10 @@ def _clicks_in(blocks, det: str, first: int, stop: int):
     for b in range(first // BLOCK_TRIALS, min(len(blocks), -(-stop // BLOCK_TRIALS))):
         local, offsets = blocks[b][det]
         base = b * BLOCK_TRIALS
-        lo = local.searchsorted(first - base) if first > base else 0
-        hi = local.searchsorted(stop - base) if stop - base < BLOCK_TRIALS else local.size
+        # uint16 keys: a Python int key would first cast the table to int64.
+        lo = local.searchsorted(np.uint16(first - base)) if first > base else 0
+        hi = (local.searchsorted(np.uint16(stop - base)) if stop - base < BLOCK_TRIALS
+              else local.size)
         pieces.append((base - first, local[lo:hi], offsets[lo:hi]))
         size += hi - lo
     trials, times = np.empty(size, dtype=np.int64), np.empty(size)
@@ -400,23 +414,79 @@ def _clicks_in(blocks, det: str, first: int, stop: int):
     return trials, times
 
 
-def _count_peaks(blocks, start_det: str, stop_det: str, shift: float,
-                 baseline_peaks: int) -> PeakAreas:
-    """Peak areas of one pair, counted one block at a time.
+def _by_trial(trials: np.ndarray, offsets: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Fill ``at`` with the offset of each trial's click, NaN where none is.
+
+    ``trials`` must be strictly increasing (StreamOrderError otherwise), as
+    ``extract_peak_areas`` requires of the clicks it is given.
+    """
+    _require_sorted(trials, "click trials")
+    at.fill(np.nan)
+    at[trials] = offsets
+    return at
+
+
+def _read_block(blocks, det: str, first: int, at: np.ndarray):
+    """Clicks of ``det`` in trials [first, first + len(at)): the trials and
+    offsets of ``_clicks_in`` when there are at most DENSE_CLICKS of them,
+    else ``at`` filled by ``_by_trial`` from a read that is dropped on return."""
+    trials, offsets = _clicks_in(blocks, det, first, first + at.size)
+    if trials.size <= DENSE_CLICKS:
+        return trials, offsets
+    return _by_trial(trials, offsets, at)
+
+
+def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, PeakAreas]:
+    """Peak areas of every pair of HISTOGRAM_PAIRS, counted one block at a time.
 
     The starts of each block meet the stops of that block and of the
     ``baseline_peaks`` trials after it, so every start is counted exactly
     once; the integer counts of the blocks add up to those of the run.
-    Every call gets the same stop table, one entry per trial of a block
-    and of its reach, which each call leaves all -inf.
+    Each detector is read once per block, over the block and its reach.
+
+    How a pair is counted depends on its start detector's read:
+    - dense (more than DENSE_CLICKS clicks): peak j adds
+      ``count_nonzero(stop_at[j:j + BLOCK_TRIALS] >= start_at[:BLOCK_TRIALS])``
+      on the per-trial offsets of ``_by_trial``, with ``stop_at`` the stop
+      offsets minus the pair's shift.  NaN, where a detector did not click,
+      compares false, so no missing click is counted;
+    - sparse: ``extract_peak_areas`` counts the block's starts on one
+      all -inf stop table.
+    A stop read of the other kind is converted to the start's.  Both paths
+    count the same pairs with the same float expressions, so the counts do
+    not depend on DENSE_CLICKS.  The stop table, the per-trial arrays and
+    ``stop_at`` are made once per call and reused by every block, so a
+    saturated run does not touch fresh pages for them in every block.
     """
-    counts = np.zeros(baseline_peaks + 1, dtype=np.int64)
-    table = np.full(BLOCK_TRIALS + baseline_peaks, -np.inf)
+    length = BLOCK_TRIALS + baseline_peaks
+    counts = {label: np.zeros(baseline_peaks + 1, dtype=np.int64)
+              for label, *_ in HISTOGRAM_PAIRS}
+    table = np.full(length, -np.inf)
+    by_trial = {det: np.empty(length) for det in DETECTOR_IDS}
+    stop_at = np.empty(length)
     for first in range(0, len(blocks) * BLOCK_TRIALS, BLOCK_TRIALS):
-        starts = _clicks_in(blocks, start_det, first, first + BLOCK_TRIALS)
-        stops = _clicks_in(blocks, stop_det, first, first + BLOCK_TRIALS + baseline_peaks)
-        counts += extract_peak_areas(*starts, *stops, shift, baseline_peaks, table)
-    return PeakAreas.from_counts(counts)
+        reads = {det: _read_block(blocks, det, first, by_trial[det])
+                 for det in DETECTOR_IDS}
+        for label, start_det, stop_det, shifted in HISTOGRAM_PAIRS:
+            shift = delay_dt if shifted else 0.0
+            start, stop = reads[start_det], reads[stop_det]
+            if isinstance(start, tuple):
+                if not isinstance(stop, tuple):
+                    stop_trials = np.flatnonzero(~np.isnan(stop))
+                    stop = stop_trials, stop[stop_trials]
+                in_block = start[0].searchsorted(BLOCK_TRIALS)
+                counts[label] += extract_peak_areas(
+                    start[0][:in_block], start[1][:in_block], *stop, shift,
+                    baseline_peaks, table)
+                continue
+            if isinstance(stop, tuple):
+                stop = _by_trial(*stop, by_trial[stop_det])
+            np.subtract(stop, shift, out=stop_at)
+            start_at = start[:BLOCK_TRIALS]
+            for j in range(baseline_peaks + 1):
+                counts[label][j] += np.count_nonzero(
+                    stop_at[j:j + BLOCK_TRIALS] >= start_at)
+    return {label: PeakAreas.from_counts(c) for label, c in counts.items()}
 
 
 def _run_arguments(config: ExperimentConfig, trials, seed, workers):
@@ -464,15 +534,12 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
     pattern_counts = np.sum([counts for _, counts in _blocks], axis=0).astype(np.int64)
     del _blocks
 
-    peaks: dict[str, PeakAreas] = {}
     g: dict[str, tuple[float, float]] = {}
     zero_baseline = []
-    for label, start_det, stop_det, shifted in HISTOGRAM_PAIRS:
-        areas = _count_peaks(blocks, start_det, stop_det,
-                             config.delay_dt if shifted else 0.0, config.baseline_peaks)
-        peaks[label] = areas
+    peaks = _count_peaks(blocks, config.delay_dt, config.baseline_peaks)
+    for label, start_det, stop_det, _ in HISTOGRAM_PAIRS:
         try:
-            g[label] = g_ratio(areas.n_same_trial, areas.m_baseline,
+            g[label] = g_ratio(peaks[label].n_same_trial, peaks[label].m_baseline,
                                config.baseline_peaks)
         except UndefinedCorrelationError:
             g[label] = (float("nan"), float("nan"))

@@ -27,16 +27,19 @@ pair is delayed by the write-read delay), the peaks sit ``shift`` later.
 
 N and M are not read off the histogram.  Peak j of a pair counts the pairs
 with the start in trial i, the stop in trial i + j and ``stop offset -
-shift >= start offset``, offsets taken within the cycle;
-:func:`peak_areas_from_clicks` counts exactly that from per-trial click
-tables, without binning, so the areas do not depend on the bin width.  It
-is called once per block of trials: the caller passes one all -inf table
-with an entry per trial of the block plus ``baseline_peaks``, the call
-fills it with the block's stops, counts the block's starts against it and
-leaves it all -inf again, so the caller reuses it for every block.  Where
-the bin edges line up with the peak windows (the defaults do), the counts
-equal the histogram windows, up to pairs whose two offsets differ by a
-rounding error of the timestamps.
+shift >= start offset``, offsets taken within the cycle; the engine
+counts exactly that from per-trial click tables, without binning, so the
+areas do not depend on the bin width.  :func:`peak_areas_from_clicks` is
+its path for a block whose start detector clicks sparsely: the caller
+passes one all -inf table with an entry per trial of the block plus
+``baseline_peaks``, the call fills it with the block's stops, gathers the
+entries at each start and leaves the table all -inf again, so the caller
+reuses it for every block.  Where most trials click, the engine compares
+whole per-trial arrays instead (``engine._count_peaks``), with the same
+float expressions and the same counts.  Where the bin edges line up with
+the peak windows (the defaults do), the counts equal the histogram
+windows, up to pairs whose two offsets differ by a rounding error of the
+timestamps.
 """
 
 from __future__ import annotations
@@ -165,10 +168,15 @@ def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
 
     ``table`` is a float array, all -inf, with one entry per trial.  The
     stops set their entries to ``stop offset - shift`` and every start is
-    compared with the entries at lags 0..baseline_peaks; then the stops'
-    entries go back to -inf, so one table serves every call.  Every start
-    trial must be below ``len(table) - baseline_peaks`` (ValueError
-    otherwise) and every stop trial below ``len(table)``.
+    compared with the entries at lags 0..baseline_peaks, one gather per
+    lag; then the stops' entries go back to -inf, so one table serves every
+    call.  Every start trial must be below ``len(table) - baseline_peaks``
+    (ValueError otherwise) and every stop trial below ``len(table)``.
+
+    The work grows with the starts, so the engine calls this only for
+    blocks whose start detector has at most ``engine.DENSE_CLICKS`` clicks;
+    denser blocks are counted on whole per-trial arrays, which gives the
+    same counts.
     """
     if baseline_peaks < 1:
         raise ValueError(f"baseline_peaks must be >= 1, got {baseline_peaks}")

@@ -1,7 +1,10 @@
 """Reference implementations, and a strategy of valid configs, that only the
 tests use.
 
-The package counts N and M from click tables (``tia.peak_areas_from_clicks``).
+The package counts N and M from click tables, block by block
+(``engine._count_peaks``: ``tia.peak_areas_from_clicks`` for sparse blocks,
+whole per-trial arrays for dense ones); ``counts_in_one_call`` counts a
+whole run in one sparse call, and the tests hold both paths to it.
 The histogram-window reader here is the independent second reduction: it
 sums the bins of each peak window of a histogram, built in memory or read
 back from an exported file, and the tests check the click counts and the

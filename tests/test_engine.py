@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
-from pairsim import (ConfigError, ExperimentConfig, SourceModel, __version__,
-                     export_run, oracle_report, reference_preset,
+from pairsim import (ConfigError, ExperimentConfig, SourceModel, StreamOrderError,
+                     __version__, export_run, oracle_report, reference_preset,
                      render_run_report, simulate_run, sweep)
 from pairsim import engine
 from pairsim.config import NO_DECAY
@@ -174,19 +175,20 @@ def test_reading_streams_holds_nothing_after_the_read(preset):
     assert held_after - held_before < clicks
 
 
-def merged_offsets(result):
-    """Within-cycle click offsets of the whole run, concatenated from the block tables."""
-    return {det: np.concatenate([block[det][1] for block in result.block_clicks])
+def merged_clicks(blocks):
+    """Run-level trial indices and offsets of every detector, concatenated
+    from the block tables without the engine's reader."""
+    return {det: (np.concatenate([b * engine.BLOCK_TRIALS + block[det][0].astype(np.int64)
+                                  for b, block in enumerate(blocks)]),
+                  np.concatenate([block[det][1] for block in blocks]))
             for det in "ABCD"}
 
 
-def one_pass_peaks(result, offsets):
-    """Peak areas from one counter call over the merged tables and a run-sized table."""
-    config = result.config
+def one_call_peaks(clicks, delay_dt, baseline_peaks):
+    """Peak areas of every pair from one counter call over run-level tables."""
     return {label: PeakAreas.from_counts(counts_in_one_call(
-                result.click_trials[start], offsets[start],
-                result.click_trials[stop], offsets[stop],
-                config.delay_dt if shifted else 0.0, config.baseline_peaks))
+                *clicks[start], *clicks[stop], delay_dt if shifted else 0.0,
+                baseline_peaks))
             for label, start, stop, shifted in HISTOGRAM_PAIRS}
 
 
@@ -196,23 +198,30 @@ def one_pass_peaks(result, offsets):
     3 * BLOCK_TRIALS + 3,  # the last block is shorter than baseline_peaks
     4 * BLOCK_TRIALS + 1000,
 ])
-@pytest.mark.parametrize("dark_mean", [None, 5.0])
-def test_peaks_counted_per_block_equal_one_pass(preset, monkeypatch, dark_mean,
+@pytest.mark.parametrize("noise, dense", [
+    pytest.param({}, "", id="None"),
+    pytest.param({"dark_mean": 5.0}, "ABCD", id="5.0"),
+    # Dense Stokes arm, sparse anti-Stokes arm, and the reverse.
+    pytest.param({"bg_stokes_mean": 5.0}, "AB", id="stokes_bg_5.0"),
+    pytest.param({"bg_antistokes_mean": 5.0}, "CD", id="antistokes_bg_5.0"),
+])
+def test_peaks_counted_per_block_equal_one_pass(preset, monkeypatch, noise, dense,
                                                 trials, workers):
     monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
-    config = preset if dark_mean is None else dataclasses.replace(preset,
-                                                                  dark_mean=dark_mean)
+    config = dataclasses.replace(preset, **noise)
     result = simulate_run(config, trials=trials, seed=13, workers=workers)
-    offsets = merged_offsets(result)
-    if dark_mean is not None:
-        # Every gate nearly always clicks, so pairs straddle every block edge.
-        reach = config.baseline_peaks
-        for edge in range(BLOCK_TRIALS, trials, BLOCK_TRIALS):
-            for det in "ABCD":
-                near = result.click_trials[det]
-                assert np.any((near >= edge - reach) & (near < edge))
-                assert np.any((near >= edge) & (near < edge + reach))
-    assert result.peaks == one_pass_peaks(result, offsets)
+    click_rate = {det: result.click_trials[det].size / trials for det in "ABCD"}
+    assert {det for det, rate in click_rate.items()
+            if rate > engine.DENSE_CLICKS / BLOCK_TRIALS} == set(dense), click_rate
+    # Dense detectors nearly always click, so their pairs straddle every block edge.
+    reach = config.baseline_peaks
+    for edge in range(BLOCK_TRIALS, trials, BLOCK_TRIALS):
+        for det in dense:
+            near = result.click_trials[det]
+            assert np.any((near >= edge - reach) & (near < edge))
+            assert np.any((near >= edge) & (near < edge + reach))
+    assert result.peaks == one_call_peaks(merged_clicks(result.block_clicks),
+                                          config.delay_dt, config.baseline_peaks)
 
 
 def test_peaks_reach_past_the_next_block():
@@ -224,16 +233,82 @@ def test_peaks_reach_past_the_next_block():
     for _ in range(4):
         inner = rng.choice(np.arange(1, BLOCK_TRIALS - 1), size=4, replace=False)
         trials = np.sort(np.concatenate([[0, BLOCK_TRIALS - 1], inner]))
-        blocks.append({det: (trials.astype(np.uint16), rng.random(trials.size))
-                       for det in "AB"})
-    merged = {det: [np.concatenate([b * BLOCK_TRIALS + block[det][0].astype(np.int64)
-                                    for b, block in enumerate(blocks)]),
-                    np.concatenate([block[det][1] for block in blocks])]
-              for det in "AB"}
-    expected = PeakAreas.from_counts(
-        counts_in_one_call(*merged["A"], *merged["B"], 0.0, reach))
-    assert engine._count_peaks(blocks, "A", "B", 0.0, reach) == expected
-    assert sum(expected.per_peak[BLOCK_TRIALS:]) > 0  # lags past one block
+        block = {det: (trials.astype(np.uint16), rng.random(trials.size)) for det in "AB"}
+        # C clicks as B, in a gate 0.25 later.  D never clicks, so only two
+        # pairs walk a reach this long.
+        block["C"] = (block["B"][0], block["B"][1] + 0.25)
+        block["D"] = (block["B"][0][:0], block["B"][1][:0])
+        blocks.append(block)
+    expected = one_call_peaks(merged_clicks(blocks), 0.25, reach)
+    assert engine._count_peaks(blocks, 0.25, reach) == expected
+    assert sum(expected["11"].per_peak[BLOCK_TRIALS:]) > 0  # lags past one block
+    assert sum(expected["12"].per_peak[BLOCK_TRIALS:]) > 0
+
+
+CLICK_RATES = st.sampled_from([0.0, 0.02, 0.1, 0.4, 0.8, 1.0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_trials=st.integers(8, 48), n_blocks=st.integers(1, 4),
+       last=st.floats(0.0, 1.0), reach=st.floats(0.0, 1.0),
+       delay_dt=st.sampled_from([0.0, 0.5]),
+       rates=st.tuples(CLICK_RATES, CLICK_RATES, CLICK_RATES, CLICK_RATES),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_count_peaks_equals_one_call_at_every_density(block_trials, n_blocks, last,
+                                                      reach, delay_dt, rates, seed):
+    # Blocks are shrunk, with the switch at the same share of a block, so
+    # that reaches past a whole block stay cheap on the dense path.  Rates
+    # fall on both sides of the switch, per detector, so the Stokes arm (A,
+    # B) and the anti-Stokes arm (C, D) can be dense or sparse apart.
+    # Offsets on a grid of quarters make ties of stop - shift and start.
+    rng = np.random.default_rng(seed)
+    baseline_peaks = 1 + int(reach * (2 * block_trials + 2))
+    sizes = [block_trials] * (n_blocks - 1) + [1 + int(last * (block_trials - 1))]
+    blocks = []
+    for size in sizes:
+        block = {}
+        for det, rate in zip("ABCD", rates):
+            trials = np.flatnonzero(rng.random(size) < rate)
+            gate = delay_dt if det in "CD" else 0.0
+            block[det] = (trials.astype(np.uint16),
+                          gate + 0.25 * rng.integers(0, 4, trials.size))
+        blocks.append(block)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "BLOCK_TRIALS", block_trials)
+        patch.setattr(engine, "DENSE_CLICKS", block_trials * engine.DENSE_CLICKS // BLOCK_TRIALS)
+        expected = one_call_peaks(merged_clicks(blocks), delay_dt, baseline_peaks)
+        assert engine._count_peaks(blocks, delay_dt, baseline_peaks) == expected
+
+
+@pytest.mark.parametrize("n_blocks", [4, 16])
+def test_counting_peaks_holds_memory_set_by_one_block(preset, n_blocks):
+    # Saturated runs: every detector is dense in every block.  Counting
+    # holds a stop table, four per-trial arrays, the shifted stops and one
+    # read at a time, about 65 bytes per trial of a block and its reach;
+    # holding the four reads of a block as well takes at least 112.
+    config = dataclasses.replace(preset, dark_mean=5.0)
+    result = simulate_run(config, trials=n_blocks * BLOCK_TRIALS, seed=5)
+    tracemalloc.start()
+    try:
+        peaks = engine._count_peaks(result.block_clicks, config.delay_dt,
+                                    config.baseline_peaks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peaks == result.peaks
+    assert peak < 80 * (BLOCK_TRIALS + config.baseline_peaks)
+
+
+@pytest.mark.parametrize("fault", ["swapped", "repeated"])
+@pytest.mark.parametrize("det", list("ABCD"))
+def test_dense_peak_counting_refuses_unordered_trials(det, fault):
+    # Every trial clicks, so every detector is counted on the dense path.
+    trials = np.arange(BLOCK_TRIALS, dtype=np.uint16)
+    bad = trials.copy()
+    bad[[100, 101]] = [101, 100] if fault == "swapped" else [100, 100]
+    block = {d: (bad if d == det else trials, np.zeros(BLOCK_TRIALS)) for d in "ABCD"}
+    with pytest.raises(StreamOrderError, match="click trials"):
+        engine._count_peaks([block], 0.0, 7)
 
 
 def reader_blocks():
