@@ -11,8 +11,10 @@ Blocks are reduced to click tables (block-local trial index as uint16 and
 within-cycle offset as float64 of every click, 10 bytes a click) and
 per-trial click-pattern counts immediately; raw events are never kept.
 
-The block tables are the run's storage, and ``_clicks_in`` their one
-reader.  Peak areas are counted one block at a time and singles come from
+The block tables are the run's storage, and ``_block_pieces`` their one
+reader: ``_clicks_in`` copies its pieces into one pair of arrays, and the
+dense reads of ``_count_peaks`` scatter them straight into per-trial
+arrays.  Peak areas are counted one block at a time and singles come from
 the pattern counts, so a run that nothing else reads never builds run-level
 arrays.  ``RunResult.streams`` and ``click_trials`` are built from the
 blocks on each read, and ``export_run`` reads one detector at a time.
@@ -54,9 +56,10 @@ straight from the click tables, one block at a time: the starts of block b
 against the stops of block b and of the first ``baseline_peaks`` trials
 after it, so every start is counted once.  ``_count_peaks`` reads each
 detector once per block and counts by density: a detector with more than
-``DENSE_CLICKS`` clicks becomes an array of per-trial offsets, and a pair
-whose start is dense is counted by whole-array comparisons at each lag;
-other pairs go through ``tia.peak_areas_from_clicks``.  Both count the same
+``DENSE_CLICKS`` clicks is scattered from its uint16 block tables into a
+reused array of per-trial offsets, and a pair whose start is dense is
+counted by whole-array comparisons at each lag; other pairs go through
+``tia.peak_areas_from_clicks``.  Both count the same
 pairs exactly.  Only (A,B), (C,D) and (A,C) decide the Cauchy-Schwarz
 report, and (B,D) is reported as a check.  The coincidence
 histograms are built from the timestamps the first time
@@ -96,12 +99,13 @@ worker count.  Do not change without bumping the package version: block
 boundaries are part of the reproducibility contract."""
 assert BLOCK_TRIALS <= 1 << 16, "block-local trial indices are stored as uint16"
 
-DENSE_CLICKS = BLOCK_TRIALS // 4
+DENSE_CLICKS = BLOCK_TRIALS // 5
 """Clicks above which one detector's read of a block is counted on per-trial
 offset arrays (see ``_count_peaks``).  The counts do not depend on it; it
 picks the faster path.  On 8 blocks of four detectors with one click rate
-(2-core Xeon host), the two paths break even near 0.23 clicks per trial:
-all sparse 3.8 and all dense 11.5 ms at 0.03, 78.8 and 22.2 ms at 0.99."""
+(2-core Xeon host), the two paths break even near 0.20 clicks per trial:
+all sparse 5.6 and all dense 13.9 ms at 0.04, 15.0 and 15.2 ms at 0.20,
+73.3 and 22.9 ms at 0.99."""
 
 GATE1_START = 0.0
 
@@ -230,20 +234,34 @@ def _active_trials(n: int, active: float, rng: np.random.Generator) -> np.ndarra
     batch = int(n * active + 5.0 * math.sqrt(n * active)) + 16
     chunks, last = [], -1
     while last < n:  # one batch almost always reaches past n
-        gaps = np.minimum(rng.geometric(active, size=batch), n + 1)
-        chunks.append(last + np.cumsum(gaps))
-        last = chunks[-1][-1]
-    positions = np.concatenate(chunks)
-    return positions[:np.searchsorted(positions, n)]
+        # Gaps, turned in place into positions after ``last``.
+        positions = rng.geometric(active, size=batch)
+        np.minimum(positions, n + 1, out=positions)
+        np.cumsum(positions, out=positions)
+        positions += last
+        chunks.append(positions)
+        last = positions[-1]
+    if len(chunks) > 1:
+        positions = np.concatenate(chunks)
+    return positions[:positions.searchsorted(n)]
 
 
 def _first_sources(cdf: np.ndarray, rng: np.random.Generator, m: int) -> np.ndarray:
-    """Index of the first nonzero source of each of m active trials."""
+    """Index of the first nonzero source of each of m active trials.
+
+    With u * a uniform on [0, a), that is the number of CDF entries at or
+    below u * a.  Only the entries before the last source of positive
+    weight are counted: u * a can round up to a itself, and that mass
+    belongs to the last source.
+    """
     weights = np.diff(cdf, prepend=0.0)
     last = np.flatnonzero(weights > 0)[-1]
-    first = np.searchsorted(cdf, rng.random(m) * cdf[-1], side="right")
-    # u * a can round up to a itself; that mass belongs to the last source.
-    return np.minimum(first, last).astype(np.uint8)
+    u = rng.random(m)
+    u *= cdf[-1]
+    first = np.zeros(m, dtype=np.uint8)
+    for edge in cdf[:last]:
+        first += u >= edge
+    return first
 
 
 def _poisson_nonzero(mean: float, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -315,27 +333,35 @@ def _simulate_block(config: ExperimentConfig, seed: int, block_index: int, n: in
     gates = {"A": GATE1_START, "B": GATE1_START,
              "C": config.delay_dt, "D": config.delay_dt}
     photons = {"A": k_a, "B": k_b, "C": k_c, "D": k_d}
+    # Each detector's photons are written over a prefix of one zeroed
+    # buffer.  The prefixes never shrink (A, B, C, D hold end[2], end[2],
+    # end[3], end[3] entries), so every entry past the current one is zero.
+    padded = np.zeros(end[-1], dtype=np.int64)
     pattern = np.zeros(active.size, dtype=np.uint8)
     offsets = {}
     for bit, det in enumerate(DETECTOR_IDS):
         # This detector's dark source owns slice [start, stop): a sure click.
         start, stop = end[3 + bit], end[4 + bit]
+        padded[:photons[det].size] = photons[det]
         clicked, unforced = detect_batch(
-            _pad(photons[det], start), config.detector_eff, config.dark_mean,
+            padded[:start], config.detector_eff, config.dark_mean,
             gates[det], config.gate_width, rng)
         pattern[:start] |= clicked.view(np.uint8) << bit
         pattern[start:stop] |= 1 << bit
-        forced = gates[det] + config.gate_width * rng.random(stop - start)
-        offsets[det] = np.concatenate([unforced, forced])
+        out = offsets[det] = np.empty(unforced.size + stop - start)
+        out[:unforced.size] = unforced
+        forced = rng.random(out=out[unforced.size:])
+        forced *= config.gate_width
+        forced += gates[det]
 
     by_trial = np.empty_like(pattern)
     by_trial[order] = pattern
     pattern_counts += np.bincount(by_trial, minlength=16)
+    active = active.astype(np.uint16)
     for bit, det in enumerate(DETECTOR_IDS):
         # Offsets are i.i.d. and independent of the trial, so they can be
         # handed out in trial order.
-        clicks[det] = (active[(by_trial & (1 << bit)) != 0].astype(np.uint16),
-                       offsets[det])
+        clicks[det] = active[(by_trial & (1 << bit)) != 0], offsets[det]
     return clicks, pattern_counts
 
 
@@ -386,14 +412,14 @@ def _sampled(runs: list[list[tuple]], workers: int):
         pool.shutdown(cancel_futures=True)
 
 
-def _clicks_in(blocks, det: str, first: int, stop: int):
-    """Clicks of ``det`` in trials [first, stop) of the run, copied from the blocks.
+def _block_pieces(blocks, det: str, first: int, stop: int):
+    """Each block's share of the clicks of ``det`` in trials [first, stop).
 
-    Returns their trial indices relative to ``first`` (int64) and their
-    within-cycle offsets, in trial order; ``stop`` may lie past the run.
-    This is the only reader of the block tables.
+    Returns (base - first, block-local trials, offsets) per block with base
+    its first trial; the trial and offset tables are views into the block.
+    ``stop`` may lie past the run.  The block tables are read only here.
     """
-    pieces, size = [], 0
+    pieces = []
     for b in range(first // BLOCK_TRIALS, min(len(blocks), -(-stop // BLOCK_TRIALS))):
         local, offsets = blocks[b][det]
         base = b * BLOCK_TRIALS
@@ -402,7 +428,13 @@ def _clicks_in(blocks, det: str, first: int, stop: int):
         hi = (local.searchsorted(np.uint16(stop - base)) if stop - base < BLOCK_TRIALS
               else local.size)
         pieces.append((base - first, local[lo:hi], offsets[lo:hi]))
-        size += hi - lo
+    return pieces
+
+
+def _joined(pieces):
+    """Trial indices (int64, relative to the read's first trial) and offsets
+    of ``_block_pieces`` output, copied into one pair of arrays."""
+    size = sum(local.size for _, local, _ in pieces)
     trials, times = np.empty(size, dtype=np.int64), np.empty(size)
     at = 0
     for shift, local, offsets in pieces:
@@ -412,6 +444,15 @@ def _clicks_in(blocks, det: str, first: int, stop: int):
         times[at:at + local.size] = offsets
         at += local.size
     return trials, times
+
+
+def _clicks_in(blocks, det: str, first: int, stop: int):
+    """Clicks of ``det`` in trials [first, stop) of the run, copied from the blocks.
+
+    Returns their trial indices relative to ``first`` (int64) and their
+    within-cycle offsets, in trial order; ``stop`` may lie past the run.
+    """
+    return _joined(_block_pieces(blocks, det, first, stop))
 
 
 def _by_trial(trials: np.ndarray, offsets: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -427,13 +468,23 @@ def _by_trial(trials: np.ndarray, offsets: np.ndarray, at: np.ndarray) -> np.nda
 
 
 def _read_block(blocks, det: str, first: int, at: np.ndarray):
-    """Clicks of ``det`` in trials [first, first + len(at)): the trials and
-    offsets of ``_clicks_in`` when there are at most DENSE_CLICKS of them,
-    else ``at`` filled by ``_by_trial`` from a read that is dropped on return."""
-    trials, offsets = _clicks_in(blocks, det, first, first + at.size)
-    if trials.size <= DENSE_CLICKS:
-        return trials, offsets
-    return _by_trial(trials, offsets, at)
+    """Clicks of ``det`` in trials [first, first + len(at)), ``first`` a block edge.
+
+    At most DENSE_CLICKS clicks come back as the trials and offsets of
+    ``_clicks_in``.  More fill ``at`` as ``_by_trial`` would, scattered
+    straight from each block's uint16 table: no int64 or float copy of the
+    read is made.  Each block's trials must be strictly increasing
+    (StreamOrderError otherwise); blocks hold disjoint, increasing trial
+    ranges, so that is the check ``_by_trial`` makes on the whole read.
+    """
+    pieces = _block_pieces(blocks, det, first, first + at.size)
+    if sum(local.size for _, local, _ in pieces) <= DENSE_CLICKS:
+        return _joined(pieces)
+    at.fill(np.nan)
+    for shift, local, offsets in pieces:
+        _require_sorted(local, "click trials")
+        at[shift:][local] = offsets
+    return at
 
 
 def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, PeakAreas]:
@@ -447,16 +498,18 @@ def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, Peak
     How a pair is counted depends on its start detector's read:
     - dense (more than DENSE_CLICKS clicks): peak j adds
       ``count_nonzero(stop_at[j:j + BLOCK_TRIALS] >= start_at[:BLOCK_TRIALS])``
-      on the per-trial offsets of ``_by_trial``, with ``stop_at`` the stop
-      offsets minus the pair's shift.  NaN, where a detector did not click,
-      compares false, so no missing click is counted;
+      on the per-trial offsets that ``_read_block`` scatters from the block
+      tables, with ``stop_at`` the stop offsets minus the pair's shift.
+      NaN, where a detector did not click, compares false, so no missing
+      click is counted;
     - sparse: ``extract_peak_areas`` counts the block's starts on one
       all -inf stop table.
     A stop read of the other kind is converted to the start's.  Both paths
     count the same pairs with the same float expressions, so the counts do
     not depend on DENSE_CLICKS.  The stop table, the per-trial arrays and
-    ``stop_at`` are made once per call and reused by every block, so a
-    saturated run does not touch fresh pages for them in every block.
+    ``stop_at`` are made once per call and reused by every block, and a
+    dense read copies nothing, so a saturated run does not touch fresh
+    pages for them in every block.
     """
     length = BLOCK_TRIALS + baseline_peaks
     counts = {label: np.zeros(baseline_peaks + 1, dtype=np.int64)

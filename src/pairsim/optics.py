@@ -94,7 +94,8 @@ def detect_batch(n: np.ndarray, det_eff: float, dark_mean: float,
     else:
         probability = click_probability(n, det_eff, dark_mean)
     clicked = rng.random(n.shape) < probability
-    fractions = rng.random(int(clicked.sum()))
-    offsets = gate_start + gate_width * fractions
+    offsets = rng.random(np.count_nonzero(clicked))
+    offsets *= gate_width
+    offsets += gate_start
     return clicked, offsets
 

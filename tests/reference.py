@@ -5,6 +5,8 @@ The package counts N and M from click tables, block by block
 (``engine._count_peaks``: ``tia.peak_areas_from_clicks`` for sparse blocks,
 whole per-trial arrays for dense ones); ``counts_in_one_call`` counts a
 whole run in one sparse call, and the tests hold both paths to it.
+``first_sources`` is the sampler's draw of each active trial's first
+nonzero source written as one CDF search.
 The histogram-window reader here is the independent second reduction: it
 sums the bins of each peak window of a histogram, built in memory or read
 back from an exported file, and the tests check the click counts and the
@@ -113,3 +115,11 @@ def counts_in_one_call(start_trials, start_offsets, stop_trials, stop_offsets,
     table = np.full(int(last) + baseline_peaks + 1, -np.inf)
     return peak_areas_from_clicks(start_trials, start_offsets, stop_trials,
                                   stop_offsets, shift, baseline_peaks, table)
+
+
+def first_sources(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """First nonzero source of active trials with uniforms ``u``: a search
+    of the source CDF at u * a, clamped to the last source of positive
+    weight (u * a == a belongs to it)."""
+    last = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1]
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), last)

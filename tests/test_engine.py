@@ -23,7 +23,8 @@ from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, HISTOGRAM_PAIRS, derived_seed, export_sweep
 from pairsim.oracle import pattern_distribution
 from pairsim.tia import PeakAreas
-from reference import counts_in_one_call, load_histogram, peak_areas, valid_configs
+from reference import (counts_in_one_call, first_sources, load_histogram, peak_areas,
+                       valid_configs)
 
 LOSSLESS = ExperimentConfig(
     source_model=SourceModel.QUANTUM_TMS, p_excitation=0.1, delay_dt=2e-6,
@@ -175,6 +176,58 @@ def test_reading_streams_holds_nothing_after_the_read(preset):
     assert held_after - held_before < clicks
 
 
+class StubUniforms:
+    """Stands in for a Generator whose next ``random(m)`` returns ``u``."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u.copy()
+
+
+def uniforms_onto(target, a):
+    """Every u < 1 within 64 ulps of target / a with u * a == target exactly."""
+    near = (np.float64(target / a).view(np.int64) + np.arange(-64, 65)).view(np.float64)
+    return near[(near * a == target) & (near < 1.0)]
+
+
+@pytest.mark.parametrize("noise", [
+    pytest.param({}, id="preset"),
+    pytest.param({"bg_stokes_mean": 0.0}, id="zero_weight_in_the_middle"),
+    pytest.param({"dark_mean": 0.0}, id="zero_weights_at_the_end"),
+    pytest.param({"bg_stokes_mean": 0.0, "dark_mean": 0.0}, id="both"),
+])
+def test_first_sources_is_a_clamped_cdf_search(preset, noise):
+    cdf = engine._source_cdf(dataclasses.replace(preset, **noise))
+    a = cdf[-1]
+    last = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1]
+    exact = [uniforms_onto(edge, a) for edge in cdf[:last]]
+    # No double u puts u * a on cdf[0] for these configs; every later edge
+    # before the last source is hit.
+    assert all(hits.size for hits in exact[1:]), exact
+    on_edges = np.concatenate(exact)
+    u = np.concatenate([
+        on_edges,
+        np.nextafter(on_edges, -np.inf),
+        np.nextafter(on_edges, np.inf),
+        [0.0, np.nextafter(1.0, 0.0), 1.0],  # u = 1 stands for u * a rounding up to a
+        np.random.default_rng(3).random(2000),
+    ])
+    got = engine._first_sources(cdf, StubUniforms(u), u.size)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, first_sources(cdf, u))
+    # u * a on an edge goes to the next source of positive weight, past
+    # any of zero weight; u * a == a goes to the last one.
+    for i, hits in enumerate(exact):
+        successor = min(np.searchsorted(cdf, cdf[i], side="right"), last)
+        assert np.all(got[np.isin(u, hits)] == successor), i
+    assert got[on_edges.size * 3 + 2] == last
+    if "bg_stokes_mean" in noise:
+        assert cdf[2] == cdf[1] and np.all(got[np.isin(u, exact[1])] == 3)
+
+
 def merged_clicks(blocks):
     """Run-level trial indices and offsets of every detector, concatenated
     from the block tables without the engine's reader."""
@@ -283,9 +336,11 @@ def test_count_peaks_equals_one_call_at_every_density(block_trials, n_blocks, la
 @pytest.mark.parametrize("n_blocks", [4, 16])
 def test_counting_peaks_holds_memory_set_by_one_block(preset, n_blocks):
     # Saturated runs: every detector is dense in every block.  Counting
-    # holds a stop table, four per-trial arrays, the shifted stops and one
-    # read at a time, about 65 bytes per trial of a block and its reach;
-    # holding the four reads of a block as well takes at least 112.
+    # holds a stop table, four per-trial arrays and the shifted stops, and
+    # scatters each dense read straight from the block tables: about 49
+    # bytes per trial of a block and its reach.  Copying each read to int64
+    # trials and float offsets first takes about 65; holding the four reads
+    # of a block as well takes at least 112.
     config = dataclasses.replace(preset, dark_mean=5.0)
     result = simulate_run(config, trials=n_blocks * BLOCK_TRIALS, seed=5)
     tracemalloc.start()
@@ -296,7 +351,7 @@ def test_counting_peaks_holds_memory_set_by_one_block(preset, n_blocks):
     finally:
         tracemalloc.stop()
     assert peaks == result.peaks
-    assert peak < 80 * (BLOCK_TRIALS + config.baseline_peaks)
+    assert peak < 56 * (BLOCK_TRIALS + config.baseline_peaks)
 
 
 @pytest.mark.parametrize("fault", ["swapped", "repeated"])
@@ -309,6 +364,37 @@ def test_dense_peak_counting_refuses_unordered_trials(det, fault):
     block = {d: (bad if d == det else trials, np.zeros(BLOCK_TRIALS)) for d in "ABCD"}
     with pytest.raises(StreamOrderError, match="click trials"):
         engine._count_peaks([block], 0.0, 7)
+
+
+def dense_blocks():
+    """Detector A's tables over 3 full blocks and a 3-trial last block, about
+    60% of trials clicking, with clicks on both edges of every block."""
+    rng = np.random.default_rng(9)
+    blocks = []
+    for size in [BLOCK_TRIALS] * 3 + [3]:
+        trials = np.flatnonzero(rng.random(size) < 0.6)
+        trials = np.union1d(trials, [0, size - 1]).astype(np.uint16)
+        blocks.append({"A": (trials, rng.random(trials.size))})
+    return blocks
+
+
+@pytest.mark.parametrize("first, length", [
+    (0, BLOCK_TRIALS + 7),  # from block 0, reaching into block 1
+    (BLOCK_TRIALS, BLOCK_TRIALS + 7),  # from a middle block
+    (BLOCK_TRIALS, 2 * BLOCK_TRIALS + 5),  # reaching past the next block
+    (2 * BLOCK_TRIALS, BLOCK_TRIALS + 7),  # into a last block shorter than the reach
+    (3 * BLOCK_TRIALS, BLOCK_TRIALS + 7),  # on that last block alone
+])
+def test_dense_read_scatters_what_by_trial_builds(monkeypatch, first, length):
+    monkeypatch.setattr(engine, "DENSE_CLICKS", 0)  # the 3-trial block too
+    blocks = dense_blocks()
+    expected = engine._by_trial(*engine._clicks_in(blocks, "A", first, first + length),
+                                np.empty(length))
+    at = np.full(length, 7.0)  # left from an earlier block
+    got = engine._read_block(blocks, "A", first, at)
+    assert got is at
+    assert np.array_equal(got, expected, equal_nan=True)
+    assert np.count_nonzero(~np.isnan(got)) > 0
 
 
 def reader_blocks():
