@@ -6,7 +6,9 @@ later), gated detection on all four detectors.  Trials are simulated in
 fixed-size blocks; from version 0.3.0 block b draws from an SFC64 stream
 keyed by ``SeedSequence(seed, spawn_key=(b,))``, so results are
 bit-identical no matter how blocks are distributed over workers or in what
-order they complete.  Binomial stages draw nothing for a zero count.
+order they complete.  Binomial stages draw nothing for a zero count, and
+the stages' array draws are numpy's, computed by whole-array replays of
+numpy's loops where those apply (see :mod:`pairsim.optics`).
 Blocks are reduced to click tables (block-local trial index as uint16 and
 within-cycle offset as float64 of every click, 10 bytes a click) and
 per-trial click-pattern counts immediately; raw events are never kept.
@@ -31,7 +33,8 @@ detector.  A trial in which all of them are zero cannot click, so only
 
 1. With z_i the closed-form zero probability of source i, a trial is active
    with probability a = 1 - prod(z_i); active trials are placed by
-   geometric gaps.
+   geometric gaps, numpy's ``rng.geometric(a)`` draws (computed on whole
+   batches from exponentials where a < 1/3; see ``_active_trials``).
 2. Each active trial draws its first nonzero source i with probability
    z_1 ... z_{i-1} (1 - z_i) / a.  Sources before it are zero, source i
    gets a zero-truncated draw (geometric: 1 + Geom0 by memorylessness;
@@ -228,6 +231,11 @@ def _active_trials(n: int, active: float, rng: np.random.Generator) -> np.ndarra
     Drawn as geometric gaps, so the work scales with the active trials.
     A gap past n ends the block whatever its length, so gaps are capped at
     n + 1; for a tiny ``active`` they would otherwise overflow int64.
+
+    The gaps are ``rng.geometric(active)``'s, numbers and stream position
+    included.  Below active = 1/3 numpy draws ceil(-E / log1p(-active))
+    from one standard exponential E per gap; that is done here on the whole
+    batch.  From 1/3 on numpy searches the pmf, and ``rng.geometric`` runs.
     """
     if active == 0.0:
         return np.empty(0, dtype=np.int64)
@@ -235,8 +243,16 @@ def _active_trials(n: int, active: float, rng: np.random.Generator) -> np.ndarra
     chunks, last = [], -1
     while last < n:  # one batch almost always reaches past n
         # Gaps, turned in place into positions after ``last``.
-        positions = rng.geometric(active, size=batch)
-        np.minimum(positions, n + 1, out=positions)
+        if active < 1.0 / 3.0:
+            gaps = rng.standard_exponential(batch)
+            with np.errstate(over="ignore"):  # a tiny ``active`` gives inf
+                gaps /= -math.log1p(-active)
+            np.ceil(gaps, out=gaps)
+            np.minimum(gaps, n + 1, out=gaps)
+            positions = gaps.astype(np.int64)
+        else:
+            positions = rng.geometric(active, size=batch)
+            np.minimum(positions, n + 1, out=positions)
         np.cumsum(positions, out=positions)
         positions += last
         chunks.append(positions)

@@ -16,12 +16,22 @@ are indistinguishable from photon clicks in the gated analysis.  Click
 offsets are uniform over the gate window.
 
 All count operations accept scalars or numpy arrays (one entry per trial).
-Binomial stages pass numpy only the nonzero entries of an array.
-Binomial(0, p) is 0 and numpy draws nothing for it either, so the stream is
-that of drawing every entry, without numpy's per-entry cost for the zeros.
+On arrays, the binomial stages and the background draw return numpy's
+numbers and leave the generator where numpy would: ``rng.binomial`` on
+the nonzero entries (Binomial(0, p) is 0 and numpy draws nothing for it)
+and ``rng.poisson`` on every entry.  numpy computes those draws in a scalar
+loop per entry; for the small counts of this model the loop turns one
+uniform into its result with a few float operations, which whole-array
+passes repeat with the same operations in the same order (libm's ``exp``
+and ``log`` through ``math`` for the per-count constants, as numpy's C code
+calls them).  A call that such a pass cannot replay, because some entry
+would take numpy's other algorithm or draw a further uniform, restores the
+saved generator state and hands the whole call to numpy.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,9 +47,77 @@ def _binomial(n, p: float, rng: np.random.Generator):
         return rng.binomial(n, p)
     n = np.asarray(n)
     out = np.zeros(n.shape, dtype=np.int64)
-    nonzero = n != 0
-    out[nonzero] = rng.binomial(n[nonzero], p)
+    n = n.reshape(-1)
+    # Integer indices gather and scatter faster than the boolean mask.
+    nonzero = np.flatnonzero(n != 0)
+    out.reshape(-1)[nonzero] = _binomial_counts(n[nonzero], p, rng)
     return out
+
+
+def _binomial_counts(n: np.ndarray, p: float, rng: np.random.Generator) -> np.ndarray:
+    """``rng.binomial(n, p)`` for a 1-d array of counts, numpy's numbers and
+    stream position included.
+
+    numpy draws Binomial(n, p') with p' = min(p, 1 - p), returning n minus
+    the draw when p > 0.5.  Where p' n <= 30 it walks the pmf from x = 0:
+    one uniform u per entry, and while u > px, u -= px and px is stepped to
+    the next x; a walk past ``bound`` restarts on a fresh uniform.  Here all
+    entries walk together, one pass per step.  The call goes to numpy as a
+    whole where an entry has p' n > 30 (numpy's BTPE branch), where p or a
+    count is invalid (numpy raises), or where the counts reach past 1/64 of
+    the entries (one table row per count value then costs more than the
+    passes save); and, from the state saved before the draw, where a walk
+    passes its bound.
+    """
+    flip = p > 0.5
+    walk_p = 1.0 - p if flip else p
+    top = int(n.max(initial=0))
+    if not (0.0 <= p <= 1.0 and walk_p * top <= 30.0 and 64 * top <= n.size
+            and n.min(initial=0) >= 0):
+        return rng.binomial(n, p)
+    if p == 0.0:
+        return np.zeros(n.shape, dtype=np.int64)
+    q = 1.0 - walk_p
+    # Per count value v: px at x = 0 and at x = 1, and numpy's bound on x.
+    first = [0.0] * (top + 1)
+    second = [0.0] * (top + 1)
+    bound = [0] * (top + 1)
+    for v in range(1, top + 1):
+        first[v] = math.exp(v * math.log(q))
+        second[v] = (v * walk_p * first[v]) / q
+        mean = v * walk_p
+        bound[v] = int(min(v, mean + 10.0 * math.sqrt(mean * q + 1)))
+    state = rng.bit_generator.state
+    u = rng.random(n.size)
+    px = np.array(first)[n]
+    x = (u > px).astype(np.int64)
+    # Step 1 on every entry (bound >= 1 always): an entry with u <= px stays
+    # at x = 0, as its u - px <= 0 is below the next px.  Every count is a
+    # row of the table, so mode="clip" changes nothing but lets ``take``
+    # write into px without a buffer.
+    u -= px
+    np.array(second).take(n, out=px, mode="clip")
+    live = np.flatnonzero(u > px)
+    u, px, counts = u[live], px[live], n[live]
+    bounds, low = np.array(bound), 1
+    j = 1
+    while live.size:
+        j += 1
+        if j > low:
+            live_bounds = bounds[counts]
+            if (j > live_bounds).any():
+                rng.bit_generator.state = state
+                return rng.binomial(n, p)
+            low = int(live_bounds.min())
+        u -= px
+        px *= (counts - (j - 1)) * walk_p
+        px /= j * q
+        x[live] = j
+        going = u > px
+        live, u, px, counts = live[going], u[going], px[going], counts[going]
+    if flip:
+        np.subtract(n, x, out=x)
+    return x
 
 
 def thin(n, eta: float, rng: np.random.Generator):
@@ -50,11 +128,43 @@ def thin(n, eta: float, rng: np.random.Generator):
 
 
 def add_background(n, bg_mean: float, rng: np.random.Generator):
-    """Add an independent Poisson background count with the given mean."""
-    if bg_mean < 0:
+    """Add an independent Poisson background count with the given mean.
+
+    An array n gets numpy's ``rng.poisson(bg_mean, size=n.shape)``, numbers
+    and stream position included.  numpy's multiplication method multiplies
+    uniforms until the product is at most exp(-mean), so a Poisson(mean)
+    draw takes X + 1 uniforms.  An "event" u > exp(-mean) followed by a
+    uniform that is not one ends at X = 1 (the product is at most that
+    uniform), so while no two events are adjacent in the stream, the k-th
+    event at stream position e gives entry e - k the count 1.  The uniforms
+    are drawn until they cover every entry and every event's second
+    uniform; adjacent events restore the saved state and go to numpy.  The
+    expected number of adjacent events is about size * mean**2, so means
+    where that reaches 1 (and numpy's mean >= 10 branch) go to numpy
+    directly.
+    """
+    if not bg_mean >= 0:  # NaN too
         raise ValueError(f"bg_mean must be >= 0, got {bg_mean}")
-    size = None if np.isscalar(n) else np.shape(n)
-    return n + rng.poisson(bg_mean, size=size)
+    if np.isscalar(n):
+        return n + rng.poisson(bg_mean)
+    n = np.asarray(n)
+    size = n.size
+    if bg_mean == 0.0 or size * bg_mean * bg_mean >= 1.0:
+        return n + rng.poisson(bg_mean, size=n.shape)
+    limit = math.exp(-bg_mean)
+    state = rng.bit_generator.state
+    events = np.flatnonzero(rng.random(size) > limit)
+    drawn = size
+    while drawn < size + events.size:
+        more = rng.random(size + events.size - drawn)
+        events = np.concatenate([events, drawn + np.flatnonzero(more > limit)])
+        drawn += more.size
+    if (np.diff(events) == 1).any():
+        rng.bit_generator.state = state
+        return n + rng.poisson(bg_mean, size=n.shape)
+    background = np.zeros(size, dtype=np.int64)
+    background[events - np.arange(events.size)] = 1
+    return n + background.reshape(n.shape)
 
 
 def split(n, rng: np.random.Generator):

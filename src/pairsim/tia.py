@@ -127,24 +127,40 @@ def histogram(start: TimestampStream, stop: TimestampStream,
     the bin floor((t_p - t_s) / bin_width) is incremented.  Deterministic;
     negative delays are never recorded.
 
-    Pass r bins each start's r-th stop in range, with O(starts + n_bins)
-    temporaries.  Engine streams click at most once per detector per
-    trial, so they need at most ceil(span / cycle_period) + 1 passes.
+    Pass r bins each start's r-th stop in range: every start keeps the index
+    of its next stop, and a start leaves once that stop is at or past its
+    start + span.  Engine streams click at most once per detector per
+    trial, so they need at most ceil(span / cycle_period) + 1 passes.  The
+    passes' bins are held until they reach ``n_bins`` and then counted in
+    one ``bincount``, so temporaries stay O(starts + n_bins).
     """
     _require_sorted(start.timestamps, f"stream {start.detector_id}")
     _require_sorted(stop.timestamps, f"stream {stop.detector_id}")
     n_bins = _bin_count(span, bin_width)
     counts = np.zeros(n_bins, dtype=np.int64)
     starts = start.timestamps
-    stops = stop.timestamps
+    stops = np.append(stop.timestamps, np.inf)  # every start runs out at inf
     nxt = np.searchsorted(stops, starts, side="left")
-    end = np.searchsorted(stops, starts + span, side="left")
-    live = np.flatnonzero(nxt < end)
-    while live.size:
-        bins = np.floor((stops[nxt[live]] - starts[live]) / bin_width).astype(np.int64)
-        counts += np.bincount(bins[bins < n_bins], minlength=n_bins)
-        nxt[live] += 1
-        live = live[nxt[live] < end[live]]
+    limit = starts + span
+    held, n_held = [], 0
+    while True:
+        delay = stops[nxt]
+        going = delay < limit
+        if not going.all():
+            nxt, starts, limit, delay = nxt[going], starts[going], limit[going], delay[going]
+        if not nxt.size:
+            break
+        delay -= starts
+        delay /= bin_width
+        bins = np.floor(delay, out=delay).astype(np.int64)
+        held.append(bins[bins < n_bins])
+        n_held += held[-1].size
+        if n_held >= n_bins:
+            counts += np.bincount(np.concatenate(held), minlength=n_bins)
+            held, n_held = [], 0
+        nxt += 1
+    if held:
+        counts += np.bincount(np.concatenate(held), minlength=n_bins)
     return CoincidenceHistogram(
         pair_id=(start.detector_id, stop.detector_id),
         bin_width=bin_width, span=span, bins=counts)

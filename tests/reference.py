@@ -10,10 +10,18 @@ nonzero source written as one CDF search.
 The histogram-window reader here is the independent second reduction: it
 sums the bins of each peak window of a histogram, built in memory or read
 back from an exported file, and the tests check the click counts and the
-exported files against it.  The package never imports this module.
+exported files against it.
+``binomial_inversion`` and ``poisson_multiplication`` transcribe, one entry
+at a time, the two scalar loops of numpy's C code that ``optics`` replays on
+whole arrays; they tell which uniforms take a loop where the package hands
+the call back to numpy.  ``active_trials`` is the sampler's placement of
+active trials drawn with ``rng.geometric`` itself.
+The package never imports this module.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from hypothesis import strategies as st
@@ -123,3 +131,62 @@ def first_sources(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     weight (u * a == a belongs to it)."""
     last = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1]
     return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), last)
+
+
+def binomial_inversion(n: int, p: float, uniforms) -> tuple[int, int]:
+    """numpy's Binomial(n, p) draw where min(p, 1 - p) * n <= 30, taking
+    uniforms from the sequence ``uniforms``; returns the draw and the
+    number of uniforms it took.
+
+    numpy walks Binomial(n, p') with p' = min(p, 1 - p) and returns n minus
+    the walk for p > 0.5; a walk past ``bound`` starts again on a fresh
+    uniform.  Nothing is drawn for n == 0 or p == 0.
+    """
+    if n == 0 or p == 0.0:
+        return 0, 0
+    flip = p > 0.5
+    p = 1.0 - p if flip else p
+    q = 1.0 - p
+    qn = math.exp(n * math.log(q))
+    mean = n * p
+    bound = int(min(n, mean + 10.0 * math.sqrt(mean * q + 1)))
+    x, px, u, used = 0, qn, uniforms[0], 1
+    while u > px:
+        x += 1
+        if x > bound:
+            x, px, u, used = 0, qn, uniforms[used], used + 1
+        else:
+            u -= px
+            px = ((n - x + 1) * p * px) / (x * q)
+    return (n - x if flip else x), used
+
+
+def poisson_multiplication(mean: float, uniforms) -> tuple[int, int]:
+    """numpy's Poisson(mean) draw for mean < 10, taking uniforms from the
+    sequence ``uniforms``; returns the draw and the number of uniforms it
+    took.  The product of the uniforms is compared with exp(-mean) after
+    each one; nothing is drawn for mean == 0."""
+    if mean == 0.0:
+        return 0, 0
+    limit = math.exp(-mean)
+    x, product, used = 0, 1.0, 0
+    while True:
+        product *= uniforms[used]
+        used += 1
+        if product <= limit:
+            return x, used
+        x += 1
+
+
+def active_trials(n: int, active: float, rng: np.random.Generator) -> np.ndarray:
+    """``engine._active_trials`` with its gaps drawn by ``rng.geometric``."""
+    if active == 0.0:
+        return np.empty(0, dtype=np.int64)
+    batch = int(n * active + 5.0 * math.sqrt(n * active)) + 16
+    chunks, last = [], -1
+    while last < n:
+        positions = np.cumsum(np.minimum(rng.geometric(active, size=batch), n + 1)) + last
+        chunks.append(positions)
+        last = positions[-1]
+    positions = np.concatenate(chunks)
+    return positions[:positions.searchsorted(n)]

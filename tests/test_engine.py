@@ -23,8 +23,8 @@ from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, HISTOGRAM_PAIRS, derived_seed, export_sweep
 from pairsim.oracle import pattern_distribution
 from pairsim.tia import PeakAreas
-from reference import (counts_in_one_call, first_sources, load_histogram, peak_areas,
-                       valid_configs)
+from reference import (active_trials, counts_in_one_call, first_sources, load_histogram,
+                       peak_areas, valid_configs)
 
 LOSSLESS = ExperimentConfig(
     source_model=SourceModel.QUANTUM_TMS, p_excitation=0.1, delay_dt=2e-6,
@@ -226,6 +226,25 @@ def test_first_sources_is_a_clamped_cdf_search(preset, noise):
     assert got[on_edges.size * 3 + 2] == last
     if "bg_stokes_mean" in noise:
         assert cdf[2] == cdf[1] and np.all(got[np.isin(u, exact[1])] == 3)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64],
+                         ids=["pcg64", "sfc64"])
+@pytest.mark.parametrize("active", [
+    5e-324, 1e-300, 1e-6, 0.12, 0.1973,
+    np.nextafter(1.0 / 3.0, 0.0),  # numpy's last probability drawn by inversion
+    1.0 / 3.0, 0.5, 0.99, 1.0,
+])
+@pytest.mark.parametrize("n", [1, 1000, BLOCK_TRIALS])
+def test_active_trials_match_numpys_geometric_gaps(n, active, bit_generator):
+    # The same trials, and the same stream position, as gaps drawn by
+    # rng.geometric, on both sides of numpy's switch at 1/3; the tiniest
+    # probabilities give gaps past int64, capped at n + 1.
+    rng = np.random.Generator(bit_generator(9))
+    twin = np.random.Generator(bit_generator(9))
+    assert np.array_equal(engine._active_trials(n, active, rng),
+                          active_trials(n, active, twin))
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
 
 
 def merged_clicks(blocks):

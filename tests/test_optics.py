@@ -8,13 +8,45 @@ from scipy.stats import chisquare
 
 from pairsim import (SourceModel, add_background, detect_batch, retrieve, sample_write,
                      split, thin)
-from pairsim.optics import click_probability
+from pairsim.optics import _binomial, click_probability
+from reference import binomial_inversion, poisson_multiplication
 
 MIXED = np.array([0, 3, 0, 0, 1, 7, 0, 2], dtype=np.int64)
+BIT_GENERATORS = {"pcg64": np.random.PCG64, "sfc64": np.random.SFC64}
+TOP_UNIFORM = 1.0 - 2.0 ** -53
+"""The largest uniform numpy's ``random`` returns."""
 
 
-def twin_generators(seed=7):
-    return np.random.default_rng(seed), np.random.default_rng(seed)
+def twin_generators(seed=7, bit_generator=np.random.PCG64):
+    return (np.random.Generator(bit_generator(seed)),
+            np.random.Generator(bit_generator(seed)))
+
+
+def assert_same_state(rng, twin):
+    """Both generators are at one stream position (SFC64 states hold arrays)."""
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+
+
+class ScriptedUniforms:
+    """A generator whose ``random`` returns scripted uniforms.
+
+    Each ``random`` call still advances the wrapped generator by as many
+    uniforms, so the stream position stays honest; every other attribute,
+    ``bit_generator`` included, is the wrapped generator's.
+    """
+
+    def __init__(self, rng: np.random.Generator, uniforms):
+        self._rng = rng
+        self._uniforms = list(uniforms)
+
+    def random(self, size):
+        self._rng.random(size)
+        out, self._uniforms = self._uniforms[:size], self._uniforms[size:]
+        assert len(out) == size, "the script ran out of uniforms"
+        return np.array(out)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
 
 
 def test_thin_unit_and_zero_efficiency(rng):
@@ -96,6 +128,139 @@ def test_binomial_stage_scalar_takes_one_plain_draw(stage, n):
     out = draw(n, rng)
     assert np.isscalar(out) and out == twin.binomial(n, p)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def _counts(size, top, zero_share, seed=3):
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(1, top + 1, size=size)
+    counts[rng.random(size) < zero_share] = 0
+    return counts
+
+
+BINOMIAL_COUNTS = {
+    "empty": np.empty(0, dtype=np.int64),
+    "zeros": np.zeros(500, dtype=np.int64),
+    "mixed": MIXED,
+    "ones": np.ones(3000, dtype=np.int64),
+    "small": _counts(5000, 5, 0.4),
+    "up_to_100": _counts(8000, 100, 0.1),  # p' * 100 > 30 takes numpy's BTPE
+    "up_to_3000": _counts(200, 3000, 0.1),  # more count values than entries
+}
+BINOMIAL_P = [0.0, 1e-9, 0.01, 0.174, 0.32, 0.5, 0.73, 0.9, 1.0]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("p", BINOMIAL_P)
+@pytest.mark.parametrize("counts", BINOMIAL_COUNTS)
+def test_binomial_matches_numpy(counts, p, bit_generator):
+    # numpy's numbers for the nonzero entries, and numpy's stream position.
+    n = BINOMIAL_COUNTS[counts]
+    rng, twin = twin_generators(11, BIT_GENERATORS[bit_generator])
+    out = _binomial(n, p, rng)
+    expected = np.zeros_like(n)
+    expected[n != 0] = twin.binomial(n[n != 0], p)
+    assert out.dtype == np.int64 and np.array_equal(out, expected)
+    assert_same_state(rng, twin)
+
+
+@pytest.mark.parametrize("n, p", [(np.r_[np.ones(999), -1], 0.5), (np.ones(1000), math.nan)],
+                         ids=["negative_count", "nan_p"])
+def test_binomial_rejects_what_numpy_rejects(n, p, rng):
+    with pytest.raises(ValueError):
+        _binomial(n.astype(np.int64), p, rng)
+
+
+def test_add_background_rejects_nan_mean(rng):
+    with pytest.raises(ValueError, match="bg_mean"):
+        add_background(np.zeros(100, dtype=np.int64), math.nan, rng)
+
+
+@pytest.mark.parametrize("n, p", [(2, 0.3), (2, 0.7), (5, 0.32)])
+def test_binomial_walk_past_its_bound_goes_to_numpy(n, p):
+    # The largest uniform walks these draws past numpy's bound, where numpy
+    # starts again on a fresh uniform; the whole call goes back to numpy.
+    assert binomial_inversion(n, p, [TOP_UNIFORM, 0.5])[1] == 2
+    counts = np.full(400, n)
+    uniforms = np.random.default_rng(1).random(400)
+    uniforms[123] = TOP_UNIFORM
+    rng = ScriptedUniforms(np.random.default_rng(5), uniforms)
+    twin = np.random.default_rng(5)
+    assert np.array_equal(thin(counts, p, rng), twin.binomial(counts, p))
+    assert_same_state(rng, twin)
+
+
+@pytest.mark.parametrize("p", [0.174, 0.5, 0.9])
+def test_binomial_replays_numpys_loop_on_given_uniforms(p):
+    # Entry by entry, numpy's loop on the same uniforms gives the same draws.
+    counts = _counts(3000, 8, 0.0, seed=4)
+    uniforms = np.random.default_rng(2).random(counts.size)
+    # Each entry's P(x = 0) is numpy's first threshold: u on it stays at 0,
+    # the next double up takes a step.
+    q = 1.0 - min(p, 1.0 - p)
+    first = [math.exp(int(k) * math.log(q)) for k in counts[:6]]
+    uniforms[:6] = [0.0, TOP_UNIFORM * 0.999, first[2], np.nextafter(first[3], 1.0),
+                    first[4], np.nextafter(first[5], 1.0)]
+    out = thin(counts, p, ScriptedUniforms(np.random.default_rng(5), uniforms))
+    expected = [binomial_inversion(int(k), p, [u]) for k, u in zip(counts, uniforms)]
+    assert all(used == 1 for _, used in expected)
+    assert out.tolist() == [x for x, _ in expected]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+@pytest.mark.parametrize("mean", [0.0, 1e-9, 1e-4, 4.5e-3, 0.08, 1.0, 3.0, 12.0])
+@pytest.mark.parametrize("size", [0, 1, 7, 12600])
+def test_add_background_matches_numpy(size, mean, bit_generator):
+    n = _counts(size, 3, 0.5)
+    rng, twin = twin_generators(11, BIT_GENERATORS[bit_generator])
+    out = add_background(n, mean, rng)
+    assert np.array_equal(out, n + twin.poisson(mean, size=size))
+    assert_same_state(rng, twin)
+
+
+def _replay_poisson(mean, size, uniforms):
+    """Draws and uniforms taken by numpy's loop, entry after entry."""
+    draws, at = [], 0
+    for _ in range(size):
+        x, used = poisson_multiplication(mean, uniforms[at:])
+        draws.append(x)
+        at += used
+    return draws, at
+
+
+def test_add_background_replays_isolated_events():
+    # Events (uniforms above exp(-mean)) at the first entry, mid-stream,
+    # last in the first batch, and in the uniforms drawn for those three,
+    # which then need one more.
+    # A uniform on exp(-mean) is no event; the next double up is one.
+    mean, size = 1e-3, 100
+    uniforms = [0.5] * (size + 5)
+    for at in (0, 40, size - 1, size + 3):
+        uniforms[at] = TOP_UNIFORM
+    uniforms[20] = math.exp(-mean)
+    uniforms[60] = np.nextafter(math.exp(-mean), 1.0)
+    draws, used = _replay_poisson(mean, size, uniforms)
+    assert used == size + 5 and sum(draws) == 5 and draws[-1] == 1
+    assert draws[19] == 0 and draws[58] == 1
+    rng = ScriptedUniforms(np.random.default_rng(5), uniforms)
+    twin = np.random.default_rng(5)
+    out = add_background(np.zeros(size, dtype=np.int64), mean, rng)
+    assert out.tolist() == draws
+    twin.random(used)
+    assert_same_state(rng, twin)
+
+
+def test_add_background_adjacent_events_go_to_numpy():
+    # Two adjacent events make one entry's product stay above exp(-mean)
+    # for a third uniform; the whole call goes back to numpy.
+    mean, size = 1e-3, 100
+    assert poisson_multiplication(mean, [TOP_UNIFORM, TOP_UNIFORM, 0.5]) == (2, 3)
+    uniforms = [0.5] * (size + 2)
+    uniforms[10] = uniforms[11] = TOP_UNIFORM
+    rng = ScriptedUniforms(np.random.default_rng(5), uniforms)
+    twin = np.random.default_rng(5)
+    n = _counts(size, 3, 0.5)
+    assert np.array_equal(add_background(n, mean, rng), n + twin.poisson(mean, size=size))
+    assert_same_state(rng, twin)
 
 
 def test_add_background_zero_mean_is_identity(rng):

@@ -183,6 +183,38 @@ def test_decohere_mixed_draws_survivors_of_nonzero_entries_only():
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
+COUNTS = {
+    "empty": np.empty(0, dtype=np.int64),
+    "mixed": np.array([0, 3, 0, 0, 1, 7, 0, 2], dtype=np.int64),
+    "written": np.random.default_rng(5).geometric(1 / 1.14, size=8000) - 1,
+    "large": np.random.default_rng(6).integers(0, 200, size=20000),
+}
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64],
+                         ids=["pcg64", "sfc64"])
+@pytest.mark.parametrize("delay, diffusion", [(0.0, 0.0), (1e-7, 0.1), (2e-6, 0.1),
+                                              (5e-6, 0.0), (2e-6, 20.0)])
+@pytest.mark.parametrize("counts", COUNTS)
+def test_decohere_and_retrieve_match_numpy(counts, delay, diffusion, bit_generator):
+    # numpy's numbers and stream position: survivors and retrieval drawn for
+    # the nonzero entries, the diffused-in count for every entry.
+    n = COUNTS[counts]
+    rng = np.random.Generator(bit_generator(8))
+    twin = np.random.Generator(bit_generator(8))
+    stored = decohere_memory(n, delay, 1.14e-6, diffusion, rng)
+    read = retrieve(stored, 0.32, rng)
+    survival = math.exp(-delay / 1.14e-6)
+    survivors = np.zeros_like(n)
+    survivors[n != 0] = twin.binomial(n[n != 0], survival)
+    expected = survivors + twin.poisson(diffusion * (1.0 - survival), size=n.shape)
+    assert np.array_equal(stored, expected)
+    expected_read = np.zeros_like(expected)
+    expected_read[expected != 0] = twin.binomial(expected[expected != 0], 0.32)
+    assert np.array_equal(read, expected_read)
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+
+
 def test_retrieve_validates_efficiency(rng):
     with pytest.raises(ValueError):
         retrieve(1, 1.2, rng)

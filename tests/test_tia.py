@@ -87,6 +87,35 @@ def test_histogram_matches_quadratic_brute_force(seed):
     assert hist.bins.sum() == brute.sum()
 
 
+@pytest.mark.parametrize("starts, stops", [
+    # Binary fractions, so start + span is exact: a stop there is excluded,
+    # the stop just before it is counted.
+    pytest.param([0.25, 0.5], [0.5, 0.75, 0.9375, 1.0], id="stop_at_start_plus_span"),
+    pytest.param([0.125, 0.25, 0.375], [0.125, 0.375, 0.625], id="stop_equal_to_a_start"),
+    pytest.param([0.0], [], id="no_stops"),
+])
+def test_histogram_boundaries_match_brute_force(starts, stops):
+    bin_width, span = 1 / 64, 0.5
+    hist = histogram(stream("A", starts), stream("B", stops), bin_width, span)
+    assert np.array_equal(hist.bins, brute_force_histogram(starts, stops, bin_width, span))
+
+
+def test_histogram_with_more_pairs_than_bins_counts_in_several_flushes(monkeypatch):
+    # About 6,000 pairs in 20 bins: the held bins reach n_bins after every
+    # pass, and each flush adds to the same counts.
+    rng = np.random.default_rng(4)
+    starts = np.sort(rng.uniform(0, 1e-3, size=300))
+    stops = np.sort(rng.uniform(0, 1e-3, size=100))
+    calls = []
+    bincount = np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    hist = histogram(stream("A", starts), stream("C", stops), 1e-5, 2e-4)
+    monkeypatch.undo()
+    brute = brute_force_histogram(starts, stops, 1e-5, 2e-4)
+    assert brute.sum() > 100 * hist.n_bins and len(calls) > 2
+    assert np.array_equal(hist.bins, brute)
+
+
 def synthetic_histogram(cycle=2e-4, gate=1e-6, bin_width=1e-8, span=1.8e-3,
                         peak0=100, baseline=70, offset=0.0):
     n_bins = int(round(span / bin_width))
