@@ -14,12 +14,12 @@ within-cycle offset as float64 of every click, 10 bytes a click) and
 per-trial click-pattern counts immediately; raw events are never kept.
 
 The block tables are the run's storage, and ``_block_pieces`` their one
-reader: ``_clicks_in`` copies its pieces into one pair of arrays, and the
-dense reads of ``_count_peaks`` scatter them straight into per-trial
-arrays.  Peak areas are counted one block at a time and singles come from
-the pattern counts, so a run that nothing else reads never builds run-level
-arrays.  ``RunResult.streams`` and ``click_trials`` are built from the
-blocks on each read, and ``export_run`` reads one detector at a time.
+reader: ``_clicks_in`` copies its pieces into one pair of arrays, and
+``_scatter`` places them straight into a per-trial array.  Peak areas are
+counted one block at a time and singles come from the pattern counts, so a
+run that nothing else reads never builds run-level arrays.
+``RunResult.streams`` and ``click_trials`` are built from the blocks on
+each read, and ``export_run`` reads one detector at a time.
 
 Blocks are sampled by ``_sampled``, the one scheduler of runs and sweeps
 (see its docstring).
@@ -57,16 +57,16 @@ windows of the cross pairs are shifted by the write-read delay since their
 stop gate lags the start gate by exactly that amount.  N and M come
 straight from the click tables, one block at a time: the starts of block b
 against the stops of block b and of the first ``baseline_peaks`` trials
-after it, so every start is counted once.  ``_count_peaks`` reads each
-detector once per block and counts by density: a detector with more than
-``DENSE_CLICKS`` clicks is scattered from its uint16 block tables into a
-reused array of per-trial offsets, and a pair whose start is dense is
-counted by whole-array comparisons at each lag; other pairs go through
-``tia.peak_areas_from_clicks``.  Both count the same
-pairs exactly.  Only (A,B), (C,D) and (A,C) decide the Cauchy-Schwarz
-report, and (B,D) is reported as a check.  The coincidence
-histograms are built from the timestamps the first time
-``RunResult.histograms`` is read, which ``export_run`` does.
+after it, so every start is counted once.  ``_count_peaks`` decides once
+per block how to count it: in a block where some detector has more than
+``DENSE_CLICKS`` clicks, every detector is scattered into a reused array of
+per-trial offsets and every pair is counted by whole-array comparisons at
+each lag; every pair of any other block goes through
+``tia.peak_areas_from_clicks``.  Both count the same pairs exactly.  Only
+(A,B), (C,D) and (A,C) decide the Cauchy-Schwarz report, and (B,D) is
+reported as a check.  The coincidence histograms are built from the
+timestamps the first time ``RunResult.histograms`` is read, which
+``export_run`` does.
 """
 
 from __future__ import annotations
@@ -103,12 +103,12 @@ boundaries are part of the reproducibility contract."""
 assert BLOCK_TRIALS <= 1 << 16, "block-local trial indices are stored as uint16"
 
 DENSE_CLICKS = BLOCK_TRIALS // 5
-"""Clicks above which one detector's read of a block is counted on per-trial
-offset arrays (see ``_count_peaks``).  The counts do not depend on it; it
-picks the faster path.  On 8 blocks of four detectors with one click rate
-(2-core Xeon host), the two paths break even near 0.20 clicks per trial:
-all sparse 5.6 and all dense 13.9 ms at 0.04, 15.0 and 15.2 ms at 0.20,
-73.3 and 22.9 ms at 0.99."""
+"""A block in which some detector has more clicks than this is counted on
+per-trial offset arrays (see ``_count_peaks``).  The counts do not depend on
+it; it picks the faster path.  On 8 blocks of four detectors with one
+click rate (2-core Xeon host), the two paths break even near 0.20 clicks
+per trial: all sparse 5.6 and all dense 13.9 ms at 0.04, 15.0 and 15.2 ms
+at 0.20, 73.3 and 22.9 ms at 0.99."""
 
 GATE1_START = 0.0
 
@@ -447,9 +447,13 @@ def _block_pieces(blocks, det: str, first: int, stop: int):
     return pieces
 
 
-def _joined(pieces):
-    """Trial indices (int64, relative to the read's first trial) and offsets
-    of ``_block_pieces`` output, copied into one pair of arrays."""
+def _clicks_in(blocks, det: str, first: int, stop: int):
+    """Clicks of ``det`` in trials [first, stop) of the run, copied from the blocks.
+
+    Returns their trial indices relative to ``first`` (int64) and their
+    within-cycle offsets, in trial order; ``stop`` may lie past the run.
+    """
+    pieces = _block_pieces(blocks, det, first, stop)
     size = sum(local.size for _, local, _ in pieces)
     trials, times = np.empty(size, dtype=np.int64), np.empty(size)
     at = 0
@@ -462,42 +466,16 @@ def _joined(pieces):
     return trials, times
 
 
-def _clicks_in(blocks, det: str, first: int, stop: int):
-    """Clicks of ``det`` in trials [first, stop) of the run, copied from the blocks.
+def _scatter(blocks, det: str, first: int, at: np.ndarray) -> np.ndarray:
+    """Fill ``at`` with the offset of the click of ``det`` in each trial of
+    [first, first + len(at)), NaN where none is; ``first`` is a block edge.
 
-    Returns their trial indices relative to ``first`` (int64) and their
-    within-cycle offsets, in trial order; ``stop`` may lie past the run.
+    Scattered straight from each block's uint16 table, with no int64 or float
+    copy.  Each block's trials must be strictly increasing (StreamOrderError
+    otherwise); blocks hold disjoint, increasing trial ranges.
     """
-    return _joined(_block_pieces(blocks, det, first, stop))
-
-
-def _by_trial(trials: np.ndarray, offsets: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Fill ``at`` with the offset of each trial's click, NaN where none is.
-
-    ``trials`` must be strictly increasing (StreamOrderError otherwise), as
-    ``extract_peak_areas`` requires of the clicks it is given.
-    """
-    _require_sorted(trials, "click trials")
     at.fill(np.nan)
-    at[trials] = offsets
-    return at
-
-
-def _read_block(blocks, det: str, first: int, at: np.ndarray):
-    """Clicks of ``det`` in trials [first, first + len(at)), ``first`` a block edge.
-
-    At most DENSE_CLICKS clicks come back as the trials and offsets of
-    ``_clicks_in``.  More fill ``at`` as ``_by_trial`` would, scattered
-    straight from each block's uint16 table: no int64 or float copy of the
-    read is made.  Each block's trials must be strictly increasing
-    (StreamOrderError otherwise); blocks hold disjoint, increasing trial
-    ranges, so that is the check ``_by_trial`` makes on the whole read.
-    """
-    pieces = _block_pieces(blocks, det, first, first + at.size)
-    if sum(local.size for _, local, _ in pieces) <= DENSE_CLICKS:
-        return _joined(pieces)
-    at.fill(np.nan)
-    for shift, local, offsets in pieces:
+    for shift, local, offsets in _block_pieces(blocks, det, first, first + at.size):
         _require_sorted(local, "click trials")
         at[shift:][local] = offsets
     return at
@@ -511,21 +489,20 @@ def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, Peak
     once; the integer counts of the blocks add up to those of the run.
     Each detector is read once per block, over the block and its reach.
 
-    How a pair is counted depends on its start detector's read:
-    - dense (more than DENSE_CLICKS clicks): peak j adds
-      ``count_nonzero(stop_at[j:j + BLOCK_TRIALS] >= start_at[:BLOCK_TRIALS])``
-      on the per-trial offsets that ``_read_block`` scatters from the block
-      tables, with ``stop_at`` the stop offsets minus the pair's shift.
-      NaN, where a detector did not click, compares false, so no missing
-      click is counted;
-    - sparse: ``extract_peak_areas`` counts the block's starts on one
-      all -inf stop table.
-    A stop read of the other kind is converted to the start's.  Both paths
-    count the same pairs with the same float expressions, so the counts do
-    not depend on DENSE_CLICKS.  The stop table, the per-trial arrays and
+    A block is dense when one of its detectors has more than DENSE_CLICKS
+    clicks in its own table, and all four pairs of a block are counted alike:
+    - dense: ``_scatter`` fills a per-trial offset array per detector, and
+      peak j adds ``count_nonzero(stop_at[j:j + BLOCK_TRIALS] >= start_at)``
+      with ``start_at`` the start offsets of the block and ``stop_at`` the
+      stop offsets minus the pair's shift.  NaN, where a detector did not
+      click, compares false, so no missing click is counted;
+    - sparse: ``_clicks_in`` reads each detector, and ``extract_peak_areas``
+      counts the block's starts on one all -inf stop table.
+    Both count the same pairs with the same float expressions, so the counts
+    do not depend on DENSE_CLICKS.  The stop table, the per-trial arrays and
     ``stop_at`` are made once per call and reused by every block, and a
-    dense read copies nothing, so a saturated run does not touch fresh
-    pages for them in every block.
+    dense read copies nothing, so a saturated run does not touch fresh pages
+    for them in every block.
     """
     length = BLOCK_TRIALS + baseline_peaks
     counts = {label: np.zeros(baseline_peaks + 1, dtype=np.int64)
@@ -533,28 +510,26 @@ def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, Peak
     table = np.full(length, -np.inf)
     by_trial = {det: np.empty(length) for det in DETECTOR_IDS}
     stop_at = np.empty(length)
-    for first in range(0, len(blocks) * BLOCK_TRIALS, BLOCK_TRIALS):
-        reads = {det: _read_block(blocks, det, first, by_trial[det])
+    for b, block in enumerate(blocks):
+        first = b * BLOCK_TRIALS
+        dense = max(block[det][0].size for det in DETECTOR_IDS) > DENSE_CLICKS
+        reads = {det: _scatter(blocks, det, first, by_trial[det]) if dense
+                 else _clicks_in(blocks, det, first, first + length)
                  for det in DETECTOR_IDS}
         for label, start_det, stop_det, shifted in HISTOGRAM_PAIRS:
             shift = delay_dt if shifted else 0.0
             start, stop = reads[start_det], reads[stop_det]
-            if isinstance(start, tuple):
-                if not isinstance(stop, tuple):
-                    stop_trials = np.flatnonzero(~np.isnan(stop))
-                    stop = stop_trials, stop[stop_trials]
+            if dense:
+                np.subtract(stop, shift, out=stop_at)
+                start_at = start[:BLOCK_TRIALS]
+                for j in range(baseline_peaks + 1):
+                    counts[label][j] += np.count_nonzero(
+                        stop_at[j:j + BLOCK_TRIALS] >= start_at)
+            else:
                 in_block = start[0].searchsorted(BLOCK_TRIALS)
                 counts[label] += extract_peak_areas(
                     start[0][:in_block], start[1][:in_block], *stop, shift,
                     baseline_peaks, table)
-                continue
-            if isinstance(stop, tuple):
-                stop = _by_trial(*stop, by_trial[stop_det])
-            np.subtract(stop, shift, out=stop_at)
-            start_at = start[:BLOCK_TRIALS]
-            for j in range(baseline_peaks + 1):
-                counts[label][j] += np.count_nonzero(
-                    stop_at[j:j + BLOCK_TRIALS] >= start_at)
     return {label: PeakAreas.from_counts(c) for label, c in counts.items()}
 
 

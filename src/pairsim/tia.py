@@ -29,17 +29,13 @@ N and M are not read off the histogram.  Peak j of a pair counts the pairs
 with the start in trial i, the stop in trial i + j and ``stop offset -
 shift >= start offset``, offsets taken within the cycle; the engine
 counts exactly that from per-trial click tables, without binning, so the
-areas do not depend on the bin width.  :func:`peak_areas_from_clicks` is
-its path for a block whose start detector clicks sparsely: the caller
-passes one all -inf table with an entry per trial of the block plus
-``baseline_peaks``, the call fills it with the block's stops, gathers the
-entries at each start and leaves the table all -inf again, so the caller
-reuses it for every block.  Where most trials click, the engine compares
-whole per-trial arrays instead (``engine._count_peaks``), with the same
-float expressions and the same counts.  Where the bin edges line up with
-the peak windows (the defaults do), the counts equal the histogram
-windows, up to pairs whose two offsets differ by a rounding error of the
-timestamps.
+areas do not depend on the bin width.  :func:`peak_areas_from_clicks`
+counts it on a float table that the caller passes all -inf, with an entry
+per trial: the call fills the stops' entries, gathers the entries at each
+start and leaves the table all -inf again, so one table serves every call.
+Where the bin edges line up with the peak windows (the defaults do), the
+counts equal the histogram windows, up to pairs whose two offsets differ by
+a rounding error of the timestamps.
 """
 
 from __future__ import annotations
@@ -128,8 +124,8 @@ def histogram(start: TimestampStream, stop: TimestampStream,
     negative delays are never recorded.
 
     Pass r bins each start's r-th stop in range: every start keeps the index
-    of its next stop, and a start leaves once that stop is at or past its
-    start + span.  Engine streams click at most once per detector per
+    of its next stop, and a start leaves once that stop is ``span`` or more
+    after it.  Engine streams click at most once per detector per
     trial, so they need at most ceil(span / cycle_period) + 1 passes.  The
     passes' bins are held until they reach ``n_bins`` and then counted in
     one ``bincount``, so temporaries stay O(starts + n_bins).
@@ -141,16 +137,14 @@ def histogram(start: TimestampStream, stop: TimestampStream,
     starts = start.timestamps
     stops = np.append(stop.timestamps, np.inf)  # every start runs out at inf
     nxt = np.searchsorted(stops, starts, side="left")
-    limit = starts + span
     held, n_held = [], 0
     while True:
-        delay = stops[nxt]
-        going = delay < limit
+        delay = stops[nxt] - starts
+        going = delay < span
         if not going.all():
-            nxt, starts, limit, delay = nxt[going], starts[going], limit[going], delay[going]
+            nxt, starts, delay = nxt[going], starts[going], delay[going]
         if not nxt.size:
             break
-        delay -= starts
         delay /= bin_width
         bins = np.floor(delay, out=delay).astype(np.int64)
         held.append(bins[bins < n_bins])
@@ -187,12 +181,8 @@ def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
     compared with the entries at lags 0..baseline_peaks, one gather per
     lag; then the stops' entries go back to -inf, so one table serves every
     call.  Every start trial must be below ``len(table) - baseline_peaks``
-    (ValueError otherwise) and every stop trial below ``len(table)``.
-
-    The work grows with the starts, so the engine calls this only for
-    blocks whose start detector has at most ``engine.DENSE_CLICKS`` clicks;
-    denser blocks are counted on whole per-trial arrays, which gives the
-    same counts.
+    (ValueError otherwise) and every stop trial below ``len(table)``.  The
+    work grows with the clicks, not with the table.
     """
     if baseline_peaks < 1:
         raise ValueError(f"baseline_peaks must be >= 1, got {baseline_peaks}")

@@ -280,11 +280,22 @@ def one_call_peaks(clicks, delay_dt, baseline_peaks):
 def test_peaks_counted_per_block_equal_one_pass(preset, monkeypatch, noise, dense,
                                                 trials, workers):
     monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    sparse_calls = []
+    extract = engine.extract_peak_areas
+    monkeypatch.setattr(engine, "extract_peak_areas",
+                        lambda *args: sparse_calls.append(1) or extract(*args))
     config = dataclasses.replace(preset, **noise)
     result = simulate_run(config, trials=trials, seed=13, workers=workers)
     click_rate = {det: result.click_trials[det].size / trials for det in "ABCD"}
     assert {det for det, rate in click_rate.items()
             if rate > engine.DENSE_CLICKS / BLOCK_TRIALS} == set(dense), click_rate
+    # One density decision per block: a block whose largest table is at
+    # most DENSE_CLICKS makes four sparse calls, any other block none, so a
+    # full block with one dense arm counts its sparse arm densely too.
+    sparse = [max(block[det][0].size for det in "ABCD") <= engine.DENSE_CLICKS
+              for block in result.block_clicks]
+    assert len(sparse_calls) == 4 * sum(sparse)
+    assert not dense or not any(sparse[:trials // BLOCK_TRIALS])
     # Dense detectors nearly always click, so their pairs straddle every block edge.
     reach = config.baseline_peaks
     for edge in range(BLOCK_TRIALS, trials, BLOCK_TRIALS):
@@ -330,8 +341,8 @@ def test_count_peaks_equals_one_call_at_every_density(block_trials, n_blocks, la
                                                       reach, delay_dt, rates, seed):
     # Blocks are shrunk, with the switch at the same share of a block, so
     # that reaches past a whole block stay cheap on the dense path.  Rates
-    # fall on both sides of the switch, per detector, so the Stokes arm (A,
-    # B) and the anti-Stokes arm (C, D) can be dense or sparse apart.
+    # fall on both sides of the switch, per detector, so a block is dense
+    # through one arm or both, or sparse, and density is decided per block.
     # Offsets on a grid of quarters make ties of stop - shift and start.
     rng = np.random.default_rng(seed)
     baseline_peaks = 1 + int(reach * (2 * block_trials + 2))
@@ -404,13 +415,13 @@ def dense_blocks():
     (2 * BLOCK_TRIALS, BLOCK_TRIALS + 7),  # into a last block shorter than the reach
     (3 * BLOCK_TRIALS, BLOCK_TRIALS + 7),  # on that last block alone
 ])
-def test_dense_read_scatters_what_by_trial_builds(monkeypatch, first, length):
-    monkeypatch.setattr(engine, "DENSE_CLICKS", 0)  # the 3-trial block too
+def test_dense_read_scatters_what_by_trial_builds(first, length):
     blocks = dense_blocks()
-    expected = engine._by_trial(*engine._clicks_in(blocks, "A", first, first + length),
-                                np.empty(length))
+    trials, offsets = engine._clicks_in(blocks, "A", first, first + length)
+    expected = np.full(length, np.nan)
+    expected[trials] = offsets
     at = np.full(length, 7.0)  # left from an earlier block
-    got = engine._read_block(blocks, "A", first, at)
+    got = engine._scatter(blocks, "A", first, at)
     assert got is at
     assert np.array_equal(got, expected, equal_nan=True)
     assert np.count_nonzero(~np.isnan(got)) > 0
@@ -1035,10 +1046,40 @@ def test_huge_worker_count_starts_no_pool_for_one_block(preset, monkeypatch):
     assert result.pattern_counts.sum() == BLOCK_TRIALS
 
 
-def test_benchmark_tracer_names_exist_in_engine():
-    # The benchmark tracer wraps these engine attributes by name.
+def benchmark_spans():
+    """The benchmark's tracer module, loaded from its file."""
     path = Path(__file__).resolve().parents[1] / "benchmark" / "spans.py"
     spec = importlib.util.spec_from_file_location("benchmark_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_names_exist_in_engine():
+    # The benchmark tracer wraps these engine attributes by name.
+    spans = benchmark_spans()
     assert [name for name in spans.ENGINE_NAMES if not hasattr(engine, name)] == []
+
+
+SAMPLER_SPANS = {"source.sample_write", "source.decohere_memory", "source.retrieve",
+                 "optics.thin", "optics.add_background", "optics.split",
+                 "optics.detect_batch"}
+
+
+@pytest.mark.parametrize("noise", [{}, {"dark_mean": 5.0}], ids=["preset", "dark_5.0"])
+def test_benchmark_tracer_sees_every_layer_call(preset, tmp_path, noise):
+    # The tracer only sees a layer that the engine calls through the name
+    # it wraps; a call that bypasses it would read as zero time per layer.
+    config = dataclasses.replace(preset, **noise)
+    tracer = benchmark_spans().Tracer(tmp_path)
+    with tracer.installed():
+        traced = engine.simulate_run(config, trials=2 * BLOCK_TRIALS, seed=21)
+    untraced = engine.simulate_run(config, trials=2 * BLOCK_TRIALS, seed=21)
+    assert traced.peaks == untraced.peaks
+    names = {span["name"] for span in tracer.spans}
+    assert SAMPLER_SPANS <= names
+    if not noise:  # sparse blocks
+        assert "tia.peak_areas" in names
+    clicks = sum(bin(pattern).count("1") * int(count)
+                 for pattern, count in enumerate(traced.pattern_counts))
+    assert tracer.counters[None]["optics.clicks"] == clicks > 0

@@ -100,6 +100,23 @@ def test_histogram_boundaries_match_brute_force(starts, stops):
     assert np.array_equal(hist.bins, brute_force_histogram(starts, stops, bin_width, span))
 
 
+@pytest.mark.parametrize("bin_width, span", [
+    (1e-8, 1.8e-3),  # the preset's binning
+    (0.1, 0.3),  # span / bin_width rounds below 3: a delay of span floors to bin 2
+])
+def test_stop_at_rounded_start_plus_span_matches_brute_force(bin_width, span):
+    # fl(start + span) lies less than, exactly or more than span after
+    # start: the delay decides, as the docstring and the brute force say.
+    starts = np.random.default_rng(18).random(2000)
+    delays = (starts + span) - starts
+    assert (delays < span).sum() > 300 and (delays == span).any()
+    for start in starts.tolist():
+        stop = start + span
+        hist = histogram(stream("A", [start]), stream("B", [stop]), bin_width, span)
+        assert np.array_equal(hist.bins, brute_force_histogram([start], [stop], bin_width,
+                                                               span)), start
+
+
 def test_histogram_with_more_pairs_than_bins_counts_in_several_flushes(monkeypatch):
     # About 6,000 pairs in 20 bins: the held bins reach n_bins after every
     # pass, and each flush adds to the same counts.
