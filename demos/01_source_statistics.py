@@ -2,7 +2,13 @@
 """Source statistics: the quantum and classical photon-pair laws.
 
 Draws a large batch of write pulses from both source models and compares
-the sampled number statistics against the analytic joint pmf.  The two
+the sampled number statistics against the closed forms of the joint pmf:
+
+    quantum_tms            P(n, n) = p**n / (1 + p)**(n + 1), zero off the diagonal
+    classical_correlated   P(n_s, n_m) = C(n_s + n_m, n_s) p**(n_s + n_m)
+                                         / (1 + 2 p)**(n_s + n_m + 1)
+
+The two
 models share identical thermal marginals (mean p, variance p(1+p)) but
 differ in their correlations: the quantum two-mode-squeezed law is
 perfectly number correlated, the classical mixture is only intensity
@@ -10,12 +16,22 @@ correlated, and that difference is exactly what the Cauchy-Schwarz test
 detects downstream.
 """
 
+import math
+
 import numpy as np
 
-from pairsim import SourceModel, joint_pmf, sample_write
+from pairsim import SourceModel, sample_write
 
 P = 0.14
 DRAWS = 2_000_000
+
+
+def joint_pmf(p, model, n_s, n_m):
+    """The closed form of the joint law that ``sample_write`` draws."""
+    if model is SourceModel.QUANTUM_TMS:
+        return p ** n_s / (1 + p) ** (n_s + 1) if n_s == n_m else 0.0
+    k = n_s + n_m
+    return math.comb(k, n_s) * p ** k / (1 + 2 * p) ** (k + 1)
 
 
 def describe(model):
@@ -26,7 +42,9 @@ def describe(model):
     print(f"  mean n_stokes   {ns.mean():.5f}   (law mean {P})")
     print(f"  var  n_stokes   {ns.var():.5f}   (thermal p(1+p) = {P * (1 + P):.5f})")
     print(f"  corr(n_s, n_m)  {np.corrcoef(ns, nm)[0, 1]:.5f}")
-    print("  joint law, sampled vs analytic:")
+    law = ("p**n / (1 + p)**(n + 1) on n_s == n_m" if model is SourceModel.QUANTUM_TMS
+           else "C(k, n_s) p**k / (1 + 2p)**(k + 1), k = n_s + n_m")
+    print(f"  joint law {law}, sampled vs closed form:")
     print("    (n_s, n_m)   sampled      pmf")
     for i in range(3):
         for j in range(3):

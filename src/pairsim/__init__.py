@@ -17,6 +17,6 @@ from .config import (ConfigDomainError, ConfigError, ConfigSyntaxError,
 from .engine import export_run, render_run_report, simulate_run, sweep
 from .optics import add_background, detect_batch, split, thin
 from .oracle import compare, oracle_report
-from .source import SourceModel, decohere_memory, joint_pmf, retrieve, sample_write
+from .source import SourceModel, decohere_memory, retrieve, sample_write
 from .tia import (CoincidenceHistogram, StreamOrderError, TimestampStream,
                   export_histogram, histogram)

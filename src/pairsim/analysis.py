@@ -69,10 +69,11 @@ def g_ratio(n_same_trial: float, m_baseline: float,
     diverging 1/N term is dropped (the baseline term alone remains), which
     evaluates to sigma == 0 since g == 0.
     """
-    if n_baseline_peaks < 1:
+    if not n_baseline_peaks >= 1:  # NaN too
         raise ValueError(f"n_baseline_peaks must be >= 1, got {n_baseline_peaks}")
-    if n_same_trial < 0 or m_baseline < 0:
-        raise ValueError("peak areas must be >= 0")
+    for name, area in (("n_same_trial", n_same_trial), ("m_baseline", m_baseline)):
+        if not area >= 0:
+            raise ValueError(f"peak area {name} must be >= 0, got {area}")
     if m_baseline == 0:
         raise UndefinedCorrelationError(
             "baseline peak area M is zero; g = N/M is undefined")
@@ -126,7 +127,7 @@ def cauchy_schwarz(g11: tuple[float, float], g22: tuple[float, float],
 
 def ideal_violation(p: float) -> float:
     """Violation ratio ((1 + p)/(2 p))**2 of the ideal noise-free source."""
-    if p <= 0:
+    if not p > 0:  # NaN too
         raise ValueError(f"excitation parameter p must be > 0, got {p}")
     return ((1.0 + p) / (2.0 * p)) ** 2
 
@@ -138,7 +139,7 @@ def singles_rates(click_counts: dict[str, float], duration: float) -> SinglesRat
     ``duration``, counted or expected (the oracle passes click probabilities
     per trial with the cycle period as the duration).
     """
-    if duration <= 0:
+    if not duration > 0:  # NaN too
         raise ValueError(f"duration must be > 0, got {duration}")
     per_detector = {det: count / duration for det, count in click_counts.items()}
     return SinglesRates(

@@ -15,18 +15,18 @@ which folds dark counts into the per-gate click probability; dark clicks
 are indistinguishable from photon clicks in the gated analysis.  Click
 offsets are uniform over the gate window.
 
-All count operations accept scalars or numpy arrays (one entry per trial).
-On arrays, the binomial stages and the background draw return numpy's
-numbers and leave the generator where numpy would: ``rng.binomial`` on
-the nonzero entries (Binomial(0, p) is 0 and numpy draws nothing for it)
-and ``rng.poisson`` on every entry.  numpy computes those draws in a scalar
-loop per entry; for the small counts of this model the loop turns one
-uniform into its result with a few float operations, which whole-array
-passes repeat with the same operations in the same order (libm's ``exp``
-and ``log`` through ``math`` for the per-count constants, as numpy's C code
-calls them).  A call that such a pass cannot replay, because some entry
-would take numpy's other algorithm or draw a further uniform, restores the
-saved generator state and hands the whole call to numpy.
+Every count operation takes 1-d count arrays, one entry per trial.  The
+binomial stages and the background draw return numpy's numbers and leave
+the generator where numpy would: ``rng.binomial`` on the nonzero entries
+(Binomial(0, p) is 0 and numpy draws nothing for it) and ``rng.poisson`` on
+every entry.  numpy computes those draws in a scalar loop per entry; for
+the small counts of this model the loop turns one uniform into its result
+with a few float operations, which whole-array passes repeat with the same
+operations in the same order (libm's ``exp`` and ``log`` through ``math``
+for the per-count constants, as numpy's C code calls them).  A call that
+such a pass cannot replay, because some entry would take numpy's other
+algorithm or draw a further uniform, restores the saved generator state and
+hands the whole call to numpy.
 """
 
 from __future__ import annotations
@@ -38,19 +38,15 @@ import numpy as np
 DETECTOR_IDS = ("A", "B", "C", "D")
 
 
-def _binomial(n, p: float, rng: np.random.Generator):
-    """Binomial(n, p), drawn for the nonzero entries of an array n only.
+def _binomial(n: np.ndarray, p: float, rng: np.random.Generator):
+    """Binomial(n, p), drawn for the nonzero entries of n only.
 
-    Zero entries stay 0 without a draw; a scalar n takes one plain draw.
+    Zero entries stay 0 without a draw.
     """
-    if np.isscalar(n):
-        return rng.binomial(n, p)
-    n = np.asarray(n)
-    out = np.zeros(n.shape, dtype=np.int64)
-    n = n.reshape(-1)
+    out = np.zeros(n.size, dtype=np.int64)
     # Integer indices gather and scatter faster than the boolean mask.
     nonzero = np.flatnonzero(n != 0)
-    out.reshape(-1)[nonzero] = _binomial_counts(n[nonzero], p, rng)
+    out[nonzero] = _binomial_counts(n[nonzero], p, rng)
     return out
 
 
@@ -120,17 +116,17 @@ def _binomial_counts(n: np.ndarray, p: float, rng: np.random.Generator) -> np.nd
     return x
 
 
-def thin(n, eta: float, rng: np.random.Generator):
+def thin(n: np.ndarray, eta: float, rng: np.random.Generator):
     """Binomial loss: each of n photons survives independently with prob eta."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"efficiency must be in [0, 1], got {eta}")
     return _binomial(n, eta, rng)
 
 
-def add_background(n, bg_mean: float, rng: np.random.Generator):
+def add_background(n: np.ndarray, bg_mean: float, rng: np.random.Generator):
     """Add an independent Poisson background count with the given mean.
 
-    An array n gets numpy's ``rng.poisson(bg_mean, size=n.shape)``, numbers
+    n gets numpy's ``rng.poisson(bg_mean, size=n.size)``, numbers
     and stream position included.  numpy's multiplication method multiplies
     uniforms until the product is at most exp(-mean), so a Poisson(mean)
     draw takes X + 1 uniforms.  An "event" u > exp(-mean) followed by a
@@ -145,12 +141,9 @@ def add_background(n, bg_mean: float, rng: np.random.Generator):
     """
     if not bg_mean >= 0:  # NaN too
         raise ValueError(f"bg_mean must be >= 0, got {bg_mean}")
-    if np.isscalar(n):
-        return n + rng.poisson(bg_mean)
-    n = np.asarray(n)
     size = n.size
     if bg_mean == 0.0 or size * bg_mean * bg_mean >= 1.0:
-        return n + rng.poisson(bg_mean, size=n.shape)
+        return n + rng.poisson(bg_mean, size=size)
     limit = math.exp(-bg_mean)
     state = rng.bit_generator.state
     events = np.flatnonzero(rng.random(size) > limit)
@@ -161,13 +154,13 @@ def add_background(n, bg_mean: float, rng: np.random.Generator):
         drawn += more.size
     if (np.diff(events) == 1).any():
         rng.bit_generator.state = state
-        return n + rng.poisson(bg_mean, size=n.shape)
+        return n + rng.poisson(bg_mean, size=size)
     background = np.zeros(size, dtype=np.int64)
     background[events - np.arange(events.size)] = 1
-    return n + background.reshape(n.shape)
+    return n + background
 
 
-def split(n, rng: np.random.Generator):
+def split(n: np.ndarray, rng: np.random.Generator):
     """50/50 beam splitter: (k, n - k) with k ~ Binomial(n, 1/2)."""
     k = _binomial(n, 0.5, rng)
     return k, n - k
@@ -191,11 +184,10 @@ def detect_batch(n: np.ndarray, det_eff: float, dark_mean: float,
     """
     if not 0.0 <= det_eff <= 1.0:
         raise ValueError(f"detector efficiency must be in [0, 1], got {det_eff}")
-    if dark_mean < 0:
+    if not dark_mean >= 0:  # NaN too
         raise ValueError(f"dark_mean must be >= 0, got {dark_mean}")
-    if gate_width <= 0:
+    if not gate_width > 0:
         raise ValueError(f"gate_width must be > 0, got {gate_width}")
-    n = np.asarray(n)
     top = n.max(initial=0)
     if top < n.size:
         # One click probability per photon number up to the largest, looked
@@ -203,7 +195,7 @@ def detect_batch(n: np.ndarray, det_eff: float, dark_mean: float,
         probability = click_probability(np.arange(top + 1), det_eff, dark_mean)[n]
     else:
         probability = click_probability(n, det_eff, dark_mean)
-    clicked = rng.random(n.shape) < probability
+    clicked = rng.random(n.size) < probability
     offsets = rng.random(np.count_nonzero(clicked))
     offsets *= gate_width
     offsets += gate_start

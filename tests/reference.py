@@ -7,6 +7,10 @@ whole per-trial arrays for dense ones); ``counts_in_one_call`` counts a
 whole run in one sparse call, and the tests hold both paths to it.
 ``first_sources`` is the sampler's draw of each active trial's first
 nonzero source written as one CDF search.
+``joint_pmf`` is the closed form of the source law that
+``source.sample_write`` draws; the source and oracle tests hold both to it.
+The package's stage functions take 1-d count arrays, one entry per trial;
+the scalar transcriptions here take one count at a time.
 The histogram-window reader here is the independent second reduction: it
 sums the bins of each peak window of a histogram, built in memory or read
 back from an exported file, and the tests check the click counts and the
@@ -131,6 +135,35 @@ def first_sources(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     weight (u * a == a belongs to it)."""
     last = np.flatnonzero(np.diff(cdf, prepend=0.0) > 0)[-1]
     return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), last)
+
+
+def joint_pmf(p: float, model: SourceModel, n_s: int, n_m: int) -> float:
+    """Exact probability of the joint count (n_s, n_m) under the source law.
+
+    For ``quantum_tms`` the pmf is zero off the diagonal n_s == n_m; for
+    ``classical_correlated`` the exponential mixture of Poisson pairs
+    integrates to
+
+        P(n_s, n_m) = C(n_s + n_m, n_s) * (1/p) / (2 + 1/p)**(n_s + n_m + 1).
+    """
+    if p < 0:
+        raise ValueError(f"mean excitation p must be >= 0, got {p}")
+    if n_s < 0 or n_m < 0:
+        raise ValueError("counts must be >= 0")
+    if model is SourceModel.QUANTUM_TMS:
+        if n_s != n_m:
+            return 0.0
+        if p == 0:
+            return 1.0 if n_s == 0 else 0.0
+        return math.exp(n_s * math.log(p) - (n_s + 1) * math.log1p(p))
+    if model is SourceModel.CLASSICAL_CORRELATED:
+        if p == 0:
+            return 1.0 if (n_s == 0 and n_m == 0) else 0.0
+        k = n_s + n_m
+        log_binom = math.lgamma(k + 1) - math.lgamma(n_s + 1) - math.lgamma(n_m + 1)
+        return float(np.exp(log_binom - math.log(p)
+                            - (k + 1) * math.log(2.0 + 1.0 / p)))
+    raise ValueError(f"unknown source model: {model!r}")
 
 
 def binomial_inversion(n: int, p: float, uniforms) -> tuple[int, int]:

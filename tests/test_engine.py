@@ -1083,3 +1083,28 @@ def test_benchmark_tracer_sees_every_layer_call(preset, tmp_path, noise):
     clicks = sum(bin(pattern).count("1") * int(count)
                  for pattern, count in enumerate(traced.pattern_counts))
     assert tracer.counters[None]["optics.clicks"] == clicks > 0
+
+
+@pytest.mark.parametrize("model", SourceModel, ids=lambda model: model.value)
+def test_engine_hands_stages_1d_int64_counts(preset, monkeypatch, model):
+    # The stage functions take 1-d int64 count arrays, one entry per trial;
+    # sample_write takes none and hands its excitations on as counts.
+    counts = {name: [] for name in ("sample_write", "decohere_memory", "retrieve",
+                                    "thin", "add_background", "split", "detect_batch")}
+
+    def watched(name, stage):
+        def call(*args, **kwargs):
+            out = stage(*args, **kwargs)
+            counts[name] += ([out.n_stokes, out.n_memory]
+                             if name == "sample_write" else [args[0]])
+            return out
+        return call
+
+    for name in counts:
+        monkeypatch.setattr(engine, name, watched(name, getattr(engine, name)))
+    config = dataclasses.replace(preset, source_model=model)
+    engine.simulate_run(config, trials=2 * BLOCK_TRIALS, seed=21)
+    for name, seen in counts.items():
+        assert seen, name
+        assert all(isinstance(n, np.ndarray) and n.ndim == 1 and n.dtype == np.int64
+                   for n in seen), name

@@ -57,7 +57,7 @@ def test_thin_unit_and_zero_efficiency(rng):
 
 def test_thin_rejects_bad_efficiency(rng):
     with pytest.raises(ValueError):
-        thin(3, 1.01, rng)
+        thin(np.array([3]), 1.01, rng)
 
 
 def test_thin_single_photon_half(rng):
@@ -117,16 +117,6 @@ def test_binomial_stage_mixed_draws_nonzero_entries_only(stage):
     assert out.dtype == np.int64 and out.shape == MIXED.shape
     assert not out[MIXED == 0].any()
     assert np.array_equal(out[MIXED != 0], twin.binomial(MIXED[MIXED != 0], p))
-    assert rng.bit_generator.state == twin.bit_generator.state
-
-
-@pytest.mark.parametrize("stage", BINOMIAL_STAGES)
-@pytest.mark.parametrize("n", [0, 5])
-def test_binomial_stage_scalar_takes_one_plain_draw(stage, n):
-    draw, p = BINOMIAL_STAGES[stage]
-    rng, twin = twin_generators()
-    out = draw(n, rng)
-    assert np.isscalar(out) and out == twin.binomial(n, p)
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
@@ -285,8 +275,8 @@ def test_add_background_shifts_mean(rng):
 
 
 def test_split_vacuum(rng):
-    a, b = split(0, rng)
-    assert (a, b) == (0, 0)
+    a, b = split(np.zeros(1, dtype=np.int64), rng)
+    assert (a.tolist(), b.tolist()) == ([0], [0])
 
 
 def test_split_conserves_count(rng):

@@ -16,8 +16,7 @@ from pairsim import ExperimentConfig, SourceModel, compare, engine, oracle, orac
 from pairsim.config import NO_DECAY, ConfigDomainError, ConfigError, reference_preset
 from pairsim.oracle import (_classical_expect, _no_click_factors, _thermal_expect,
                             pattern_distribution)
-from pairsim.source import joint_pmf
-from reference import valid_configs
+from reference import joint_pmf, valid_configs
 
 Q = SourceModel.QUANTUM_TMS
 C = SourceModel.CLASSICAL_CORRELATED

@@ -1,6 +1,10 @@
 """The public surface of the package."""
 
+import math
 import types
+
+import numpy as np
+import pytest
 
 import pairsim
 
@@ -9,7 +13,7 @@ PUBLIC_NAMES = {
     "ExperimentConfig", "SourceModel", "StreamOrderError", "TimestampStream",
     "UndefinedCorrelationError", "add_background", "cauchy_schwarz", "compare",
     "decohere_memory", "detect_batch", "export_histogram", "export_run", "g_ratio",
-    "histogram", "ideal_violation", "joint_pmf", "oracle_report", "parse_config",
+    "histogram", "ideal_violation", "oracle_report", "parse_config",
     "reference_preset", "render_config", "render_report", "render_run_report",
     "retrieve", "sample_write", "simulate_run", "singles_rates", "split", "sweep",
     "thin",
@@ -22,3 +26,36 @@ def test_public_names_are_exactly_the_documented_set():
     exported = {name for name, value in vars(pairsim).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert exported == PUBLIC_NAMES
+
+
+ONE = np.ones(4, dtype=np.int64)
+NAN_GUARDS = {
+    "detect_batch-dark_mean": (
+        lambda rng: pairsim.detect_batch(ONE, 0.64, math.nan, 0.0, 1e-6, rng), "dark_mean"),
+    "detect_batch-gate_width": (
+        lambda rng: pairsim.detect_batch(ONE, 0.64, 0.0, 0.0, math.nan, rng), "gate_width"),
+    "g_ratio-n_same_trial": (lambda rng: pairsim.g_ratio(math.nan, 5.0, 2), "n_same_trial"),
+    "g_ratio-m_baseline": (lambda rng: pairsim.g_ratio(5.0, math.nan, 2), "m_baseline"),
+    "g_ratio-n_baseline_peaks": (
+        lambda rng: pairsim.g_ratio(5.0, 5.0, math.nan), "n_baseline_peaks"),
+    "singles_rates-duration": (
+        lambda rng: pairsim.singles_rates({"A": 1.0}, math.nan), "duration"),
+    "ideal_violation-p": (lambda rng: pairsim.ideal_violation(math.nan), "p"),
+    "sample_write-p": (
+        lambda rng: pairsim.sample_write(math.nan, pairsim.SourceModel.QUANTUM_TMS, rng, 4),
+        "p"),
+    "decohere_memory-delay": (
+        lambda rng: pairsim.decohere_memory(ONE, math.nan, 1e-6, 0.1, rng), "delay"),
+    "decohere_memory-lifetime": (
+        lambda rng: pairsim.decohere_memory(ONE, 1e-7, math.nan, 0.1, rng), "lifetime"),
+    "decohere_memory-diffusion_in_mean": (
+        lambda rng: pairsim.decohere_memory(ONE, 1e-7, 1e-6, math.nan, rng),
+        "diffusion_in_mean"),
+}
+
+
+@pytest.mark.parametrize("case", NAN_GUARDS)
+def test_public_guards_reject_nan(case, rng):
+    call, argument = NAN_GUARDS[case]
+    with pytest.raises(ValueError, match=rf"\b{argument} must be"):
+        call(rng)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from pairsim import SourceModel, decohere_memory, joint_pmf, retrieve, sample_write
+from pairsim import SourceModel, decohere_memory, retrieve, sample_write
 from pairsim.config import NO_DECAY
+from reference import joint_pmf
 
 Q = SourceModel.QUANTUM_TMS
 C = SourceModel.CLASSICAL_CORRELATED
@@ -26,7 +27,7 @@ def test_vacuum_source_always_empty(rng):
 
 def test_negative_p_rejected(rng):
     with pytest.raises(ValueError):
-        sample_write(-0.1, Q, rng)
+        sample_write(-0.1, Q, rng, size=1)
     with pytest.raises(ValueError):
         joint_pmf(-0.1, Q, 0, 0)
 
@@ -100,6 +101,24 @@ def test_sampler_matches_pmf_within_multinomial_error(model, rng):
             assert abs(observed - prob) < 4.0 * sigma, (ns, nm)
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64],
+                         ids=["pcg64", "sfc64"])
+@pytest.mark.parametrize("nonzero", [False, True])
+@pytest.mark.parametrize("p", [0.01, 0.14, 2.0, 20.0])
+def test_classical_write_matches_numpy(p, nonzero, bit_generator):
+    # numpy's numbers and stream position: a geometric total split by
+    # Binomial(total, 1/2), which draws nothing for a zero total.
+    size = 5000
+    rng = np.random.Generator(bit_generator(12))
+    twin = np.random.Generator(bit_generator(12))
+    exc = sample_write(p, C, rng, size, nonzero)
+    total = twin.geometric(1.0 / (1.0 + 2.0 * p), size=size) - (0 if nonzero else 1)
+    n_stokes = twin.binomial(total, 0.5)
+    assert np.array_equal(exc.n_stokes, n_stokes)
+    assert np.array_equal(exc.n_memory, total - n_stokes)
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+
+
 def test_classical_vacuum_probability_monte_carlo(rng):
     p, n = 0.2, 10 ** 7
     exc = sample_write(p, C, rng, size=n)
@@ -138,12 +157,13 @@ def test_decohere_diffusion_mean(rng):
 
 
 def test_decohere_validates_arguments(rng):
+    one = np.ones(1, dtype=np.int64)
     with pytest.raises(ValueError):
-        decohere_memory(1, -1e-9, 1e-6, 0.0, rng)
+        decohere_memory(one, -1e-9, 1e-6, 0.0, rng)
     with pytest.raises(ValueError):
-        decohere_memory(1, 1e-9, 0.0, 0.0, rng)
+        decohere_memory(one, 1e-9, 0.0, 0.0, rng)
     with pytest.raises(ValueError):
-        decohere_memory(1, 1e-9, 1e-6, -0.1, rng)
+        decohere_memory(one, 1e-9, 1e-6, -0.1, rng)
 
 
 def test_retrieve_unit_efficiency_is_identity(rng):
@@ -217,7 +237,7 @@ def test_decohere_and_retrieve_match_numpy(counts, delay, diffusion, bit_generat
 
 def test_retrieve_validates_efficiency(rng):
     with pytest.raises(ValueError):
-        retrieve(1, 1.2, rng)
+        retrieve(np.ones(1, dtype=np.int64), 1.2, rng)
 
 
 def test_decohere_then_retrieve_composes_to_single_thinning(rng):
