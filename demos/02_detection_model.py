@@ -1,55 +1,60 @@
 #!/usr/bin/env python3
 """Detection chain: losses, backgrounds, beam splitting, gated clicks.
 
-Walks one channel through the transport model and checks each stage
-against its closed form: binomial thinning composes multiplicatively,
-Poisson backgrounds shift the click probability by an exponential factor,
-and a binary detector seeing geometric light of mean mu through total
-efficiency eta clicks with probability eta*mu/(1 + eta*mu).
+Runs the pipeline on configs that each isolate one part of the detection
+model, and compares every detector's click probability per gate with the
+analytic oracle and with a closed form:
+
+    dark counts of mean d per gate         1 - exp(-d)
+    Poisson background of mean mu          1 - exp(-eta mu / 2)
+    geometric light of mean p, path t      x / (1 + x), x = p t eta / 2
+
+The 50/50 beam splitter sends half of each channel's light to either
+detector, so both detectors behind it click alike.  Binomial thinning
+composes multiplicatively: swapping the transmission t and the detector
+efficiency eta leaves the click law unchanged.
 """
 
 import math
 
-import numpy as np
+from pairsim import ExperimentConfig, SourceModel, oracle_report, simulate_run
 
-from pairsim import SourceModel, add_background, detect_batch, sample_write, split, thin
+TRIALS = 500_000
+DETECTORS = "ABCD"
 
-DRAWS = 1_000_000
+
+def lossless(**fields):
+    """A noise-free quantum-source config with unit efficiencies, then ``fields``."""
+    base = dict(source_model=SourceModel.QUANTUM_TMS, p_excitation=0.0, delay_dt=2e-6,
+                retrieval_eff=1.0, transmission=1.0, detector_eff=1.0)
+    return ExperimentConfig(**{**base, **fields})
+
+
+CASES = {
+    "dark counts, d = 0.02": (lossless(dark_mean=0.02), 1.0 - math.exp(-0.02)),
+    "background mu = 0.2 at eta = 0.64": (
+        lossless(bg_stokes_mean=0.2, bg_antistokes_mean=0.2, detector_eff=0.64),
+        1.0 - math.exp(-0.64 * 0.2 / 2)),
+    "geometric p = 0.2, t = 0.8, eta = 0.5": (
+        lossless(p_excitation=0.2, transmission=0.8, detector_eff=0.5), 0.04 / 1.04),
+    "geometric p = 0.2, t = 0.5, eta = 0.8": (
+        lossless(p_excitation=0.2, transmission=0.5, detector_eff=0.8), 0.04 / 1.04),
+}
 
 
 def main():
-    rng = np.random.default_rng(7)
-
-    print("thinning composition: thin(thin(n, 0.8), 0.5) vs thin(n, 0.4)")
-    start = np.full(DRAWS, 5, dtype=np.int64)
-    twice = thin(thin(start, 0.8, rng), 0.5, rng)
-    once = thin(start, 0.4, rng)
-    print(f"  means {twice.mean():.5f} vs {once.mean():.5f} (exact 2.0)")
-
-    print("Poisson background of mean 0.01 on an empty channel")
-    out = add_background(np.zeros(DRAWS, dtype=np.int64), 0.01, rng)
-    print(f"  P(>=1 photon) {np.mean(out >= 1):.6f} "
-          f"(closed form {1 - math.exp(-0.01):.6f})")
-
-    print("50/50 beam splitter conserves and balances")
-    n = rng.poisson(1.0, DRAWS)
-    a, b = split(n, rng)
-    print(f"  conservation holds: {np.array_equal(a + b, n)}, "
-          f"mean split {a.mean():.4f} / {b.mean():.4f}")
-
-    print("gated click detector on geometric light, mean 0.2, efficiency 0.5")
-    exc = sample_write(0.2, SourceModel.QUANTUM_TMS, rng, size=DRAWS)
-    clicked, offsets = detect_batch(exc.n_stokes, 0.5, 0.0, 0.0, 1e-6, rng)
-    expected = 0.5 * 0.2 / (1 + 0.5 * 0.2)
-    print(f"  click probability {clicked.mean():.6f} "
-          f"(geometric series {expected:.6f})")
-    print(f"  all {offsets.size:,} timestamps inside the 1 us gate: "
-          f"{bool(np.all((offsets >= 0) & (offsets < 1e-6)))}")
-
-    print("reference detector: single photon at 64% efficiency")
-    one = np.ones(DRAWS, dtype=np.int64)
-    clicked, _ = detect_batch(one, 0.64, 0.0, 0.0, 1e-6, rng)
-    print(f"  click probability {clicked.mean():.5f} (target 0.64)")
+    print(f"click probability per gate, {TRIALS:,} trials per config")
+    for name, (config, exact) in CASES.items():
+        result = simulate_run(config, trials=TRIALS, seed=7)
+        oracle = oracle_report(config)
+        print(f"\n{name}: closed form {exact:.6f}")
+        print(f"  {'detector':8s} {'sampled':>9s} {'oracle':>9s} {'z':>6s}")
+        for bit, det in enumerate(DETECTORS):
+            clicks = sum(int(result.pattern_counts[m]) for m in range(16) if m >> bit & 1)
+            predicted = oracle.p_click[det]
+            sigma = math.sqrt(predicted * (1.0 - predicted) / TRIALS)
+            print(f"  {det:8s} {clicks / TRIALS:9.6f} {predicted:9.6f} "
+                  f"{(clicks / TRIALS - predicted) / sigma:+6.2f}")
 
 
 if __name__ == "__main__":

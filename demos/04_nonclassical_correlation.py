@@ -10,8 +10,7 @@ no matter the losses.
 
 import dataclasses
 
-from pairsim import (SourceModel, ideal_violation, reference_preset,
-                     render_run_report, simulate_run)
+from pairsim import SourceModel, reference_preset, render_run_report, simulate_run
 
 TRIALS = 5_000_000
 
@@ -34,7 +33,8 @@ def main():
 
     p = preset.p_excitation
     print(f"for reference, a noise-free source at excitation parameter "
-          f"{p} could reach a violation ratio of {ideal_violation(p):.1f}; "
+          f"{p} could reach a violation ratio ((1 + p)/(2 p))^2 = "
+          f"{((1 + p) / (2 * p)) ** 2:.1f}; "
           "losses, memory decoherence and background light reduce it to the "
           "measured value above")
     print("\nmachine-readable report of the quantum run:\n")

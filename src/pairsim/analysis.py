@@ -125,13 +125,6 @@ def cauchy_schwarz(g11: tuple[float, float], g22: tuple[float, float],
         violated=lhs > rhs, delay_dt=delay_dt)
 
 
-def ideal_violation(p: float) -> float:
-    """Violation ratio ((1 + p)/(2 p))**2 of the ideal noise-free source."""
-    if not p > 0:  # NaN too
-        raise ValueError(f"excitation parameter p must be > 0, got {p}")
-    return ((1.0 + p) / (2.0 * p)) ** 2
-
-
 def singles_rates(click_counts: dict[str, float], duration: float) -> SinglesRates:
     """Click rates per detector plus Stokes (A+B) and anti-Stokes (C+D) sums.
 

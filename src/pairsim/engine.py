@@ -291,10 +291,6 @@ def _poisson_nonzero(mean: float, rng: np.random.Generator, size: int) -> np.nda
     return 1 + rng.poisson(rest)
 
 
-def _pad(n: np.ndarray, length: int) -> np.ndarray:
-    return np.concatenate([n, np.zeros(length - len(n), dtype=np.int64)])
-
-
 def _add_poisson_source(n: np.ndarray, mean: float, start: int, stop: int,
                         rng: np.random.Generator) -> np.ndarray:
     """Add the Poisson source owning grouped slice [start, stop) to n.
@@ -302,7 +298,8 @@ def _add_poisson_source(n: np.ndarray, mean: float, start: int, stop: int,
     Returns stop entries: an unconditional draw on [0, start), where an
     earlier source already fired, and a zero-truncated one on the slice.
     """
-    return np.concatenate([add_background(_pad(n, start), mean, rng),
+    padded = np.concatenate([n, np.zeros(start - n.size, dtype=np.int64)])
+    return np.concatenate([add_background(padded, mean, rng),
                            _poisson_nonzero(mean, rng, stop - start)])
 
 
@@ -328,16 +325,16 @@ def _simulate_block(config: ExperimentConfig, seed: int, block_index: int, n: in
     order = np.argsort(first, kind="stable")
     end = np.cumsum(np.bincount(first, minlength=len(SOURCES)))
 
-    excitation = sample_write(config.p_excitation, config.source_model, rng,
-                              size=end[0], nonzero=True)
+    n_stokes, n_memory = sample_write(config.p_excitation, config.source_model, rng,
+                                      size=end[0])
     memory = np.concatenate([
-        decohere_memory(excitation.n_memory, config.delay_dt, config.memory_lifetime,
+        decohere_memory(n_memory, config.delay_dt, config.memory_lifetime,
                         config.memory_diffusion_in, rng),
         _poisson_nonzero(_diffusion_mean(config), rng, end[1] - end[0])])
     n_antistokes = retrieve(memory, config.retrieval_eff, rng)
 
     at_splitter_s = _add_poisson_source(
-        thin(excitation.n_stokes, config.transmission, rng),
+        thin(n_stokes, config.transmission, rng),
         config.bg_stokes_mean, end[1], end[2], rng)
     k_a, k_b = split(at_splitter_s, rng)
 

@@ -15,18 +15,20 @@ which folds dark counts into the per-gate click probability; dark clicks
 are indistinguishable from photon clicks in the gated analysis.  Click
 offsets are uniform over the gate window.
 
-Every count operation takes 1-d count arrays, one entry per trial.  The
-binomial stages and the background draw return numpy's numbers and leave
-the generator where numpy would: ``rng.binomial`` on the nonzero entries
-(Binomial(0, p) is 0 and numpy draws nothing for it) and ``rng.poisson`` on
-every entry.  numpy computes those draws in a scalar loop per entry; for
-the small counts of this model the loop turns one uniform into its result
-with a few float operations, which whole-array passes repeat with the same
-operations in the same order (libm's ``exp`` and ``log`` through ``math``
-for the per-count constants, as numpy's C code calls them).  A call that
-such a pass cannot replay, because some entry would take numpy's other
-algorithm or draw a further uniform, restores the saved generator state and
-hands the whole call to numpy.
+Every count operation takes 1-d count arrays, one entry per trial.  These
+functions are internals of the sampler in :mod:`pairsim.engine`, and their
+signatures follow it; the public API is the top-level names of ``pairsim``.
+The binomial stages and the background draw return numpy's numbers and
+leave the generator where numpy would: ``rng.binomial`` on the nonzero
+entries (Binomial(0, p) is 0 and numpy draws nothing for it) and
+``rng.poisson`` on every entry.  numpy computes those draws in a scalar
+loop per entry; for the small counts of this model the loop turns one
+uniform into its result with a few float operations, which whole-array
+passes repeat with the same operations in the same order (libm's ``exp``
+and ``log`` through ``math`` for the per-count constants, as numpy's C code
+calls them).  A call that such a pass cannot replay, because some entry
+would take numpy's other algorithm or draw a further uniform, restores the
+saved generator state and hands the whole call to numpy.
 """
 
 from __future__ import annotations
@@ -166,11 +168,6 @@ def split(n: np.ndarray, rng: np.random.Generator):
     return k, n - k
 
 
-def click_probability(n, det_eff: float, dark_mean: float):
-    """Per-gate click probability of a binary detector seeing n photons."""
-    return 1.0 - (1.0 - det_eff) ** n * np.exp(-dark_mean)
-
-
 def detect_batch(n: np.ndarray, det_eff: float, dark_mean: float,
                  gate_start: float, gate_width: float,
                  rng: np.random.Generator):
@@ -189,12 +186,12 @@ def detect_batch(n: np.ndarray, det_eff: float, dark_mean: float,
     if not gate_width > 0:
         raise ValueError(f"gate_width must be > 0, got {gate_width}")
     top = n.max(initial=0)
+    # One click probability per photon number up to the largest, looked up
+    # per trial, where that table is shorter than the batch.
+    photons = np.arange(top + 1) if top < n.size else n
+    probability = 1.0 - (1.0 - det_eff) ** photons * np.exp(-dark_mean)
     if top < n.size:
-        # One click probability per photon number up to the largest, looked
-        # up per trial; the table is never longer than the batch.
-        probability = click_probability(np.arange(top + 1), det_eff, dark_mean)[n]
-    else:
-        probability = click_probability(n, det_eff, dark_mean)
+        probability = probability[n]
     clicked = rng.random(n.size) < probability
     offsets = rng.random(np.count_nonzero(clicked))
     offsets *= gate_width

@@ -27,13 +27,14 @@ uncorrelated ones diffuse in) and a read pulse converts the surviving
 excitations to photons in the read (anti-Stokes) channel.
 
 All samplers take and return 1-d count arrays, one entry per trial, and
-draw from a caller-supplied ``numpy.random.Generator``.
+draw from a caller-supplied ``numpy.random.Generator``.  They are internals
+of the sampler in :mod:`pairsim.engine`, and their signatures follow it; the
+public API is the top-level names of ``pairsim``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -48,50 +49,27 @@ class SourceModel(Enum):
     CLASSICAL_CORRELATED = "classical_correlated"
 
 
-@dataclass
-class TrialExcitation:
-    """Write-time excitation numbers of the Stokes and memory modes.
-
-    Fields are 1-d int64 count arrays, one entry per trial.
-    """
-
-    n_stokes: np.ndarray
-    n_memory: np.ndarray
-
-
 def sample_write(p: float, model: SourceModel, rng: np.random.Generator,
-                 size: int, nonzero: bool = False) -> TrialExcitation:
-    """Sample write-pulse excitation numbers for a batch of trials.
+                 size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_stokes, n_memory) of ``size`` trials, drawn from the law of mean
+    excitation p (>= 0) conditioned on (n_s, n_m) != (0, 0).
 
-    Parameters
-    ----------
-    p : mean excitation number per write pulse (>= 0).
-    model : source law, see module docstring.
-    rng : numpy Generator.
-    size : number of trials.
-    nonzero : draw from the law conditioned on (n_s, n_m) != (0, 0).  Both
-        laws have a geometric total, so by memorylessness the conditioned
-        total is 1 + the unconditioned one.  Needs p > 0 unless size is 0.
-
-    For ``quantum_tms`` both fields hold the same object.
+    Both laws have a geometric total, so by memorylessness the conditioned
+    total is 1 + the unconditioned one.  At p == 0 no such excitation
+    exists and only size 0 is accepted.  For ``quantum_tms`` both arrays
+    are the same object.
     """
     if not p >= 0:  # NaN too
         raise ValueError(f"mean excitation p must be >= 0, got {p}")
     if model not in (SourceModel.QUANTUM_TMS, SourceModel.CLASSICAL_CORRELATED):
         raise ValueError(f"unknown source model: {model!r}")
-    if p == 0:
-        if nonzero and size != 0:
-            raise ValueError("no nonzero excitation exists at p == 0")
-        zero = np.zeros(size, dtype=np.int64)
-        return TrialExcitation(n_stokes=zero, n_memory=zero)
-    shift = 0 if nonzero else 1
+    if p == 0 and size != 0:
+        raise ValueError("no nonzero excitation exists at p == 0")
     if model is SourceModel.QUANTUM_TMS:
         # numpy's geometric is supported on {1, 2, ...}
-        n = rng.geometric(1.0 / (1.0 + p), size=size) - shift
-        return TrialExcitation(n_stokes=n, n_memory=n)
-    total = rng.geometric(1.0 / (1.0 + 2.0 * p), size=size) - shift
-    n_stokes, n_memory = split(total, rng)
-    return TrialExcitation(n_stokes=n_stokes, n_memory=n_memory)
+        n = rng.geometric(1.0 / (1.0 + p), size=size)
+        return n, n
+    return split(rng.geometric(1.0 / (1.0 + 2.0 * p), size=size), rng)
 
 
 def decohere_memory(n_memory: np.ndarray, delay: float, lifetime: float,

@@ -7,8 +7,11 @@ whole per-trial arrays for dense ones); ``counts_in_one_call`` counts a
 whole run in one sparse call, and the tests hold both paths to it.
 ``first_sources`` is the sampler's draw of each active trial's first
 nonzero source written as one CDF search.
-``joint_pmf`` is the closed form of the source law that
-``source.sample_write`` draws; the source and oracle tests hold both to it.
+``joint_pmf`` is the closed form of the unconditioned source law;
+``source.sample_write`` draws it conditioned on (n_s, n_m) != (0, 0), and
+the source and oracle tests hold both to it.  ``ideal_violation`` is the
+Cauchy-Schwarz violation ratio of the noise-free quantum source, which the
+analysis tests hold the sampled ratio to.
 The package's stage functions take 1-d count arrays, one entry per trial;
 the scalar transcriptions here take one count at a time.
 The histogram-window reader here is the independent second reduction: it
@@ -164,6 +167,13 @@ def joint_pmf(p: float, model: SourceModel, n_s: int, n_m: int) -> float:
         return float(np.exp(log_binom - math.log(p)
                             - (k + 1) * math.log(2.0 + 1.0 / p)))
     raise ValueError(f"unknown source model: {model!r}")
+
+
+def ideal_violation(p: float) -> float:
+    """Violation ratio ((1 + p)/(2 p))**2 of the ideal noise-free source."""
+    if not p > 0:  # NaN too
+        raise ValueError(f"excitation parameter p must be > 0, got {p}")
+    return ((1.0 + p) / (2.0 * p)) ** 2
 
 
 def binomial_inversion(n: int, p: float, uniforms) -> tuple[int, int]:

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
-from pairsim import (UndefinedCorrelationError, cauchy_schwarz, g_ratio,
-                     ideal_violation, render_report, singles_rates)
+from pairsim import (UndefinedCorrelationError, cauchy_schwarz, g_ratio, render_report,
+                     singles_rates)
+from reference import ideal_violation
 
 
 def test_g_ratio_reference_numbers():
@@ -103,6 +104,8 @@ def test_ideal_violation_domain():
         ideal_violation(0.0)
     with pytest.raises(ValueError):
         ideal_violation(-0.5)
+    with pytest.raises(ValueError, match=r"\bp must be"):
+        ideal_violation(math.nan)
 
 
 def test_singles_rates_empty():

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from pairsim import (SourceModel, add_background, detect_batch, retrieve, sample_write,
-                     split, thin)
-from pairsim.optics import _binomial, click_probability
+from pairsim.optics import _binomial, add_background, detect_batch, split, thin
+from pairsim.source import retrieve
 from reference import binomial_inversion, poisson_multiplication
 
 MIXED = np.array([0, 3, 0, 0, 1, 7, 0, 2], dtype=np.int64)
@@ -305,10 +304,10 @@ def test_detect_never_clicks_on_vacuum(rng):
 def test_detect_batch_table_matches_the_formula(n):
     # The per-call click-probability table, or the formula itself where a
     # count exceeds the batch size, gives the same clicks and offsets as
-    # evaluating click_probability for every entry.
+    # evaluating the formula for every entry.
     rng, twin = twin_generators()
     clicked, offsets = detect_batch(n, 0.64, 0.3, 1e-6, 2e-6, rng)
-    expected = twin.random(n.shape) < click_probability(n, 0.64, 0.3)
+    expected = twin.random(n.shape) < 1.0 - (1.0 - 0.64) ** n * np.exp(-0.3)
     assert clicked.shape == n.shape and np.array_equal(clicked, expected)
     assert np.array_equal(offsets, 1e-6 + 2e-6 * twin.random(int(expected.sum())))
 
@@ -324,8 +323,8 @@ def test_detect_geometric_input_closed_form(rng):
     # Geometric light of mean 0.2 through total efficiency 0.5 clicks with
     # probability eta*mu / (1 + eta*mu) = 0.1/1.1 (geometric series).
     draws, mu, eta = 10 ** 6, 0.2, 0.5
-    exc = sample_write(mu, SourceModel.QUANTUM_TMS, rng, size=draws)
-    clicked, _ = detect_batch(exc.n_stokes, eta, 0.0, 0.0, 1e-6, rng)
+    n = rng.geometric(1.0 / (1.0 + mu), size=draws) - 1
+    clicked, _ = detect_batch(n, eta, 0.0, 0.0, 1e-6, rng)
     expected = eta * mu / (1.0 + eta * mu)
     assert abs(expected - 0.1 / 1.1) < 1e-15
     sigma = math.sqrt(expected * (1 - expected) / draws)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from pairsim import SourceModel, decohere_memory, retrieve, sample_write
 from pairsim.config import NO_DECAY
+from pairsim.source import SourceModel, decohere_memory, retrieve, sample_write
 from reference import joint_pmf
 
 Q = SourceModel.QUANTUM_TMS
@@ -18,11 +18,29 @@ def geometric_pmf(p, n):
     return p ** n / (1.0 + p) ** (n + 1)
 
 
+def conditioned_pmf(p, model, n_s, n_m):
+    """The source law that ``sample_write`` draws: ``joint_pmf`` conditioned
+    on (n_s, n_m) != (0, 0)."""
+    if n_s == n_m == 0:
+        return 0.0
+    return joint_pmf(p, model, n_s, n_m) / (1.0 - joint_pmf(p, model, 0, 0))
+
+
 def test_vacuum_source_always_empty(rng):
-    exc = sample_write(0.0, Q, rng, size=1000)
-    assert not exc.n_stokes.any() and not exc.n_memory.any()
-    exc = sample_write(0.0, C, rng, size=1000)
-    assert not exc.n_stokes.any() and not exc.n_memory.any()
+    # At p == 0 every trial is empty, so no trial of the conditioned law exists.
+    for model in (Q, C):
+        n_stokes, n_memory = sample_write(0.0, model, rng, size=0)
+        assert n_stokes.size == n_memory.size == 0
+        assert n_stokes.dtype == n_memory.dtype == np.int64
+        with pytest.raises(ValueError, match="p == 0"):
+            sample_write(0.0, model, rng, size=1000)
+
+
+@pytest.mark.parametrize("p", [0.14, 2.0])
+@pytest.mark.parametrize("model", [Q, C], ids=lambda model: model.value)
+def test_write_draws_no_empty_trial(model, p, rng):
+    n_stokes, n_memory = sample_write(p, model, rng, size=10 ** 5)
+    assert (n_stokes + n_memory).min() >= 1
 
 
 def test_negative_p_rejected(rng):
@@ -33,30 +51,32 @@ def test_negative_p_rejected(rng):
 
 
 def test_reference_mean_excitation(rng):
-    # Reference operating point: mean write excitation 0.14 per pulse.
+    # Reference operating point: mean write excitation 0.14 per pulse.  The
+    # conditioned quantum marginal is 1 + Geometric(mean p): mean 1 + p,
+    # variance p(1 + p).
     p, n = 0.14, 10 ** 6
-    exc = sample_write(p, Q, rng, size=n)
+    n_stokes, _ = sample_write(p, Q, rng, size=n)
     tol = 3.0 * math.sqrt(p * (1.0 + p) / n)
-    assert abs(exc.n_stokes.mean() - p) < tol
+    assert abs(n_stokes.mean() - (1.0 + p)) < tol
 
 
 def test_quantum_single_excitation_frequency(rng):
-    # P(1) = p/(1+p)**2 = 0.2/1.44, cross-checked by normalizing the
-    # truncated law to n_max = 50.
+    # P(1 | n >= 1) = P(1) / (1 - P(0)) = 1/(1+p) = 1/1.2, cross-checked by
+    # normalizing the truncated law to n_max = 50.
     p, n = 0.2, 10 ** 6
     probs = [geometric_pmf(p, k) for k in range(51)]
     assert abs(sum(probs) - 1.0) < 1e-12
-    expected = probs[1] / sum(probs)
-    assert abs(expected - 0.2 / 1.44) < 1e-12
-    exc = sample_write(p, Q, rng, size=n)
-    observed = np.mean(exc.n_stokes == 1)
+    expected = probs[1] / sum(probs[1:])
+    assert abs(expected - 1.0 / 1.2) < 1e-12
+    n_stokes, _ = sample_write(p, Q, rng, size=n)
+    observed = np.mean(n_stokes == 1)
     assert abs(observed - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
 
 
 def test_quantum_streams_perfectly_correlated(rng):
-    exc = sample_write(0.3, Q, rng, size=10 ** 5)
-    assert np.array_equal(exc.n_stokes, exc.n_memory)
-    corr = np.corrcoef(exc.n_stokes, exc.n_memory)[0, 1]
+    n_stokes, n_memory = sample_write(0.3, Q, rng, size=10 ** 5)
+    assert np.array_equal(n_stokes, n_memory)
+    corr = np.corrcoef(n_stokes, n_memory)[0, 1]
     assert corr == 1.0
 
 
@@ -92,38 +112,40 @@ def test_joint_pmf_normalizes(model, p):
 @pytest.mark.parametrize("model", [Q, C])
 def test_sampler_matches_pmf_within_multinomial_error(model, rng):
     p, n = 0.3, 10 ** 6
-    exc = sample_write(p, model, rng, size=n)
+    n_stokes, n_memory = sample_write(p, model, rng, size=n)
     for ns in range(3):
         for nm in range(3):
-            prob = joint_pmf(p, model, ns, nm)
-            observed = np.mean((exc.n_stokes == ns) & (exc.n_memory == nm))
+            prob = conditioned_pmf(p, model, ns, nm)
+            observed = np.mean((n_stokes == ns) & (n_memory == nm))
             sigma = math.sqrt(max(prob * (1 - prob), 1e-12) / n)
             assert abs(observed - prob) < 4.0 * sigma, (ns, nm)
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64],
                          ids=["pcg64", "sfc64"])
-@pytest.mark.parametrize("nonzero", [False, True])
 @pytest.mark.parametrize("p", [0.01, 0.14, 2.0, 20.0])
-def test_classical_write_matches_numpy(p, nonzero, bit_generator):
-    # numpy's numbers and stream position: a geometric total split by
-    # Binomial(total, 1/2), which draws nothing for a zero total.
+def test_classical_write_matches_numpy(p, bit_generator):
+    # numpy's numbers and stream position: a geometric total on {1, 2, ...}
+    # split by Binomial(total, 1/2).
     size = 5000
     rng = np.random.Generator(bit_generator(12))
     twin = np.random.Generator(bit_generator(12))
-    exc = sample_write(p, C, rng, size, nonzero)
-    total = twin.geometric(1.0 / (1.0 + 2.0 * p), size=size) - (0 if nonzero else 1)
-    n_stokes = twin.binomial(total, 0.5)
-    assert np.array_equal(exc.n_stokes, n_stokes)
-    assert np.array_equal(exc.n_memory, total - n_stokes)
+    n_stokes, n_memory = sample_write(p, C, rng, size)
+    total = twin.geometric(1.0 / (1.0 + 2.0 * p), size=size)
+    expected = twin.binomial(total, 0.5)
+    assert np.array_equal(n_stokes, expected)
+    assert np.array_equal(n_memory, total - expected)
     np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
 
 
 def test_classical_vacuum_probability_monte_carlo(rng):
+    # The conditioned total is 1 + the unconditioned geometric total, so the
+    # unconditioned law's vacuum probability 1/(1+2p) is P(total == 1).
     p, n = 0.2, 10 ** 7
-    exc = sample_write(p, C, rng, size=n)
-    observed = np.mean((exc.n_stokes == 0) & (exc.n_memory == 0))
+    n_stokes, n_memory = sample_write(p, C, rng, size=n)
+    observed = np.mean(n_stokes + n_memory == 1)
     expected = 1.0 / (1.0 + 2 * p)
+    assert abs(expected - conditioned_pmf(p, C, 1, 0) - conditioned_pmf(p, C, 0, 1)) < 1e-12
     assert abs(observed - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
 
 
@@ -189,20 +211,6 @@ def test_retrieve_two_excitations_half_efficiency(rng):
     assert abs(observed - expected) < 4.0 * math.sqrt(0.25 / draws)
 
 
-def test_decohere_mixed_draws_survivors_of_nonzero_entries_only():
-    # Survivors are drawn for the stored excitations only; the diffused-in
-    # count is then drawn for every entry.
-    mixed = np.array([0, 3, 0, 0, 1, 7, 0, 2], dtype=np.int64)
-    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
-    out = decohere_memory(mixed, 1e-6, 2e-6, 0.4, rng)
-    survival = math.exp(-0.5)
-    survivors = np.zeros_like(mixed)
-    survivors[mixed != 0] = twin.binomial(mixed[mixed != 0], survival)
-    injected = twin.poisson(0.4 * (1.0 - survival), size=mixed.shape)
-    assert np.array_equal(out, survivors + injected)
-    assert rng.bit_generator.state == twin.bit_generator.state
-
-
 COUNTS = {
     "empty": np.empty(0, dtype=np.int64),
     "mixed": np.array([0, 3, 0, 0, 1, 7, 0, 2], dtype=np.int64),
@@ -214,7 +222,7 @@ COUNTS = {
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64],
                          ids=["pcg64", "sfc64"])
 @pytest.mark.parametrize("delay, diffusion", [(0.0, 0.0), (1e-7, 0.1), (2e-6, 0.1),
-                                              (5e-6, 0.0), (2e-6, 20.0)])
+                                              (5e-6, 0.0), (2e-6, 20.0), (5.7e-7, 0.4)])
 @pytest.mark.parametrize("counts", COUNTS)
 def test_decohere_and_retrieve_match_numpy(counts, delay, diffusion, bit_generator):
     # numpy's numbers and stream position: survivors and retrieval drawn for
