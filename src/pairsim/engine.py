@@ -54,19 +54,26 @@ consistency duplicate, (B,D).  The Stokes detector starts the
 time-interval analysis for the cross pairs, matching the write-then-read
 time order; the lower-lettered detector starts for the auto pairs.  Peak
 windows of the cross pairs are shifted by the write-read delay since their
-stop gate lags the start gate by exactly that amount.  N and M come
-straight from the click tables, one block at a time: the starts of block b
-against the stops of block b and of the first ``baseline_peaks`` trials
-after it, so every start is counted once.  ``_count_peaks`` decides once
-per block how to count it: in a block where some detector has more than
-``DENSE_CLICKS`` clicks, every detector is scattered into a reused array of
-per-trial offsets and every pair is counted by whole-array comparisons at
-each lag; every pair of any other block goes through
-``tia.peak_areas_from_clicks``.  Both count the same pairs exactly.  Only
-(A,B), (C,D) and (A,C) decide the Cauchy-Schwarz report, and (B,D) is
-reported as a check.  The coincidence histograms are built from the
-timestamps the first time ``RunResult.histograms`` is read, which
-``export_run`` does.
+stop gate lags the start gate by exactly that amount.
+
+N and M are not read off the histogram.  Peak j of a pair counts the pairs
+with the start in trial i, the stop in trial i + j and ``stop offset -
+shift >= start offset``, offsets within the cycle.  Gates span at most half
+a cycle, so where the bin edges line up with the peak windows (the defaults
+do) these are the histogram windows' pairs, up to offsets that differ by a
+rounding error of the timestamps.  They are counted from the click tables,
+one block at a time: the starts of block b against the stops of block b and
+of the first ``baseline_peaks`` trials after it, so every start is counted
+once.  ``_count_peaks`` decides once per block how to count it: in a block
+where some detector has more than ``DENSE_CLICKS`` clicks, every detector
+is scattered into a reused array of per-trial offsets and every pair is
+counted by whole-array comparisons at each lag; every pair of any other
+block goes through the sparse kernel ``extract_peak_areas``, whose caller
+keeps every start trial below ``len(table) - baseline_peaks``.  Both count
+the same pairs exactly.  Only (A,B), (C,D) and (A,C) decide the
+Cauchy-Schwarz report, and (B,D) is reported as a check.  The coincidence
+histograms are built from the timestamps the first time
+``RunResult.histograms`` is read, which ``export_run`` does.
 """
 
 from __future__ import annotations
@@ -94,7 +101,6 @@ from .source import SourceModel, decohere_memory, retrieve, sample_write
 from .tia import (CoincidenceHistogram, PeakAreas, TimestampStream, _require_sorted,
                   export_histogram)
 from .tia import histogram as build_histogram
-from .tia import peak_areas_from_clicks as extract_peak_areas
 
 BLOCK_TRIALS = 1 << 16
 """Trials per simulation block; fixed so block boundaries never depend on
@@ -213,16 +219,21 @@ def _source_cdf(config: ExperimentConfig) -> np.ndarray:
     p = config.p_excitation
     write_vacuum = -math.log1p(
         p if config.source_model is SourceModel.QUANTUM_TMS else 2.0 * p)
-    log_zero = [write_vacuum, -_diffusion_mean(config),
+    log_zero = [write_vacuum, -_memory_law(config)[1],
                 -config.bg_stokes_mean, -config.bg_antistokes_mean]
     log_zero += [-config.dark_mean] * len(DETECTOR_IDS)
     return -np.expm1(np.cumsum(log_zero))
 
 
-def _diffusion_mean(config: ExperimentConfig) -> float:
-    """Mean diffused-in excitations; the same expression decohere_memory uses."""
+def _memory_law(config: ExperimentConfig) -> tuple[float, float]:
+    """(survival, diffusion mean) of the memory over the write-read delay.
+
+    The (1 - survival) factor makes delay == 0 exactly clean.  The sampler
+    reads the mean only here, so the diffusion source's zero probability,
+    its zero-truncated group and ``decohere_memory`` agree to the last bit.
+    """
     survival = math.exp(-config.delay_dt / config.memory_lifetime)
-    return config.memory_diffusion_in * (1.0 - survival)
+    return survival, config.memory_diffusion_in * (1.0 - survival)
 
 
 def _active_trials(n: int, active: float, rng: np.random.Generator) -> np.ndarray:
@@ -327,10 +338,10 @@ def _simulate_block(config: ExperimentConfig, seed: int, block_index: int, n: in
 
     n_stokes, n_memory = sample_write(config.p_excitation, config.source_model, rng,
                                       size=end[0])
+    survival, diffusion_mean = _memory_law(config)
     memory = np.concatenate([
-        decohere_memory(n_memory, config.delay_dt, config.memory_lifetime,
-                        config.memory_diffusion_in, rng),
-        _poisson_nonzero(_diffusion_mean(config), rng, end[1] - end[0])])
+        decohere_memory(n_memory, survival, diffusion_mean, rng),
+        _poisson_nonzero(diffusion_mean, rng, end[1] - end[0])])
     n_antistokes = retrieve(memory, config.retrieval_eff, rng)
 
     at_splitter_s = _add_poisson_source(
@@ -430,7 +441,9 @@ def _block_pieces(blocks, det: str, first: int, stop: int):
 
     Returns (base - first, block-local trials, offsets) per block with base
     its first trial; the trial and offset tables are views into the block.
-    ``stop`` may lie past the run.  The block tables are read only here.
+    ``stop`` may lie past the run.  The block tables are read only here, and
+    each piece's trials must be strictly increasing (StreamOrderError
+    otherwise); blocks hold disjoint, increasing trial ranges.
     """
     pieces = []
     for b in range(first // BLOCK_TRIALS, min(len(blocks), -(-stop // BLOCK_TRIALS))):
@@ -440,6 +453,7 @@ def _block_pieces(blocks, det: str, first: int, stop: int):
         lo = local.searchsorted(np.uint16(first - base)) if first > base else 0
         hi = (local.searchsorted(np.uint16(stop - base)) if stop - base < BLOCK_TRIALS
               else local.size)
+        _require_sorted(local[lo:hi], "click trials")
         pieces.append((base - first, local[lo:hi], offsets[lo:hi]))
     return pieces
 
@@ -468,14 +482,33 @@ def _scatter(blocks, det: str, first: int, at: np.ndarray) -> np.ndarray:
     [first, first + len(at)), NaN where none is; ``first`` is a block edge.
 
     Scattered straight from each block's uint16 table, with no int64 or float
-    copy.  Each block's trials must be strictly increasing (StreamOrderError
-    otherwise); blocks hold disjoint, increasing trial ranges.
+    copy.
     """
     at.fill(np.nan)
     for shift, local, offsets in _block_pieces(blocks, det, first, first + at.size):
-        _require_sorted(local, "click trials")
         at[shift:][local] = offsets
     return at
+
+
+def extract_peak_areas(start_trials: np.ndarray, start_offsets: np.ndarray,
+                       stop_trials: np.ndarray, stop_offsets: np.ndarray,
+                       shift: float, baseline_peaks: int,
+                       table: np.ndarray) -> np.ndarray:
+    """Int64 counts of peaks 0..baseline_peaks of one pair (see the module
+    docstring), from the strictly increasing int64 trials of its clicks and
+    their offsets.
+
+    ``table`` is all -inf, one entry per trial.  The stops set theirs to
+    ``stop offset - shift``, the starts are compared with the entries at
+    each lag, and the stops reset theirs to -inf, so one table serves every
+    call and the work grows with the clicks.
+    """
+    counts = np.zeros(baseline_peaks + 1, dtype=np.int64)
+    table[stop_trials] = stop_offsets - shift
+    for j in range(baseline_peaks + 1):
+        counts[j] = np.count_nonzero(table[j:][start_trials] >= start_offsets)
+    table[stop_trials] = -np.inf  # cheaper than refilling when clicks are sparse
+    return counts
 
 
 def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, PeakAreas]:

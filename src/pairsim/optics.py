@@ -18,6 +18,7 @@ offsets are uniform over the gate window.
 Every count operation takes 1-d count arrays, one entry per trial.  These
 functions are internals of the sampler in :mod:`pairsim.engine`, and their
 signatures follow it; the public API is the top-level names of ``pairsim``.
+They take what ``ExperimentConfig`` has validated and do not check it again.
 The binomial stages and the background draw return numpy's numbers and
 leave the generator where numpy would: ``rng.binomial`` on the nonzero
 entries (Binomial(0, p) is 0 and numpy draws nothing for it) and
@@ -61,17 +62,15 @@ def _binomial_counts(n: np.ndarray, p: float, rng: np.random.Generator) -> np.nd
     one uniform u per entry, and while u > px, u -= px and px is stepped to
     the next x; a walk past ``bound`` restarts on a fresh uniform.  Here all
     entries walk together, one pass per step.  The call goes to numpy as a
-    whole where an entry has p' n > 30 (numpy's BTPE branch), where p or a
-    count is invalid (numpy raises), or where the counts reach past 1/64 of
-    the entries (one table row per count value then costs more than the
-    passes save); and, from the state saved before the draw, where a walk
-    passes its bound.
+    whole where an entry has p' n > 30 (numpy's BTPE branch), or where the
+    counts reach past 1/64 of the entries (one table row per count value
+    then costs more than the passes save); and, from the state saved before
+    the draw, where a walk passes its bound.
     """
     flip = p > 0.5
     walk_p = 1.0 - p if flip else p
     top = int(n.max(initial=0))
-    if not (0.0 <= p <= 1.0 and walk_p * top <= 30.0 and 64 * top <= n.size
-            and n.min(initial=0) >= 0):
+    if not (walk_p * top <= 30.0 and 64 * top <= n.size):
         return rng.binomial(n, p)
     if p == 0.0:
         return np.zeros(n.shape, dtype=np.int64)
@@ -120,8 +119,6 @@ def _binomial_counts(n: np.ndarray, p: float, rng: np.random.Generator) -> np.nd
 
 def thin(n: np.ndarray, eta: float, rng: np.random.Generator):
     """Binomial loss: each of n photons survives independently with prob eta."""
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must be in [0, 1], got {eta}")
     return _binomial(n, eta, rng)
 
 
@@ -141,8 +138,6 @@ def add_background(n: np.ndarray, bg_mean: float, rng: np.random.Generator):
     where that reaches 1 (and numpy's mean >= 10 branch) go to numpy
     directly.
     """
-    if not bg_mean >= 0:  # NaN too
-        raise ValueError(f"bg_mean must be >= 0, got {bg_mean}")
     size = n.size
     if bg_mean == 0.0 or size * bg_mean * bg_mean >= 1.0:
         return n + rng.poisson(bg_mean, size=size)
@@ -179,12 +174,6 @@ def detect_batch(n: np.ndarray, det_eff: float, dark_mean: float,
     offsets : float array with one within-cycle offset per clicked trial,
         each inside [gate_start, gate_start + gate_width).
     """
-    if not 0.0 <= det_eff <= 1.0:
-        raise ValueError(f"detector efficiency must be in [0, 1], got {det_eff}")
-    if not dark_mean >= 0:  # NaN too
-        raise ValueError(f"dark_mean must be >= 0, got {dark_mean}")
-    if not gate_width > 0:
-        raise ValueError(f"gate_width must be > 0, got {gate_width}")
     top = n.max(initial=0)
     # One click probability per photon number up to the largest, looked up
     # per trial, where that table is shorter than the batch.

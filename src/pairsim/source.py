@@ -29,12 +29,12 @@ excitations to photons in the read (anti-Stokes) channel.
 All samplers take and return 1-d count arrays, one entry per trial, and
 draw from a caller-supplied ``numpy.random.Generator``.  They are internals
 of the sampler in :mod:`pairsim.engine`, and their signatures follow it; the
-public API is the top-level names of ``pairsim``.
+public API is the top-level names of ``pairsim``.  They take what
+``ExperimentConfig`` has validated and do not check it again.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
@@ -55,16 +55,9 @@ def sample_write(p: float, model: SourceModel, rng: np.random.Generator,
     excitation p (>= 0) conditioned on (n_s, n_m) != (0, 0).
 
     Both laws have a geometric total, so by memorylessness the conditioned
-    total is 1 + the unconditioned one.  At p == 0 no such excitation
-    exists and only size 0 is accepted.  For ``quantum_tms`` both arrays
+    total is 1 + the unconditioned one.  For ``quantum_tms`` both arrays
     are the same object.
     """
-    if not p >= 0:  # NaN too
-        raise ValueError(f"mean excitation p must be >= 0, got {p}")
-    if model not in (SourceModel.QUANTUM_TMS, SourceModel.CLASSICAL_CORRELATED):
-        raise ValueError(f"unknown source model: {model!r}")
-    if p == 0 and size != 0:
-        raise ValueError("no nonzero excitation exists at p == 0")
     if model is SourceModel.QUANTUM_TMS:
         # numpy's geometric is supported on {1, 2, ...}
         n = rng.geometric(1.0 / (1.0 + p), size=size)
@@ -72,24 +65,14 @@ def sample_write(p: float, model: SourceModel, rng: np.random.Generator,
     return split(rng.geometric(1.0 / (1.0 + 2.0 * p), size=size), rng)
 
 
-def decohere_memory(n_memory: np.ndarray, delay: float, lifetime: float,
-                    diffusion_in_mean: float, rng: np.random.Generator):
-    """Apply storage decoherence to the memory mode.
-
-    Each stored excitation independently survives the write-read delay with
-    probability exp(-delay/lifetime).  Uncorrelated excitations diffuse in
-    as a Poisson count with mean ``diffusion_in_mean * (1 - survival)``;
-    the (1 - survival) scaling makes delay == 0 exactly clean.
+def decohere_memory(n_memory: np.ndarray, survival: float, diffusion_mean: float,
+                    rng: np.random.Generator):
+    """Apply storage decoherence to the memory mode: each stored excitation
+    survives the write-read delay with probability ``survival``, and
+    Poisson(``diffusion_mean``) uncorrelated ones diffuse in (see
+    ``engine._memory_law``).
     """
-    if not delay >= 0:  # NaN too
-        raise ValueError(f"delay must be >= 0, got {delay}")
-    if not lifetime > 0:
-        raise ValueError(f"lifetime must be > 0, got {lifetime}")
-    if not diffusion_in_mean >= 0:
-        raise ValueError(f"diffusion_in_mean must be >= 0, got {diffusion_in_mean}")
-    survival = math.exp(-delay / lifetime)
-    return add_background(thin(n_memory, survival, rng),
-                          diffusion_in_mean * (1.0 - survival), rng)
+    return add_background(thin(n_memory, survival, rng), diffusion_mean, rng)
 
 
 def retrieve(n_memory: np.ndarray, eta_r: float, rng: np.random.Generator):

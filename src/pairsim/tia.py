@@ -1,4 +1,4 @@
-"""Start-stop coincidence histograms and peak-area extraction.
+"""Start-stop coincidence histograms and their export.
 
 This emulates a time-interval analyzer: one detector provides start
 signals, another provides stops, and every stop arriving within ``span``
@@ -24,18 +24,6 @@ mean area of the following ``baseline_peaks`` peaks; the normalized
 correlation is their ratio (see :mod:`pairsim.analysis`).  For detector
 pairs whose gates are offset within the cycle (the Stokes to anti-Stokes
 pair is delayed by the write-read delay), the peaks sit ``shift`` later.
-
-N and M are not read off the histogram.  Peak j of a pair counts the pairs
-with the start in trial i, the stop in trial i + j and ``stop offset -
-shift >= start offset``, offsets taken within the cycle; the engine
-counts exactly that from per-trial click tables, without binning, so the
-areas do not depend on the bin width.  :func:`peak_areas_from_clicks`
-counts it on a float table that the caller passes all -inf, with an entry
-per trial: the call fills the stops' entries, gathers the entries at each
-start and leaves the table all -inf again, so one table serves every call.
-Where the bin edges line up with the peak windows (the defaults do), the
-counts equal the histogram windows, up to pairs whose two offsets differ by
-a rounding error of the timestamps.
 """
 
 from __future__ import annotations
@@ -158,49 +146,6 @@ def histogram(start: TimestampStream, stop: TimestampStream,
     return CoincidenceHistogram(
         pair_id=(start.detector_id, stop.detector_id),
         bin_width=bin_width, span=span, bins=counts)
-
-
-def peak_areas_from_clicks(start_trials: np.ndarray, start_offsets: np.ndarray,
-                           stop_trials: np.ndarray, stop_offsets: np.ndarray,
-                           shift: float, baseline_peaks: int,
-                           table: np.ndarray) -> np.ndarray:
-    """Int64 counts of peaks 0..baseline_peaks of one pair, from its click tables.
-
-    Each detector clicks at most once per trial: ``*_trials`` are its
-    strictly increasing trial indices and ``*_offsets`` the within-cycle
-    click times in the same order.  Peak j counts the start-stop pairs with
-    the start in some trial i, the stop in trial i + j and ``stop offset -
-    shift >= start offset``; ``shift`` is the start-stop gate offset of the
-    pair (zero for same-gate pairs).  These are exactly the pairs that the
-    histogram window of peak j collects: every ``ExperimentConfig`` holds
-    gates to at most half a cycle, so no pair at trial lag j + 1 reaches
-    that window.
-
-    ``table`` is a float array, all -inf, with one entry per trial.  The
-    stops set their entries to ``stop offset - shift`` and every start is
-    compared with the entries at lags 0..baseline_peaks, one gather per
-    lag; then the stops' entries go back to -inf, so one table serves every
-    call.  Every start trial must be below ``len(table) - baseline_peaks``
-    (ValueError otherwise) and every stop trial below ``len(table)``.  The
-    work grows with the clicks, not with the table.
-    """
-    if baseline_peaks < 1:
-        raise ValueError(f"baseline_peaks must be >= 1, got {baseline_peaks}")
-    start_trials = np.asarray(start_trials, dtype=np.int64)
-    stop_trials = np.asarray(stop_trials, dtype=np.int64)
-    _require_sorted(start_trials, "start trials")
-    _require_sorted(stop_trials, "stop trials")
-    if start_trials.size and start_trials[-1] >= table.size - baseline_peaks:
-        raise ValueError(f"start trial {start_trials[-1]} needs a table longer than "
-                         f"{table.size} entries to reach {baseline_peaks} peaks on")
-    counts = np.zeros(baseline_peaks + 1, dtype=np.int64)
-    if start_trials.size == 0 or stop_trials.size == 0:
-        return counts
-    table[stop_trials] = stop_offsets - shift
-    for j in range(baseline_peaks + 1):
-        counts[j] = np.count_nonzero(table[j:][start_trials] >= start_offsets)
-    table[stop_trials] = -np.inf  # cheaper than refilling when clicks are sparse
-    return counts
 
 
 _ROWS_PER_CHUNK = 4096

@@ -2,9 +2,10 @@
 tests use.
 
 The package counts N and M from click tables, block by block
-(``engine._count_peaks``: ``tia.peak_areas_from_clicks`` for sparse blocks,
-whole per-trial arrays for dense ones); ``counts_in_one_call`` counts a
-whole run in one sparse call, and the tests hold both paths to it.
+(``engine._count_peaks``: its sparse kernel ``engine.extract_peak_areas``
+for sparse blocks, whole per-trial arrays for dense ones);
+``counts_in_one_call`` counts a whole run in one kernel call, and the tests
+hold both paths to it.
 ``first_sources`` is the sampler's draw of each active trial's first
 nonzero source written as one CDF search.
 ``joint_pmf`` is the closed form of the unconditioned source law;
@@ -35,7 +36,8 @@ from hypothesis import strategies as st
 
 from pairsim import ExperimentConfig, SourceModel
 from pairsim.config import NO_DECAY
-from pairsim.tia import CoincidenceHistogram, PeakAreas, peak_areas_from_clicks
+from pairsim.engine import extract_peak_areas
+from pairsim.tia import CoincidenceHistogram, PeakAreas
 
 _means = st.one_of(st.just(0.0), st.floats(1e-4, 0.5))
 
@@ -121,15 +123,15 @@ def load_histogram(path, pair_id: tuple[str, str] = ("?", "?")) -> CoincidenceHi
 
 def counts_in_one_call(start_trials, start_offsets, stop_trials, stop_offsets,
                        shift: float, baseline_peaks: int) -> np.ndarray:
-    """``peak_areas_from_clicks`` over whole inputs in one call.
+    """``engine.extract_peak_areas`` over whole inputs in one call.
 
     The table gets one entry per trial up to the last click plus
     ``baseline_peaks``, so no start is turned away.
     """
     last = max([-1, *start_trials[-1:], *stop_trials[-1:]])
     table = np.full(int(last) + baseline_peaks + 1, -np.inf)
-    return peak_areas_from_clicks(start_trials, start_offsets, stop_trials,
-                                  stop_offsets, shift, baseline_peaks, table)
+    return extract_peak_areas(start_trials, start_offsets, stop_trials,
+                              stop_offsets, shift, baseline_peaks, table)
 
 
 def first_sources(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:

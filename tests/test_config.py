@@ -1,6 +1,7 @@
 """Configuration schema, parsing, validation and the reference preset."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -193,6 +194,15 @@ def test_bounds_accepted_at_bound_rejected_outside(preset, field, value, ok):
 def test_non_negative_fields_must_be_finite(preset, field, value):
     assert (f"{field} must be finite and >= 0, got {value}"
             in violations(preset, **{field: value}))
+
+
+@pytest.mark.parametrize("field, bound", [
+    ("retrieval_eff", "in [0, 1]"), ("transmission", "in [0, 1]"),
+    ("detector_eff", "in [0, 1]"), ("memory_lifetime", "> 0"), ("gate_width", "> 0")])
+def test_bounded_fields_reject_nan(preset, field, bound):
+    # The stage functions take these unchecked, so the config must refuse NaN.
+    assert violations(preset, **{field: math.nan}) == [
+        f"{field} must be {bound}, got nan"]
 
 
 @pytest.mark.parametrize("field, value", [

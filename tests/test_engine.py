@@ -100,13 +100,39 @@ STREAM_DIGESTS = {
     "0.3.0": "2ef21dc0aa023cdb338c30680e9ef389975dfffbe5f5f362b62aeff3afc09b53",
 }
 
+# The same digest off the preset: the classical source; forced dark clicks,
+# dense peak counting and numpy's own geometric gaps (dark_mean=5); and
+# numpy's BTPE branch of the 50/50 split (p_excitation=50).
+VARIANT_STREAM_DIGESTS = {
+    "0.3.0": {
+        "classical": "86cd32414aa97704344cf2b2f2979b0fcb7704e1dfcf34a3fc20dac1ac5f8544",
+        "dark_mean=5": "0b58e2a07149b849f71082406dd20cb1d9f1d8e64218d98249fe67935a45a57d",
+        "p_excitation=50": "1a3f36be55c8135abf5954b1b708834d34ff1387ccc797c6ccb1cc0c0a470c53",
+    },
+}
+STREAM_VARIANTS = {
+    "classical": {"source_model": SourceModel.CLASSICAL_CORRELATED},
+    "dark_mean=5": {"dark_mean": 5.0},
+    "p_excitation=50": {"p_excitation": 50.0},
+}
 
-def test_rng_stream_is_pinned_to_version(preset):
-    result = simulate_run(preset, trials=3 * BLOCK_TRIALS, seed=2026)
+
+def stream_digest(config) -> str:
+    result = simulate_run(config, trials=3 * BLOCK_TRIALS, seed=2026)
     digest = hashlib.sha256(result.pattern_counts.astype("<i8").tobytes())
     for det in "ABCD":
         digest.update(result.click_trials[det].astype("<i8").tobytes())
-    assert digest.hexdigest() == STREAM_DIGESTS[__version__]
+    return digest.hexdigest()
+
+
+def test_rng_stream_is_pinned_to_version(preset):
+    assert stream_digest(preset) == STREAM_DIGESTS[__version__]
+
+
+@pytest.mark.parametrize("variant", STREAM_VARIANTS)
+def test_rng_stream_off_the_preset_is_pinned_to_version(preset, variant):
+    config = dataclasses.replace(preset, **STREAM_VARIANTS[variant])
+    assert stream_digest(config) == VARIANT_STREAM_DIGESTS[__version__][variant]
 
 
 # sha256 of each file export_run writes for the same preset run, with
@@ -386,12 +412,14 @@ def test_counting_peaks_holds_memory_set_by_one_block(preset, n_blocks):
 
 @pytest.mark.parametrize("fault", ["swapped", "repeated"])
 @pytest.mark.parametrize("det", list("ABCD"))
-def test_dense_peak_counting_refuses_unordered_trials(det, fault):
-    # Every trial clicks, so every detector is counted on the dense path.
-    trials = np.arange(BLOCK_TRIALS, dtype=np.uint16)
+@pytest.mark.parametrize("clicking", [BLOCK_TRIALS, 300], ids=["dense", "sparse"])
+def test_peak_counting_refuses_unordered_trials(clicking, det, fault):
+    # Every detector clicks in the first ``clicking`` trials: all of a block
+    # takes the dense path, a few hundred trials the sparse one.
+    trials = np.arange(clicking, dtype=np.uint16)
     bad = trials.copy()
     bad[[100, 101]] = [101, 100] if fault == "swapped" else [100, 100]
-    block = {d: (bad if d == det else trials, np.zeros(BLOCK_TRIALS)) for d in "ABCD"}
+    block = {d: (bad if d == det else trials, np.zeros(clicking)) for d in "ABCD"}
     with pytest.raises(StreamOrderError, match="click trials"):
         engine._count_peaks([block], 0.0, 7)
 

