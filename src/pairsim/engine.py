@@ -18,11 +18,19 @@ reader: ``_clicks_in`` copies its pieces into one pair of arrays, and
 ``_scatter`` places them straight into a per-trial array.  Peak areas are
 counted one block at a time and singles come from the pattern counts, so a
 run that nothing else reads never builds run-level arrays.
-``RunResult.streams`` and ``click_trials`` are built from the blocks on
-each read, and ``export_run`` reads one detector at a time.
+``RunResult.streams`` and ``click_trials`` build a detector from the blocks
+each time it is indexed, and ``export_run`` reads one detector at a time.
 
-Blocks are sampled by ``_sampled``, the one scheduler of runs and sweeps
-(see its docstring).
+``_sampled`` is the one scheduler of runs and sweeps.  Its unit of work is a
+slice, a contiguous range of one run's blocks, sampled and reduced in one
+task (``_slice_task``): the task returns the slice's summed pattern counts,
+the integer peak counts of the pairs with start and stop both inside it, the
+clicks of its first and last ``baseline_peaks`` trials, and its tables only
+when they are kept.  A run on one worker or one CPU is one slice, sampled
+in process.  On the process pool a run that keeps its tables (a single
+``simulate_run``, whose result carries them) is cut into one slice per
+block; a sweep value keeps none, so it is cut into one slice per worker and
+ships no tables to the parent.
 
 Active-trial sampler.  Every trial has eight independent sources (see
 ``SOURCES``): the write excitation, the diffused-in memory excitations
@@ -61,16 +69,21 @@ with the start in trial i, the stop in trial i + j and ``stop offset -
 shift >= start offset``, offsets within the cycle.  Gates span at most half
 a cycle, so where the bin edges line up with the peak windows (the defaults
 do) these are the histogram windows' pairs, up to offsets that differ by a
-rounding error of the timestamps.  They are counted from the click tables,
-one block at a time: the starts of block b against the stops of block b and
-of the first ``baseline_peaks`` trials after it, so every start is counted
-once.  ``_count_peaks`` decides once per block how to count it: in a block
-where some detector has more than ``DENSE_CLICKS`` clicks, every detector
-is scattered into a reused array of per-trial offsets and every pair is
-counted by whole-array comparisons at each lag; every pair of any other
-block goes through the sparse kernel ``extract_peak_areas``, whose caller
-keeps every start trial below ``len(table) - baseline_peaks``.  Both count
-the same pairs exactly.  Only (A,B), (C,D) and (A,C) decide the
+rounding error of the timestamps.  They are counted from the click tables
+where a slice is sampled, one block at a time: the starts of block b against
+the stops of block b and of the first ``baseline_peaks`` trials after it
+inside the slice, so every start is counted once.  The parent adds the
+slices' counts and counts the pairs that cross a slice edge with
+``_count_edges``: the starts in each slice's last ``baseline_peaks`` trials
+against the stops in the first ``baseline_peaks`` trials of every later
+slice within reach.  Integer counts and one float comparison keep the result
+independent of how a run is sliced.  ``_count_peaks`` decides once per block
+how to count it: in a block where some detector has more than
+``DENSE_CLICKS`` clicks, every detector is scattered into a reused array of
+per-trial offsets and every pair is counted by whole-array comparisons at
+each lag; every pair of any other block goes through the sparse kernel
+``extract_peak_areas``, whose caller keeps every start trial below
+``len(table) - baseline_peaks``.  Both count the same pairs exactly.  Only (A,B), (C,D) and (A,C) decide the
 Cauchy-Schwarz report, and (B,D) is reported as a check.  The coincidence
 histograms are built from the timestamps the first time
 ``RunResult.histograms`` is read, which ``export_run`` does.
@@ -84,6 +97,7 @@ import json
 import math
 import os
 import time
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -153,6 +167,24 @@ class RunManifest:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
 
+class _Detectors(Mapping):
+    """One value per detector, built by ``build(det)`` each time it is indexed."""
+
+    def __init__(self, build):
+        self._build = build
+
+    def __getitem__(self, det: str):
+        if det not in DETECTOR_IDS:
+            raise KeyError(det)
+        return self._build(det)
+
+    def __iter__(self):
+        return iter(DETECTOR_IDS)
+
+    def __len__(self) -> int:
+        return len(DETECTOR_IDS)
+
+
 @dataclass
 class RunResult:
     """Everything simulate_run produces for one configuration.
@@ -160,14 +192,18 @@ class RunResult:
     The clicks are held as ``block_clicks``: per block, per detector, the
     block-local trial indices (uint16) and within-cycle offsets (float64).
     Reading the result never changes them.  ``streams`` and
-    ``click_trials`` are built from them on each read; ``histograms`` are
-    built on first read and kept.
+    ``click_trials`` build a detector from them each time it is indexed;
+    ``histograms`` are built on first read and kept.
+
+    A sweep value's run keeps only its counts: its ``block_clicks`` is None,
+    and ``click_trials``, ``histograms`` and ``export_run`` raise
+    RuntimeError for it.
     """
 
     config: ExperimentConfig
     trials: int
     seed: int
-    block_clicks: list[dict[str, tuple[np.ndarray, np.ndarray]]] = field(repr=False)
+    block_clicks: list[dict[str, tuple[np.ndarray, np.ndarray]]] | None = field(repr=False)
     peaks: dict[str, PeakAreas]
     g: dict[str, tuple[float, float]]
     report: CorrelationReport | None
@@ -177,26 +213,40 @@ class RunResult:
     wall_time_seconds: float
     workers: int
 
+    def _tables(self) -> list[dict[str, tuple[np.ndarray, np.ndarray]]]:
+        if self.block_clicks is None:
+            raise RuntimeError("this run kept no click tables: a sweep keeps only "
+                               "the counts of each value's run")
+        return self.block_clicks
+
     def _clicks(self, det: str) -> tuple[np.ndarray, np.ndarray]:
         """Run-level trial indices and timestamps of every click of ``det``."""
-        trials, timestamps = _clicks_in(self.block_clicks, det, 0, self.trials)
+        trials, timestamps = _clicks_in(self._tables(), det, 0, self.trials)
         timestamps += trials * self.config.cycle_period
         return trials, timestamps
 
     @property
-    def streams(self) -> dict[str, TimestampStream]:
-        """Click timestamps of every detector over the run, built on each read."""
-        return {det: TimestampStream(det, self._clicks(det)[1]) for det in DETECTOR_IDS}
+    def streams(self) -> Mapping[str, TimestampStream]:
+        """Click timestamps of each detector over the run, built when indexed.
+
+        A run without tables reads as one without clicks here, unlike
+        ``click_trials``: ``benchmark/spans.py`` counts the clicks of every
+        run it traces through ``streams``, sweep values included.
+        """
+        if self.block_clicks is None:
+            return {det: TimestampStream(det, np.empty(0)) for det in DETECTOR_IDS}
+        return _Detectors(lambda det: TimestampStream(det, self._clicks(det)[1]))
 
     @property
-    def click_trials(self) -> dict[str, np.ndarray]:
-        """Trial index of every click per detector, built on each read."""
-        return {det: self._clicks(det)[0] for det in DETECTOR_IDS}
+    def click_trials(self) -> Mapping[str, np.ndarray]:
+        """Trial index of every click of each detector, built when indexed."""
+        self._tables()  # a run without tables raises here, not when indexed
+        return _Detectors(lambda det: self._clicks(det)[0])
 
     @functools.cached_property
     def histograms(self) -> dict[str, CoincidenceHistogram]:
         """Coincidence histogram of every pair, built on first access."""
-        streams = self.streams
+        streams = {det: TimestampStream(det, self._clicks(det)[1]) for det in DETECTOR_IDS}
         return {label: build_histogram(streams[start], streams[stop],
                                        self.config.hist_bin, self.config.hist_span)
                 for label, start, stop, _ in HISTOGRAM_PAIRS}
@@ -389,8 +439,48 @@ def _simulate_block(config: ExperimentConfig, seed: int, block_index: int, n: in
     return clicks, pattern_counts
 
 
-def _block_task(args):
-    return _simulate_block(*args)
+@dataclass
+class _Slice:
+    """What ``_slice_task`` returns for a contiguous range of one run's blocks.
+
+    ``peaks`` counts the pairs with start and stop both inside the slice.
+    ``head`` and ``tail`` hold, per detector, the run-level trials (int64)
+    and offsets of the clicks in its first and last ``baseline_peaks``
+    trials; each is None where no slice precedes or follows it.  ``blocks``
+    holds its tables, or None when they are dropped.
+    """
+
+    start: int
+    pattern_counts: np.ndarray
+    peaks: dict[str, np.ndarray]
+    head: dict[str, tuple[np.ndarray, np.ndarray]] | None
+    tail: dict[str, tuple[np.ndarray, np.ndarray]] | None
+    blocks: list[dict[str, tuple[np.ndarray, np.ndarray]]] | None
+
+
+def _slice_task(args) -> _Slice:
+    """Sample blocks [first, stop) of a run of ``trials`` and reduce them."""
+    config, seed, trials, first, stop, keep = args
+    sampled = [_simulate_block(config, seed, b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
+               for b in range(first, stop)]
+    blocks = [clicks for clicks, _ in sampled]
+    start = first * BLOCK_TRIALS
+    length = min(trials, stop * BLOCK_TRIALS) - start
+    reach = config.baseline_peaks
+
+    def window(lo: int, hi: int) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        reads = {det: _clicks_in(blocks, det, lo, hi) for det in DETECTOR_IDS}
+        for trials_in, _ in reads.values():
+            trials_in += start + lo
+        return reads
+
+    return _Slice(
+        start=start,
+        pattern_counts=np.sum([counts for _, counts in sampled], axis=0),
+        peaks=_count_peaks(blocks, config.delay_dt, reach),
+        head=window(0, reach) if first > 0 else None,
+        tail=window(max(0, length - reach), length) if start + length < trials else None,
+        blocks=blocks if keep else None)
 
 
 def _available_cpus() -> int:
@@ -404,33 +494,46 @@ def _pool_size(workers: int, n_blocks: int) -> int:
     return min(workers, _available_cpus(), n_blocks)
 
 
-def _block_tasks(config: ExperimentConfig, trials: int, seed: int) -> list[tuple]:
-    """Arguments of every ``_block_task`` of a run, in block order."""
-    n_blocks = (trials + BLOCK_TRIALS - 1) // BLOCK_TRIALS
-    return [(config, seed, b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
-            for b in range(n_blocks)]
+def _n_blocks(trials: int) -> int:
+    return -(-trials // BLOCK_TRIALS)
 
 
-def _sampled(runs: list[list[tuple]], workers: int):
-    """Yield the block results of each run's ``_block_tasks``, in run order.
+def _slice_tasks(config: ExperimentConfig, trials: int, seed: int, slices: int,
+                 keep: bool) -> list[tuple]:
+    """Arguments of the ``_slice_task``s of a run: at most ``slices``
+    contiguous ranges of its blocks, of near-equal block counts, in order."""
+    n_blocks = _n_blocks(trials)
+    slices = min(slices, n_blocks)
+    cuts = [n_blocks * i // slices for i in range(slices + 1)]
+    return [(config, seed, trials, first, stop, keep) for first, stop in zip(cuts, cuts[1:])]
 
-    With more than one worker, CPU and block, the package's one process pool
-    runs them: run k + 1 is queued before run k is yielded, so the workers
-    sample while the caller reduces, and at most two runs' blocks are queued
-    or held.  Otherwise each run is sampled here when asked for.  Ending or
-    closing the generator shuts the pool down with queued blocks cancelled.
+
+def _sampled(runs: list[tuple], workers: int, keep: bool):
+    """Yield the ``_Slice``s of each run (config, trials, seed), in run order.
+
+    A slice is sampled and reduced in one task, so its tables travel only
+    when ``keep`` asks for them.  With more than one worker, CPU and block,
+    the package's one process pool runs the tasks: a run is cut into one
+    slice per block when its tables are kept, and otherwise into one slice
+    per worker.  Run k + 1 is queued before run k is yielded, so the
+    workers sample while the caller reduces, and at most two runs' slices
+    are queued or held.  Otherwise each run is one slice, sampled here when
+    asked for.  Ending or closing the generator shuts the pool down with
+    queued slices cancelled.
     """
-    pool_size = _pool_size(workers, sum(map(len, runs)))
+    pool_size = _pool_size(workers, sum(_n_blocks(trials) for _, trials, _ in runs))
     if pool_size < 2:
-        for tasks in runs:
-            yield [_block_task(task) for task in tasks]
+        for run in runs:
+            yield [_slice_task(task) for task in _slice_tasks(*run, 1, keep)]
         return
+    tasks = [_slice_tasks(*run, _n_blocks(run[1]) if keep else pool_size, keep)
+             for run in runs]
     pool = ProcessPoolExecutor(max_workers=pool_size)
     try:
-        queued = [pool.submit(_block_task, task) for task in runs[0]]
-        for following in runs[1:] + [[]]:
+        queued = [pool.submit(_slice_task, task) for task in tasks[0]]
+        for following in tasks[1:] + [[]]:
             current = queued
-            queued = [pool.submit(_block_task, task) for task in following]
+            queued = [pool.submit(_slice_task, task) for task in following]
             yield [future.result() for future in current]
     finally:
         pool.shutdown(cancel_futures=True)
@@ -511,13 +614,16 @@ def extract_peak_areas(start_trials: np.ndarray, start_offsets: np.ndarray,
     return counts
 
 
-def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, PeakAreas]:
-    """Peak areas of every pair of HISTOGRAM_PAIRS, counted one block at a time.
+def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, np.ndarray]:
+    """Int64 counts of peaks 0..baseline_peaks of every pair of
+    HISTOGRAM_PAIRS with start and stop both in ``blocks``, counted one
+    block at a time.
 
     The starts of each block meet the stops of that block and of the
-    ``baseline_peaks`` trials after it, so every start is counted exactly
-    once; the integer counts of the blocks add up to those of the run.
-    Each detector is read once per block, over the block and its reach.
+    ``baseline_peaks`` trials after it that ``blocks`` holds, so every start
+    is counted exactly once; the counts of the blocks add up to those of
+    the run, or of the slice that ``_slice_task`` gives it.  Each detector
+    is read once per block, over the block and its reach.
 
     A block is dense when one of its detectors has more than DENSE_CLICKS
     clicks in its own table, and all four pairs of a block are counted alike:
@@ -560,7 +666,46 @@ def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, Peak
                 counts[label] += extract_peak_areas(
                     start[0][:in_block], start[1][:in_block], *stop, shift,
                     baseline_peaks, table)
-    return {label: PeakAreas.from_counts(c) for label, c in counts.items()}
+    return counts
+
+
+def _count_edges(slices: list[_Slice], delay_dt: float,
+                 baseline_peaks: int) -> dict[str, np.ndarray]:
+    """Int64 peak counts of every pair whose start and stop lie in different
+    slices, from the slices' heads and tails: one ``extract_peak_areas``
+    call per pair.
+
+    With k = baseline_peaks, edge e (the first trial t of slice e + 1) owns
+    entries [2 k e, 2 k (e + 1)) of one all -inf table, trial i at entry
+    i - t + k + 2 k e.  Its starts are the clicks of slice e's tail, in the
+    edge's first k entries, and its stops those of trials [t, t + k), read
+    from the heads of slice e + 1 and of any later slice that begins within
+    reach.  A lag of at most k never leaves the edge's entries, so each
+    start meets exactly the stops after its slice that it can reach.
+    """
+    k = baseline_peaks
+    starts = {det: ([], []) for det in DETECTOR_IDS}
+    stops = {det: ([], []) for det in DETECTOR_IDS}
+    for e, (before, after) in enumerate(zip(slices, slices[1:])):
+        edge = after.start
+        shift = k + 2 * k * e - edge
+        for det in DETECTOR_IDS:
+            trials, offsets = before.tail[det]
+            starts[det][0].append(trials + shift)
+            starts[det][1].append(offsets)
+            for later in slices[e + 1:]:
+                if later.start >= edge + k:
+                    break
+                trials, offsets = later.head[det]
+                near = trials.searchsorted(edge + k)
+                stops[det][0].append(trials[:near] + shift)
+                stops[det][1].append(offsets[:near])
+    reads = {det: [np.concatenate(part) for part in (*starts[det], *stops[det])]
+             for det in DETECTOR_IDS}
+    table = np.full(2 * k * (len(slices) - 1), -np.inf)
+    return {label: extract_peak_areas(*reads[start][:2], *reads[stop][2:],
+                                      delay_dt if shifted else 0.0, k, table)
+            for label, start, stop, shifted in HISTOGRAM_PAIRS}
 
 
 def _run_arguments(config: ExperimentConfig, trials, seed, workers):
@@ -593,24 +738,31 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
     pair with a zero baseline instead of a verdict.  Histograms are not
     built here (see ``RunResult.histograms``).
 
-    ``_blocks`` is for ``sweep`` only: the results of this run's
-    ``_block_tasks``, sampled by the sweep's ``_sampled``.
+    ``_blocks`` is for ``sweep`` only: the ``_Slice``s of this run, from the
+    sweep's ``_sampled``, without their tables.
     """
     trials, seed, workers = _run_arguments(
         config, config.n_trials if trials is None else trials, seed, workers)
     started = time.perf_counter()
 
-    if _blocks is None:
-        with contextlib.closing(_sampled([_block_tasks(config, trials, seed)],
-                                         workers)) as sampled:
-            _blocks = next(sampled)
-    blocks = [clicks for clicks, _ in _blocks]
-    pattern_counts = np.sum([counts for _, counts in _blocks], axis=0).astype(np.int64)
-    del _blocks
+    slices = _blocks
+    if slices is None:
+        with contextlib.closing(_sampled([(config, trials, seed)], workers,
+                                         keep=True)) as sampled:
+            slices = next(sampled)
+    pattern_counts = np.sum([s.pattern_counts for s in slices], axis=0).astype(np.int64)
+    counts = {label: sum(s.peaks[label] for s in slices) for label, *_ in HISTOGRAM_PAIRS}
+    if len(slices) > 1:
+        for label, edge_counts in _count_edges(slices, config.delay_dt,
+                                               config.baseline_peaks).items():
+            counts[label] += edge_counts
+    peaks = {label: PeakAreas.from_counts(c) for label, c in counts.items()}
+    blocks = (None if slices[0].blocks is None
+              else [block for s in slices for block in s.blocks])
+    del slices
 
     g: dict[str, tuple[float, float]] = {}
     zero_baseline = []
-    peaks = _count_peaks(blocks, config.delay_dt, config.baseline_peaks)
     for label, start_det, stop_det, _ in HISTOGRAM_PAIRS:
         try:
             g[label] = g_ratio(peaks[label].n_same_trial, peaks[label].m_baseline,
@@ -653,13 +805,15 @@ def export_run(result: RunResult, out_dir, keep_events: bool = False) -> RunMani
     """Write histograms, report, config snapshot and manifest to a directory.
 
     Returns the manifest (also written as manifest.json).  Event streams
-    are only written when ``keep_events`` is set.
+    are only written when ``keep_events`` is set.  A run without click
+    tables (a sweep value's) raises RuntimeError before anything is written.
     """
+    histograms = result.histograms
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
 
-    for label, hist in result.histograms.items():
+    for label, hist in histograms.items():
         name = HISTOGRAM_FILES[label]
         export_histogram(hist, out / name)
         outputs.append(name)
@@ -718,18 +872,18 @@ def sweep(config: ExperimentConfig, parameter: str, values,
     config (ConfigError), and worker counts, trial counts or seeds that
     ``simulate_run`` refuses (ValueError) raise before the first run.
 
-    Every value's blocks come from one ``_sampled`` over the whole sweep.
-    Rows do not depend on ``workers``.
+    Every value's slices come from one ``_sampled`` over the whole sweep,
+    without tables: a value's ``RunResult`` holds its counts only.  Rows do
+    not depend on ``workers``.
     """
     check_sweep_parameter(parameter, trials)
     trials, seed, workers = _run_arguments(config, trials, seed, workers)
     variants = [(v, replace(config, **{parameter: v})) for v in values]
     seeds = [derived_seed(seed, index) for index in range(len(variants))]
-    tasks = [_block_tasks(variant, variant.n_trials if trials is None else trials,
-                          value_seed)
-             for (_, variant), value_seed in zip(variants, seeds)]
+    runs = [(variant, variant.n_trials if trials is None else trials, value_seed)
+            for (_, variant), value_seed in zip(variants, seeds)]
     rows: list[dict[str, object]] = []
-    with contextlib.closing(_sampled(tasks, workers)) as sampled:
+    with contextlib.closing(_sampled(runs, workers, keep=False)) as sampled:
         for (value, variant), value_seed in zip(variants, seeds):
             rep = simulate_run(variant, trials=trials, seed=value_seed,
                                workers=workers, _blocks=next(sampled)).report

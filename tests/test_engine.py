@@ -181,6 +181,23 @@ def test_streams_are_built_on_each_read_and_leave_the_blocks(preset, tmp_path):
             assert np.array_equal(block[det][1], offsets)
 
 
+def test_each_detector_is_built_when_indexed(preset, monkeypatch):
+    result = simulate_run(preset, trials=2 * BLOCK_TRIALS, seed=2026)
+    read = []
+    clicks_in = engine._clicks_in
+    monkeypatch.setattr(engine, "_clicks_in",
+                        lambda blocks, det, *args: read.append(det) or clicks_in(
+                            blocks, det, *args))
+    result.streams["C"]
+    result.click_trials["D"]
+    assert read == ["C", "D"]
+    read.clear()
+    result.histograms
+    assert sorted(read) == list("ABCD")  # once each for four pairs
+    with pytest.raises(KeyError):
+        result.streams["E"]
+
+
 def test_reading_streams_holds_nothing_after_the_read(preset):
     # A saturated run over 4 blocks; a cached copy of the streams would
     # hold 16 bytes a click after the read.
@@ -191,10 +208,10 @@ def test_reading_streams_holds_nothing_after_the_read(preset):
     tracemalloc.start()
     try:
         held_before, _ = tracemalloc.get_traced_memory()
-        streams = result.streams
+        streams = dict(result.streams)  # every detector built
         held_while, _ = tracemalloc.get_traced_memory()
         del streams
-        result.click_trials  # read and dropped as well
+        dict(result.click_trials)  # read and dropped as well
         held_after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -282,6 +299,11 @@ def merged_clicks(blocks):
             for det in "ABCD"}
 
 
+def areas(counts):
+    """Peak areas of every pair from its int64 peak counts."""
+    return {label: PeakAreas.from_counts(c) for label, c in counts.items()}
+
+
 def one_call_peaks(clicks, delay_dt, baseline_peaks):
     """Peak areas of every pair from one counter call over run-level tables."""
     return {label: PeakAreas.from_counts(counts_in_one_call(
@@ -317,10 +339,12 @@ def test_peaks_counted_per_block_equal_one_pass(preset, monkeypatch, noise, dens
             if rate > engine.DENSE_CLICKS / BLOCK_TRIALS} == set(dense), click_rate
     # One density decision per block: a block whose largest table is at
     # most DENSE_CLICKS makes four sparse calls, any other block none, so a
-    # full block with one dense arm counts its sparse arm densely too.
+    # full block with one dense arm counts its sparse arm densely too.  On
+    # two workers the blocks are counted in the workers.
     sparse = [max(block[det][0].size for det in "ABCD") <= engine.DENSE_CLICKS
               for block in result.block_clicks]
-    assert len(sparse_calls) == 4 * sum(sparse)
+    if workers == 1:
+        assert len(sparse_calls) == 4 * sum(sparse)
     assert not dense or not any(sparse[:trials // BLOCK_TRIALS])
     # Dense detectors nearly always click, so their pairs straddle every block edge.
     reach = config.baseline_peaks
@@ -349,7 +373,7 @@ def test_peaks_reach_past_the_next_block():
         block["D"] = (block["B"][0][:0], block["B"][1][:0])
         blocks.append(block)
     expected = one_call_peaks(merged_clicks(blocks), 0.25, reach)
-    assert engine._count_peaks(blocks, 0.25, reach) == expected
+    assert areas(engine._count_peaks(blocks, 0.25, reach)) == expected
     assert sum(expected["11"].per_peak[BLOCK_TRIALS:]) > 0  # lags past one block
     assert sum(expected["12"].per_peak[BLOCK_TRIALS:]) > 0
 
@@ -386,7 +410,7 @@ def test_count_peaks_equals_one_call_at_every_density(block_trials, n_blocks, la
         patch.setattr(engine, "BLOCK_TRIALS", block_trials)
         patch.setattr(engine, "DENSE_CLICKS", block_trials * engine.DENSE_CLICKS // BLOCK_TRIALS)
         expected = one_call_peaks(merged_clicks(blocks), delay_dt, baseline_peaks)
-        assert engine._count_peaks(blocks, delay_dt, baseline_peaks) == expected
+        assert areas(engine._count_peaks(blocks, delay_dt, baseline_peaks)) == expected
 
 
 @pytest.mark.parametrize("n_blocks", [4, 16])
@@ -406,7 +430,7 @@ def test_counting_peaks_holds_memory_set_by_one_block(preset, n_blocks):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peaks == result.peaks
+    assert areas(peaks) == result.peaks
     assert peak < 56 * (BLOCK_TRIALS + config.baseline_peaks)
 
 
@@ -774,11 +798,130 @@ def test_sweep_does_not_depend_on_workers(preset, monkeypatch, tmp_path, paramet
     assert out[1] == out[2]
 
 
+def runs_of_sweep(*args, **kwargs):
+    """Rows of ``sweep(*args, **kwargs)`` and the RunResult of each value."""
+    runs = []
+    inner = engine.simulate_run
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "simulate_run",
+                      lambda *a, **k: runs.append(inner(*a, **k)) or runs[-1])
+        rows = sweep(*args, **kwargs)
+    return rows, runs
+
+
+def counted(result):
+    """What a run reports, from its counts: N, M, g, report, pattern counts."""
+    return (repr(result.peaks), repr(result.g), repr(result.report),
+            tuple(result.pattern_counts.tolist()))
+
+
+def sliced_alike(config, trials, seed):
+    """The kept ``workers=1`` run of a one-value sweep's config, trials and
+    value seed, once ``simulate_run`` and the sweep have given the same
+    counts and rows at ``workers`` 1, 2 and 3."""
+    runs = [simulate_run(config, trials=trials, seed=derived_seed(seed, 0), workers=w)
+            for w in (1, 2, 3)]
+    swept = [runs_of_sweep(config, "delay_dt", [config.delay_dt], trials=trials, seed=seed,
+                           workers=w) for w in (1, 2, 3)]
+    assert {repr(rows) for rows, _ in swept} == {repr(swept[0][0])}
+    assert {counted(r) for r in runs + [values[0] for _, values in swept]} == {counted(runs[0])}
+    return runs[0]
+
+
+@pytest.mark.parametrize("n_blocks", [1, 2, 3, 5])
+@pytest.mark.parametrize("noise", [{}, {"dark_mean": 5.0}], ids=["sparse", "dense"])
+def test_slice_edges_change_no_count(preset, monkeypatch, noise, n_blocks):
+    # Three CPUs whatever the host has.  A run keeps its tables and is cut
+    # into one slice per block; a sweep value drops them and is cut into
+    # one slice per worker: 5 blocks make slices of 2 and 3 blocks at two
+    # workers, of 1, 2 and 2 at three.  Every run ends in a remainder block.
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 3)
+    config = dataclasses.replace(preset, **noise)
+    run = sliced_alike(config, (n_blocks - 1) * BLOCK_TRIALS + 1234, seed=17)
+    assert run.peaks == one_call_peaks(merged_clicks(run.block_clicks),
+                                       config.delay_dt, config.baseline_peaks)
+
+
+def test_edge_pairs_skip_a_whole_slice(preset, monkeypatch):
+    # A reach of a block and two trials: starts at the end of the first
+    # block meet stops in the third.  The per-lag gathers of so long a
+    # reach are slow at full size, so blocks are shrunk to 64 trials, with
+    # the density switch at the same share of a block; the forked workers
+    # inherit the patch.
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(engine, "BLOCK_TRIALS", 64)
+    monkeypatch.setattr(engine, "DENSE_CLICKS", 64 * engine.DENSE_CLICKS // BLOCK_TRIALS)
+    config = dataclasses.replace(preset, dark_mean=2.0, baseline_peaks=66,
+                                 hist_span=67 * preset.cycle_period)
+    # A seed where such pairs are counted (below).
+    run = sliced_alike(config, 2 * 64 + 3, seed=18)
+    clicks = merged_clicks(run.block_clicks)
+    assert run.peaks == one_call_peaks(clicks, config.delay_dt, 66)
+    # Some (A, B) pair counted in a peak starts in the first block and stops in the third.
+    (a, a_at), (b, b_at) = clicks["A"], clicks["B"]
+    first, third = a < 64, b >= 128
+    lag = b[third][None, :] - a[first][:, None]
+    assert np.any((lag <= 66) & (b_at[third][None, :] >= a_at[first][:, None]))
+
+
+def test_sweep_slices_of_unequal_length_change_no_count(preset, monkeypatch):
+    # One, two and three blocks per value: at three workers the values are
+    # cut into 1, 2 and 3 slices; at two the last one into slices of 1 and
+    # 2 blocks.
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 3)
+    values = [1000, 2 * BLOCK_TRIALS, 2 * BLOCK_TRIALS + 777]
+    swept = {w: runs_of_sweep(preset, "n_trials", values, seed=5, workers=w)
+             for w in (1, 2, 3)}
+    assert {repr(rows) for rows, _ in swept.values()} == {repr(swept[1][0])}
+    for index, value in enumerate(values):
+        kept = simulate_run(dataclasses.replace(preset, n_trials=value),
+                            seed=derived_seed(5, index))
+        assert {counted(runs[index]) for _, runs in swept.values()} == {counted(kept)}
+        assert kept.peaks == one_call_peaks(merged_clicks(kept.block_clicks),
+                                            preset.delay_dt, preset.baseline_peaks)
+
+
+def test_pool_sweep_holds_no_tables_in_the_parent(preset, monkeypatch):
+    # Saturated values hold about 2.6 MB of tables a block.  The parent
+    # gets counts and edge windows, so its traced peak must not grow with
+    # the blocks of a value; holding one value's tables would add 20 MB at
+    # 8 blocks.
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    config = dataclasses.replace(preset, dark_mean=5.0)
+    sweep(config, "delay_dt", [0.0], trials=BLOCK_TRIALS, seed=3, workers=2)  # warm up
+    peaks = {}
+    for blocks in (2, 8):
+        tracemalloc.start()
+        try:
+            sweep(config, "delay_dt", [0.0, 2e-6], trials=blocks * BLOCK_TRIALS, seed=3,
+                  workers=2)
+            _, peaks[blocks] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[8] - peaks[2] < 2_600_000
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_value_runs_refuse_reading_clicks(preset, monkeypatch, tmp_path, workers):
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    _, runs = runs_of_sweep(preset, "delay_dt", [2e-6],
+                            trials=2 * BLOCK_TRIALS, seed=3, workers=workers)
+    run = runs[0]
+    assert run.block_clicks is None and run.pattern_counts.sum() == 2 * BLOCK_TRIALS
+    reads = [lambda: run.click_trials, lambda: run.histograms,
+             lambda: export_run(run, tmp_path / "out")]
+    for read in reads:
+        with pytest.raises(RuntimeError, match="no click tables"):
+            read()
+    assert not (tmp_path / "out").exists()
+
+
 class CountingPool(engine.ProcessPoolExecutor):
     """A process pool that records its construction, submits and shutdown."""
 
     created = 0
-    submitted: list = []  # seed of every submitted block, in submit order
+    submitted: list = []  # seed of every block of each submitted slice, in submit order
+    tasks: list = []  # seed of every submitted slice, in submit order
     shutdowns: list = []  # cancel_futures of every shutdown call
 
     def __init__(self, *args, **kwargs):
@@ -786,7 +929,9 @@ class CountingPool(engine.ProcessPoolExecutor):
         super().__init__(*args, **kwargs)
 
     def submit(self, fn, task, **kwargs):
-        type(self).submitted.append(task[1])
+        _, seed, _, first, stop, _ = task
+        type(self).submitted.extend([seed] * (stop - first))
+        type(self).tasks.append(seed)
         return super().submit(fn, task, **kwargs)
 
     def shutdown(self, wait=True, *, cancel_futures=False):
@@ -804,6 +949,7 @@ def counting_pool(monkeypatch):
     """
     monkeypatch.setattr(CountingPool, "created", 0)
     monkeypatch.setattr(CountingPool, "submitted", [])
+    monkeypatch.setattr(CountingPool, "tasks", [])
     monkeypatch.setattr(CountingPool, "shutdowns", [])
     monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
@@ -830,11 +976,13 @@ SWEEP_DELAYS = [0.0, 1e-6, 2e-6, 4e-6, 8e-6]
 
 def test_sweep_starts_one_pool_and_queues_one_value_ahead(preset, counting_pool):
     pool, calls, _ = counting_pool
-    rows = sweep(preset, "delay_dt", SWEEP_DELAYS, trials=2000, seed=7, workers=2)
+    trials = 2 * BLOCK_TRIALS + 5
+    rows = sweep(preset, "delay_dt", SWEEP_DELAYS, trials=trials, seed=7, workers=2)
     assert len(rows) == len(SWEEP_DELAYS)
     assert pool.created == 1 and pool.shutdowns == [True]
     seeds = [derived_seed(7, index) for index in range(len(SWEEP_DELAYS))]
-    assert pool.submitted == seeds  # one block per value, each submitted once
+    assert pool.submitted == [seed for seed in seeds for _ in range(3)]  # every block once
+    assert all(pool.tasks.count(seed) <= 2 for seed in seeds)  # at most a slice per worker
     assert [seed for seed, _, _ in calls] == seeds
     for index, (seed, with_blocks, queued) in enumerate(calls):
         # This value and the next one are queued; nothing further ahead.
@@ -1111,6 +1259,16 @@ def test_benchmark_tracer_sees_every_layer_call(preset, tmp_path, noise):
     clicks = sum(bin(pattern).count("1") * int(count)
                  for pattern, count in enumerate(traced.pattern_counts))
     assert tracer.counters[None]["optics.clicks"] == clicks > 0
+
+
+def test_benchmark_tracer_traces_a_sweep(preset, tmp_path):
+    # The tracer reads the streams of every simulate_run it wraps, and a
+    # sweep's runs hold no tables.
+    tracer = benchmark_spans().Tracer(tmp_path)
+    with tracer.installed():
+        rows = engine.sweep(preset, "delay_dt", [0.0, 2e-6], trials=BLOCK_TRIALS, seed=3)
+    assert rows == sweep(preset, "delay_dt", [0.0, 2e-6], trials=BLOCK_TRIALS, seed=3)
+    assert tracer.counters[None]["optics.trials"] == 2 * BLOCK_TRIALS
 
 
 @pytest.mark.parametrize("model", SourceModel, ids=lambda model: model.value)
