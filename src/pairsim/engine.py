@@ -30,7 +30,10 @@ when they are kept.  A run on one worker or one CPU is one slice, sampled
 in process.  On the process pool a run that keeps its tables (a single
 ``simulate_run``, whose result carries them) is cut into one slice per
 block; a sweep value keeps none, so it is cut into one slice per worker and
-ships no tables to the parent.
+ships no tables to the parent.  A sweep submits every slice of every value
+to one pool at once.  On Linux the pool forks, whatever the default start
+method: forked workers start fastest, and they inherit the parent's module
+state, so the benchmark tracer's wrappers time them too.
 
 Active-trial sampler.  Every trial has eight independent sources (see
 ``SOURCES``): the write excitation, the diffused-in memory excitations
@@ -83,19 +86,21 @@ how to count it: in a block where some detector has more than
 per-trial offsets and every pair is counted by whole-array comparisons at
 each lag; every pair of any other block goes through the sparse kernel
 ``extract_peak_areas``, whose caller keeps every start trial below
-``len(table) - baseline_peaks``.  Both count the same pairs exactly.  Only (A,B), (C,D) and (A,C) decide the
-Cauchy-Schwarz report, and (B,D) is reported as a check.  The coincidence
-histograms are built from the timestamps the first time
-``RunResult.histograms`` is read, which ``export_run`` does.
+``len(table) - baseline_peaks``.  Both count the same pairs exactly.  Only
+(A,B), (C,D) and (A,C) decide the Cauchy-Schwarz report, and (B,D) is
+reported as a check.  The coincidence histograms are built from the
+timestamps the first time ``RunResult.histograms`` is read, which
+``export_run`` does.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import json
 import math
+import multiprocessing
 import os
+import sys
 import time
 from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
@@ -508,33 +513,28 @@ def _slice_tasks(config: ExperimentConfig, trials: int, seed: int, slices: int,
     return [(config, seed, trials, first, stop, keep) for first, stop in zip(cuts, cuts[1:])]
 
 
-def _sampled(runs: list[tuple], workers: int, keep: bool):
-    """Yield the ``_Slice``s of each run (config, trials, seed), in run order.
+def _sampled(runs: list[tuple], workers: int, keep: bool) -> list[list[_Slice]]:
+    """The ``_Slice``s of each run (config, trials, seed), one list per run, in order.
 
     A slice is sampled and reduced in one task, so its tables travel only
-    when ``keep`` asks for them.  With more than one worker, CPU and block,
-    the package's one process pool runs the tasks: a run is cut into one
-    slice per block when its tables are kept, and otherwise into one slice
-    per worker.  Run k + 1 is queued before run k is yielded, so the
-    workers sample while the caller reduces, and at most two runs' slices
-    are queued or held.  Otherwise each run is one slice, sampled here when
-    asked for.  Ending or closing the generator shuts the pool down with
-    queued slices cancelled.
+    when ``keep`` asks for them.  With fewer than two pool processes (see
+    ``_pool_size``) each run is one slice, sampled here.  Otherwise every
+    slice of every run goes to one process pool at once, forked on Linux
+    (see the module docstring): a run is cut into one slice per block when
+    its tables are kept, and otherwise into one slice per worker.  The pool
+    is shut down, queued slices cancelled, once the results are in or a
+    task has failed.
     """
     pool_size = _pool_size(workers, sum(_n_blocks(trials) for _, trials, _ in runs))
     if pool_size < 2:
-        for run in runs:
-            yield [_slice_task(task) for task in _slice_tasks(*run, 1, keep)]
-        return
-    tasks = [_slice_tasks(*run, _n_blocks(run[1]) if keep else pool_size, keep)
-             for run in runs]
-    pool = ProcessPoolExecutor(max_workers=pool_size)
+        return [[_slice_task(task) for task in _slice_tasks(*run, 1, keep)] for run in runs]
+    context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    pool = ProcessPoolExecutor(max_workers=pool_size, mp_context=context)
     try:
-        queued = [pool.submit(_slice_task, task) for task in tasks[0]]
-        for following in tasks[1:] + [[]]:
-            current = queued
-            queued = [pool.submit(_slice_task, task) for task in following]
-            yield [future.result() for future in current]
+        futures = [[pool.submit(_slice_task, task) for task in
+                    _slice_tasks(*run, _n_blocks(run[1]) if keep else pool_size, keep)]
+                   for run in runs]
+        return [[future.result() for future in run] for run in futures]
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -747,9 +747,7 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
 
     slices = _blocks
     if slices is None:
-        with contextlib.closing(_sampled([(config, trials, seed)], workers,
-                                         keep=True)) as sampled:
-            slices = next(sampled)
+        slices = _sampled([(config, trials, seed)], workers, keep=True)[0]
     pattern_counts = np.sum([s.pattern_counts for s in slices], axis=0).astype(np.int64)
     counts = {label: sum(s.peaks[label] for s in slices) for label, *_ in HISTOGRAM_PAIRS}
     if len(slices) > 1:
@@ -872,9 +870,9 @@ def sweep(config: ExperimentConfig, parameter: str, values,
     config (ConfigError), and worker counts, trial counts or seeds that
     ``simulate_run`` refuses (ValueError) raise before the first run.
 
-    Every value's slices come from one ``_sampled`` over the whole sweep,
-    without tables: a value's ``RunResult`` holds its counts only.  Rows do
-    not depend on ``workers``.
+    Every value's slices come from one ``_sampled`` call over the whole
+    sweep, which submits them all to one pool, without tables: a value's
+    ``RunResult`` holds its counts only.  Rows do not depend on ``workers``.
     """
     check_sweep_parameter(parameter, trials)
     trials, seed, workers = _run_arguments(config, trials, seed, workers)
@@ -883,13 +881,13 @@ def sweep(config: ExperimentConfig, parameter: str, values,
     runs = [(variant, variant.n_trials if trials is None else trials, value_seed)
             for (_, variant), value_seed in zip(variants, seeds)]
     rows: list[dict[str, object]] = []
-    with contextlib.closing(_sampled(runs, workers, keep=False)) as sampled:
-        for (value, variant), value_seed in zip(variants, seeds):
-            rep = simulate_run(variant, trials=trials, seed=value_seed,
-                               workers=workers, _blocks=next(sampled)).report
-            numbers = {c: float("nan") if rep is None else getattr(rep, c)
-                       for c in REPORT_FIELDS}
-            rows.append({"value": value, **numbers, "verdict": verdict(rep)})
+    sampled = _sampled(runs, workers, keep=False)
+    for (value, variant), value_seed, slices in zip(variants, seeds, sampled):
+        rep = simulate_run(variant, trials=trials, seed=value_seed,
+                           workers=workers, _blocks=slices).report
+        numbers = {c: float("nan") if rep is None else getattr(rep, c)
+                   for c in REPORT_FIELDS}
+        rows.append({"value": value, **numbers, "verdict": verdict(rep)})
     return rows
 
 

@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import multiprocessing
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -785,17 +786,20 @@ def test_sweep_checks_run_arguments_before_any_pool(preset, monkeypatch, trials,
     ("delay_dt", [0.0, 2e-6, 8e-6], 3 * BLOCK_TRIALS + 1234),
     # One, two and three blocks per value; the last value ends in a remainder block.
     ("n_trials", [1000, 2 * BLOCK_TRIALS, 2 * BLOCK_TRIALS + 777], None),
+    # 14 slices on the pool at once, far more than there are workers.
+    ("delay_dt", [0.0, 1e-6, 2e-6, 3e-6, 4e-6, 6e-6, 8e-6], 2 * BLOCK_TRIALS),
 ])
 def test_sweep_does_not_depend_on_workers(preset, monkeypatch, tmp_path, parameter,
                                           values, trials):
-    # Two CPUs whatever the host has, so workers=2 really uses the pool.
-    monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
+    # Three CPUs whatever the host has, so workers 2 and 3 really use the pool.
+    monkeypatch.setattr(engine, "_available_cpus", lambda: 3)
     out = {}
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         rows = sweep(preset, parameter, values, trials=trials, seed=5, workers=workers)
+        assert [row["value"] for row in rows] == values
         export_sweep(rows, tmp_path / f"sweep_{workers}.csv")
         out[workers] = (repr(rows), (tmp_path / f"sweep_{workers}.csv").read_bytes())
-    assert out[1] == out[2]
+    assert out[1] == out[2] == out[3]
 
 
 def runs_of_sweep(*args, **kwargs):
@@ -920,12 +924,14 @@ class CountingPool(engine.ProcessPoolExecutor):
     """A process pool that records its construction, submits and shutdown."""
 
     created = 0
+    contexts: list = []  # mp_context of every pool
     submitted: list = []  # seed of every block of each submitted slice, in submit order
     tasks: list = []  # seed of every submitted slice, in submit order
     shutdowns: list = []  # cancel_futures of every shutdown call
 
     def __init__(self, *args, **kwargs):
         type(self).created += 1
+        type(self).contexts.append(kwargs.get("mp_context"))
         super().__init__(*args, **kwargs)
 
     def submit(self, fn, task, **kwargs):
@@ -941,30 +947,27 @@ class CountingPool(engine.ProcessPoolExecutor):
 
 @pytest.fixture
 def counting_pool(monkeypatch):
-    """Count the pools sweep starts, and the values queued at each simulate_run.
+    """Count the pools that runs and sweeps start, and the simulate_run calls.
 
     Yields (CountingPool, calls, counted).  ``calls`` gets one (seed,
-    _blocks given, seeds of the values queued but not yet reduced) per
-    simulate_run call; setting ``counted.fail_at`` to n makes call n raise.
+    _blocks given) per simulate_run call; setting ``counted.fail_at`` to n
+    makes call n raise.
     """
     monkeypatch.setattr(CountingPool, "created", 0)
+    monkeypatch.setattr(CountingPool, "contexts", [])
     monkeypatch.setattr(CountingPool, "submitted", [])
     monkeypatch.setattr(CountingPool, "tasks", [])
     monkeypatch.setattr(CountingPool, "shutdowns", [])
     monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
     monkeypatch.setattr(engine, "_available_cpus", lambda: 2)
-    calls, reduced = [], set()
+    calls = []
     inner = engine.simulate_run
 
     def counted(*args, **kwargs):
-        blocks = kwargs.get("_blocks")
-        calls.append((kwargs["seed"], blocks is not None,
-                      set(CountingPool.submitted) - reduced))
+        calls.append((kwargs["seed"], kwargs.get("_blocks") is not None))
         if len(calls) == counted.fail_at:
             raise RuntimeError("simulate_run failed")
-        result = inner(*args, **kwargs)
-        reduced.add(kwargs["seed"])
-        return result
+        return inner(*args, **kwargs)
 
     counted.fail_at = None
     monkeypatch.setattr(engine, "simulate_run", counted)
@@ -974,7 +977,7 @@ def counting_pool(monkeypatch):
 SWEEP_DELAYS = [0.0, 1e-6, 2e-6, 4e-6, 8e-6]
 
 
-def test_sweep_starts_one_pool_and_queues_one_value_ahead(preset, counting_pool):
+def test_sweep_starts_one_pool_and_submits_each_block_once(preset, counting_pool):
     pool, calls, _ = counting_pool
     trials = 2 * BLOCK_TRIALS + 5
     rows = sweep(preset, "delay_dt", SWEEP_DELAYS, trials=trials, seed=7, workers=2)
@@ -983,11 +986,8 @@ def test_sweep_starts_one_pool_and_queues_one_value_ahead(preset, counting_pool)
     seeds = [derived_seed(7, index) for index in range(len(SWEEP_DELAYS))]
     assert pool.submitted == [seed for seed in seeds for _ in range(3)]  # every block once
     assert all(pool.tasks.count(seed) <= 2 for seed in seeds)  # at most a slice per worker
-    assert [seed for seed, _, _ in calls] == seeds
-    for index, (seed, with_blocks, queued) in enumerate(calls):
-        # This value and the next one are queued; nothing further ahead.
-        assert with_blocks
-        assert queued == set(seeds[index:index + 2])
+    # The values are reduced in order, each from its sampled slices.
+    assert calls == [(seed, True) for seed in seeds]
 
 
 def test_sweep_on_one_worker_starts_no_pool(preset, counting_pool):
@@ -996,7 +996,7 @@ def test_sweep_on_one_worker_starts_no_pool(preset, counting_pool):
     assert pool.created == 0 and pool.submitted == []
     assert len(calls) == len(SWEEP_DELAYS)
     # Every value's blocks come from the sweep's scheduler, sampled in process.
-    assert all(with_blocks for _, with_blocks, _ in calls)
+    assert all(with_blocks for _, with_blocks in calls)
 
 
 def test_failed_sweep_value_shuts_the_pool_down(preset, counting_pool):
@@ -1006,7 +1006,6 @@ def test_failed_sweep_value_shuts_the_pool_down(preset, counting_pool):
         sweep(preset, "delay_dt", SWEEP_DELAYS, trials=2000, seed=7, workers=2)
     assert len(calls) == 2
     assert pool.created == 1 and pool.shutdowns == [True]
-    assert len(pool.submitted) < len(SWEEP_DELAYS)
 
 
 def test_run_on_two_workers_shuts_its_pool_down(preset, counting_pool):
@@ -1022,15 +1021,38 @@ def _failing_block(config, seed, block_index, n):
     raise RuntimeError(f"block {block_index} failed")
 
 
+@pytest.mark.parametrize("run", [
+    lambda config: simulate_run(config, trials=3 * BLOCK_TRIALS, seed=7, workers=2),
+    lambda config: sweep(config, "delay_dt", [0.0, 1e-6, 2e-6], trials=3 * BLOCK_TRIALS,
+                         seed=7, workers=2),
+], ids=["simulate_run", "sweep"])
 def test_failed_block_on_a_pool_propagates_and_leaves_no_process(preset, monkeypatch,
-                                                                 counting_pool):
+                                                                 counting_pool, run):
     pool, _, _ = counting_pool
     # The workers are forked after the patch, so they run the failing block.
     monkeypatch.setattr(engine, "_simulate_block", _failing_block)
     with pytest.raises(RuntimeError, match="block 0 failed"):
-        simulate_run(preset, trials=3 * BLOCK_TRIALS, seed=7, workers=2)
+        run(preset)
     assert pool.created == 1 and pool.shutdowns == [True]
     assert multiprocessing.active_children() == []
+
+
+def test_pool_forks_whatever_the_default_start_method(preset, counting_pool):
+    pool, _, _ = counting_pool
+    default = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("forkserver", force=True)
+    try:
+        rows = {workers: repr(sweep(preset, "delay_dt", [0.0, 2e-6], trials=2 * BLOCK_TRIALS,
+                                    seed=5, workers=workers))
+                for workers in (1, 2)}
+    finally:
+        multiprocessing.set_start_method(default, force=True)
+    assert rows[1] == rows[2]
+    assert pool.created == 1
+    if sys.platform == "linux":
+        assert pool.contexts[0].get_start_method() == "fork"
+    else:
+        assert pool.contexts == [None]
 
 
 def test_sweep_rows_and_export(preset, tmp_path):

@@ -1,7 +1,9 @@
 """The public surface of the package."""
 
+import ast
 import math
 import types
+from pathlib import Path
 
 import pytest
 
@@ -40,3 +42,35 @@ def test_public_guards_reject_nan(case):
     call, argument = NAN_GUARDS[case]
     with pytest.raises(ValueError, match=rf"\b{argument} must be"):
         call()
+
+
+def unused_imports(source: str, exempt=frozenset()) -> list[str]:
+    """Names that ``source`` imports and never reads, ``exempt`` ones aside.
+
+    ``from __future__ import ...`` binds no name and is skipped.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used - exempt)
+
+
+PACKAGE_DIR = Path(pairsim.__file__).parent
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE_DIR.glob("*.py")))
+def test_module_imports_only_what_it_uses(module):
+    # The package's __init__ imports its public names to re-export them.
+    exempt = PUBLIC_NAMES | {"__version__"} if module == "__init__.py" else frozenset()
+    assert unused_imports((PACKAGE_DIR / module).read_text(), exempt) == []
+
+
+def test_unused_import_guard_sees_leftovers():
+    source = ("from __future__ import annotations\nimport contextlib\nimport os.path\n"
+              "from math import inf as INF, pi\nprint(pi, os)\n")
+    assert unused_imports(source) == ["INF", "contextlib"]
