@@ -26,14 +26,13 @@ slice, a contiguous range of one run's blocks, sampled and reduced in one
 task (``_slice_task``): the task returns the slice's summed pattern counts,
 the integer peak counts of the pairs with start and stop both inside it, the
 clicks of its first and last ``baseline_peaks`` trials, and its tables only
-when they are kept.  A run on one worker or one CPU is one slice, sampled
-in process.  On the process pool a run that keeps its tables (a single
-``simulate_run``, whose result carries them) is cut into one slice per
-block; a sweep value keeps none, so it is cut into one slice per worker and
-ships no tables to the parent.  A sweep submits every slice of every value
-to one pool at once.  On Linux the pool forks, whatever the default start
-method: forked workers start fastest, and they inherit the parent's module
-state, so the benchmark tracer's wrappers time them too.
+when they are kept (a single ``simulate_run``, whose result carries them;
+a sweep value keeps none).  A run on one worker or one CPU is one slice,
+sampled in process; on the process pool every run is cut into one slice
+per worker, and a sweep submits every slice of every value to one pool at
+once.  On Linux the pool forks, whatever the default start method: forked
+workers start fastest, and they inherit the parent's module state, so the
+benchmark tracer's wrappers time them too.
 
 Active-trial sampler.  Every trial has eight independent sources (see
 ``SOURCES``): the write excitation, the diffused-in memory excitations
@@ -516,24 +515,22 @@ def _slice_tasks(config: ExperimentConfig, trials: int, seed: int, slices: int,
 def _sampled(runs: list[tuple], workers: int, keep: bool) -> list[list[_Slice]]:
     """The ``_Slice``s of each run (config, trials, seed), one list per run, in order.
 
-    A slice is sampled and reduced in one task, so its tables travel only
-    when ``keep`` asks for them.  With fewer than two pool processes (see
-    ``_pool_size``) each run is one slice, sampled here.  Otherwise every
-    slice of every run goes to one process pool at once, forked on Linux
-    (see the module docstring): a run is cut into one slice per block when
-    its tables are kept, and otherwise into one slice per worker.  The pool
-    is shut down, queued slices cancelled, once the results are in or a
-    task has failed.
+    Each run is cut into one slice per pool process (see ``_pool_size``),
+    and a slice is sampled and reduced in one task, so its tables travel
+    only when ``keep`` asks for them.  With fewer than two pool processes
+    the one slice of each run is sampled here.  Otherwise every slice of
+    every run goes to one process pool at once, forked on Linux (see the
+    module docstring).  The pool is shut down, queued slices cancelled, once
+    the results are in or a task has failed.
     """
     pool_size = _pool_size(workers, sum(_n_blocks(trials) for _, trials, _ in runs))
+    tasks = [_slice_tasks(*run, pool_size, keep) for run in runs]
     if pool_size < 2:
-        return [[_slice_task(task) for task in _slice_tasks(*run, 1, keep)] for run in runs]
+        return [[_slice_task(task) for task in run] for run in tasks]
     context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
     pool = ProcessPoolExecutor(max_workers=pool_size, mp_context=context)
     try:
-        futures = [[pool.submit(_slice_task, task) for task in
-                    _slice_tasks(*run, _n_blocks(run[1]) if keep else pool_size, keep)]
-                   for run in runs]
+        futures = [[pool.submit(_slice_task, task) for task in run] for run in tasks]
         return [[future.result() for future in run] for run in futures]
     finally:
         pool.shutdown(cancel_futures=True)

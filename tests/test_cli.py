@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from pairsim import SourceModel, cli, oracle_report, parse_config, reference_preset
-from pairsim.cli import EXIT_CONFIG, EXIT_RUNTIME, main
+from pairsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_RUNTIME, main
 
 
 def run_cli(capsys, *argv):
@@ -305,12 +305,27 @@ def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys, no_simulati
     assert out == ""
 
 
-def test_repeated_set_key_is_refused(preset_file, capsys, no_simulation):
+@pytest.mark.parametrize("overrides", [
+    ["--set", "dark_mean=1", "--set", "dark_mean=0"],
+    ["--set", "dark_mean"],
+], ids=["repeated-key", "no-equals-sign"])
+def test_malformed_set_is_refused(preset_file, capsys, no_simulation, overrides):
     code, out, err = run_cli(capsys, "run", "--config", preset_file, "--trials", "1000",
-                             "--set", "dark_mean=1", "--set", "dark_mean=0")
+                             *overrides)
     assert code == EXIT_CONFIG
     assert "--set" in err and "'dark_mean'" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("unusable", ["config", "out"])
+def test_unusable_path_is_an_io_error(preset_file, tmp_path, capsys, unusable):
+    # A directory as --config, or the config file itself as --out.
+    config, out = ((str(tmp_path), str(tmp_path / "run")) if unusable == "config"
+                   else (preset_file, preset_file))
+    code, _, err = run_cli(capsys, "run", "--config", config, "--trials", "1000",
+                           "--out", out)
+    assert code == EXIT_IO
+    assert err.startswith("i/o error: ")
 
 
 def _usage(text):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,9 +62,14 @@ def test_unknown_key_rejected_with_line_number():
         parse_config(MINIMAL + "bogus = 1\n")
 
 
-def test_syntax_error_reports_position():
-    with pytest.raises(ConfigSyntaxError, match="line 3"):
-        parse_config("source_model = quantum_tms\np_excitation = 0.1\nnot a kv line\n")
+@pytest.mark.parametrize("text, message", [
+    ("source_model = quantum_tms\np_excitation = 0.1\nnot a kv line\n",
+     "line 3: expected 'key = value'"),
+    (MINIMAL + "dark_mean =\n", "line 8: missing value for key 'dark_mean'"),
+], ids=["no-equals-sign", "missing-value"])
+def test_syntax_errors_name_their_line(text, message):
+    with pytest.raises(ConfigSyntaxError, match=re.escape(message)):
+        parse_config(text)
 
 
 def test_duplicate_key_rejected():

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binomtest
+from scipy.stats import binomtest, kstest, uniform
 
 from pairsim import (ConfigError, ExperimentConfig, SourceModel, StreamOrderError,
                      __version__, export_run, oracle_report, reference_preset,
@@ -662,6 +662,24 @@ def test_click_timestamps_stay_inside_gates(preset):
         assert np.all(np.diff(result.streams[det].timestamps) > 0)
 
 
+def test_click_offsets_are_uniform_over_each_gate(preset):
+    # N and M cannot see where in its gate a click lands; only the histogram
+    # shape does.  At the preset almost every click is drawn by gated
+    # detection; at dark_mean=5 most of A's are forced dark clicks.  A KS
+    # test per detector and config, Bonferroni over all of them.
+    configs = {"preset": preset, "dark_mean=5": dataclasses.replace(preset, dark_mean=5.0)}
+    cutoff = PATTERN_FAMILY_ALPHA / (len(configs) * 4)
+    for name, config in configs.items():
+        result = simulate_run(config, trials=200_000, seed=31)
+        for det, gate_start in (("A", 0.0), ("B", 0.0),
+                                ("C", config.delay_dt), ("D", config.delay_dt)):
+            offsets = (result.streams[det].timestamps
+                       - result.click_trials[det] * config.cycle_period)
+            law = uniform(loc=gate_start, scale=config.gate_width)
+            p_value = kstest(offsets, law.cdf).pvalue
+            assert p_value >= cutoff, (name, det, offsets.size, p_value)
+
+
 def test_pattern_counts_consistent_with_streams(preset):
     result = simulate_run(preset, trials=40_000, seed=6)
     assert result.pattern_counts.sum() == result.trials
@@ -835,10 +853,10 @@ def sliced_alike(config, trials, seed):
 @pytest.mark.parametrize("n_blocks", [1, 2, 3, 5])
 @pytest.mark.parametrize("noise", [{}, {"dark_mean": 5.0}], ids=["sparse", "dense"])
 def test_slice_edges_change_no_count(preset, monkeypatch, noise, n_blocks):
-    # Three CPUs whatever the host has.  A run keeps its tables and is cut
-    # into one slice per block; a sweep value drops them and is cut into
-    # one slice per worker: 5 blocks make slices of 2 and 3 blocks at two
-    # workers, of 1, 2 and 2 at three.  Every run ends in a remainder block.
+    # Three CPUs whatever the host has.  A run is cut into one slice per
+    # worker, whether it keeps its tables (simulate_run) or drops them (a
+    # sweep value): 5 blocks make slices of 2 and 3 blocks at two workers,
+    # of 1, 2 and 2 at three.  Every run ends in a remainder block.
     monkeypatch.setattr(engine, "_available_cpus", lambda: 3)
     config = dataclasses.replace(preset, **noise)
     run = sliced_alike(config, (n_blocks - 1) * BLOCK_TRIALS + 1234, seed=17)
@@ -1014,6 +1032,7 @@ def test_run_on_two_workers_shuts_its_pool_down(preset, counting_pool):
     result = simulate_run(preset, trials=trials, seed=7, workers=2)
     assert pool.created == 1 and pool.shutdowns == [True]
     assert pool.submitted == [7] * 4  # every block submitted once
+    assert pool.tasks == [7, 7]  # in one slice per worker
     assert result.pattern_counts.sum() == trials
 
 
@@ -1154,6 +1173,20 @@ def test_run_matches_oracle_quickly(name):
     variance = p_a * (1 - p_a) + p_b * (1 - p_b) + 2 * (pred.p_joint["AB"] - p_a * p_b)
     sigma_hz = math.sqrt(variance / trials) / config.cycle_period
     assert abs(result.singles.stokes - pred.singles.stokes) < max(10.0, 4.0 * sigma_hz)
+
+
+def test_survival_matches_oracle_where_nothing_masks_it(preset):
+    # At the preset, diffused-in excitations fill in most of what survival
+    # loses.  Here none diffuse in, the lifetime equals the delay, and
+    # retrieval, transmission and detection are lossless with no noise, so
+    # a survival exponent 5% off moves the pattern counts of 1e6 trials far
+    # past the cutoff.
+    config = dataclasses.replace(
+        preset, p_excitation=0.5, memory_diffusion_in=0.0, memory_lifetime=2e-6,
+        delay_dt=2e-6, retrieval_eff=1.0, transmission=1.0, detector_eff=1.0,
+        dark_mean=0.0, bg_stokes_mean=0.0, bg_antistokes_mean=0.0)
+    result = simulate_run(config, trials=1_000_000, seed=21)
+    assert_patterns_match_oracle(result, PATTERN_FAMILY_ALPHA / 16)
 
 
 PROPERTY_EXAMPLES = 30

@@ -74,3 +74,14 @@ def test_unused_import_guard_sees_leftovers():
     source = ("from __future__ import annotations\nimport contextlib\nimport os.path\n"
               "from math import inf as INF, pi\nprint(pi, os)\n")
     assert unused_imports(source) == ["INF", "contextlib"]
+
+
+def test_version_is_kept_in_one_place():
+    # pyproject.toml reads the version from the package, so a bump edits
+    # _version.py alone.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    settings = tomllib.loads(pyproject.read_text())
+    assert "version" not in settings["project"] and settings["project"]["dynamic"] == ["version"]
+    assert settings["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "pairsim._version.__version__"}
