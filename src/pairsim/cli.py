@@ -36,6 +36,8 @@ EXIT_IO = 3
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config with its overrides; then creates ``--out``, so that an
+    unusable output path fails before any work."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError:
@@ -50,7 +52,10 @@ def _load_config(args) -> ExperimentConfig:
         if key in overrides:
             raise ConfigError(f"--set repeats key {key!r}")
         overrides[key] = parse_value(key, value.strip())
-    return replace(config, **overrides)
+    config = replace(config, **overrides)
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    return config
 
 
 def _cmd_preset(args) -> int:
@@ -75,10 +80,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args)
     check_sweep_parameter(args.param, args.trials)
     values = [parse_value(args.param, v.strip())
               for v in args.values.split(",") if v.strip()]
+    config = _load_config(args)
     rows = sweep(config, args.param, values, trials=args.trials, seed=args.seed,
                  workers=args.workers)
     header = ["value", "g11", "g22", "g12", "ratio", "significance", "verdict"]
@@ -87,7 +92,6 @@ def _cmd_sweep(args) -> int:
         print(",".join(render_value(row[h]) for h in header))
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         export_sweep(rows, out / f"sweep_{args.param}.csv")
         print(f"# wrote {out / f'sweep_{args.param}.csv'}")
     return EXIT_OK
@@ -100,7 +104,6 @@ def _cmd_oracle(args) -> int:
     sys.stdout.write(report)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "oracle_patterns.csv", "w") as fh:
             fh.write("pattern_a,pattern_b,pattern_c,pattern_d,probability\n")
             for mask in range(16):
@@ -128,7 +131,6 @@ def _cmd_compare(args) -> int:
           f"(|z| > {FLAG_THRESHOLD:g})")
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         (out / "compare.csv").write_text(table)
         print(f"# wrote {out / 'compare.csv'}")
     return EXIT_OK

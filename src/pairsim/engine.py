@@ -803,12 +803,12 @@ def export_run(result: RunResult, out_dir, keep_events: bool = False) -> RunMani
     are only written when ``keep_events`` is set.  A run without click
     tables (a sweep value's) raises RuntimeError before anything is written.
     """
-    histograms = result.histograms
+    result._tables()  # a run without tables raises here, before the directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
 
-    for label, hist in histograms.items():
+    for label, hist in result.histograms.items():
         name = HISTOGRAM_FILES[label]
         export_histogram(hist, out / name)
         outputs.append(name)

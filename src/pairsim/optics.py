@@ -22,8 +22,9 @@ They take what ``ExperimentConfig`` has validated and do not check it again.
 The binomial stages and the background draw return numpy's numbers and
 leave the generator where numpy would: ``rng.binomial`` on the nonzero
 entries (Binomial(0, p) is 0 and numpy draws nothing for it) and
-``rng.poisson`` on every entry.  numpy computes those draws in a scalar
-loop per entry; for the small counts of this model the loop turns one
+``rng.poisson`` on every entry, numpy's own call (:func:`add_background`
+says why it is not replayed).  The binomial stages repeat numpy's scalar
+loop on whole arrays: for the small counts of this model the loop turns one
 uniform into its result with a few float operations, which whole-array
 passes repeat with the same operations in the same order (libm's ``exp``
 and ``log`` through ``math`` for the per-count constants, as numpy's C code
@@ -123,38 +124,15 @@ def thin(n: np.ndarray, eta: float, rng: np.random.Generator):
 
 
 def add_background(n: np.ndarray, bg_mean: float, rng: np.random.Generator):
-    """Add an independent Poisson background count with the given mean.
+    """Add an independent Poisson background count with the given mean:
+    numpy's ``rng.poisson(bg_mean, size=n.size)``, drawn by numpy itself.
 
-    n gets numpy's ``rng.poisson(bg_mean, size=n.size)``, numbers
-    and stream position included.  numpy's multiplication method multiplies
-    uniforms until the product is at most exp(-mean), so a Poisson(mean)
-    draw takes X + 1 uniforms.  An "event" u > exp(-mean) followed by a
-    uniform that is not one ends at X = 1 (the product is at most that
-    uniform), so while no two events are adjacent in the stream, the k-th
-    event at stream position e gives entry e - k the count 1.  The uniforms
-    are drawn until they cover every entry and every event's second
-    uniform; adjacent events restore the saved state and go to numpy.  The
-    expected number of adjacent events is about size * mean**2, so means
-    where that reaches 1 (and numpy's mean >= 10 branch) go to numpy
-    directly.
+    A whole-array replay of numpy's multiplication loop was faster in
+    isolation (59 against 131 us on 12,700 zeros at mean 1.34e-4) but
+    saved about 4% of a block, less than the benchmark's run-to-run spread,
+    for 30 lines that saved and restored the generator state.
     """
-    size = n.size
-    if bg_mean == 0.0 or size * bg_mean * bg_mean >= 1.0:
-        return n + rng.poisson(bg_mean, size=size)
-    limit = math.exp(-bg_mean)
-    state = rng.bit_generator.state
-    events = np.flatnonzero(rng.random(size) > limit)
-    drawn = size
-    while drawn < size + events.size:
-        more = rng.random(size + events.size - drawn)
-        events = np.concatenate([events, drawn + np.flatnonzero(more > limit)])
-        drawn += more.size
-    if (np.diff(events) == 1).any():
-        rng.bit_generator.state = state
-        return n + rng.poisson(bg_mean, size=size)
-    background = np.zeros(size, dtype=np.int64)
-    background[events - np.arange(events.size)] = 1
-    return n + background
+    return n + rng.poisson(bg_mean, size=n.size)
 
 
 def split(n: np.ndarray, rng: np.random.Generator):

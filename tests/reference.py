@@ -19,11 +19,13 @@ The histogram-window reader here is the independent second reduction: it
 sums the bins of each peak window of a histogram, built in memory or read
 back from an exported file, and the tests check the click counts and the
 exported files against it.
-``binomial_inversion`` and ``poisson_multiplication`` transcribe, one entry
-at a time, the two scalar loops of numpy's C code that ``optics`` replays on
-whole arrays; they tell which uniforms take a loop where the package hands
-the call back to numpy.  ``active_trials`` is the sampler's placement of
-active trials drawn with ``rng.geometric`` itself.
+``binomial_inversion`` transcribes, one entry at a time, the scalar loop of
+numpy's C code that ``optics`` replays on whole arrays; it tells which
+uniforms take the loop where the package hands the call back to numpy.
+``active_trials`` is the sampler's placement of active trials drawn with
+``rng.geometric`` itself.  These two are the only draws the package
+replays: ``optics.add_background`` calls ``rng.poisson`` itself, since its
+replay of numpy's multiplication loop saved too little to show end to end.
 The package never imports this module.
 """
 
@@ -204,23 +206,6 @@ def binomial_inversion(n: int, p: float, uniforms) -> tuple[int, int]:
             u -= px
             px = ((n - x + 1) * p * px) / (x * q)
     return (n - x if flip else x), used
-
-
-def poisson_multiplication(mean: float, uniforms) -> tuple[int, int]:
-    """numpy's Poisson(mean) draw for mean < 10, taking uniforms from the
-    sequence ``uniforms``; returns the draw and the number of uniforms it
-    took.  The product of the uniforms is compared with exp(-mean) after
-    each one; nothing is drawn for mean == 0."""
-    if mean == 0.0:
-        return 0, 0
-    limit = math.exp(-mean)
-    x, product, used = 0, 1.0, 0
-    while True:
-        product *= uniforms[used]
-        used += 1
-        if product <= limit:
-            return x, used
-        x += 1
 
 
 def active_trials(n: int, active: float, rng: np.random.Generator) -> np.ndarray:

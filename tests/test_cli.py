@@ -283,9 +283,10 @@ def test_oracle_answers_for_huge_classical_source_mean(preset_file, capsys):
 @pytest.fixture
 def no_simulation(monkeypatch):
     def no_run(*args, **kwargs):
-        raise AssertionError("simulate_run called")
+        raise AssertionError("a simulation ran")
 
     monkeypatch.setattr(cli, "simulate_run", no_run)
+    monkeypatch.setattr(cli, "sweep", no_run)
 
 
 def test_keep_events_without_out_is_a_usage_error(tmp_path, capsys, no_simulation):
@@ -317,13 +318,18 @@ def test_malformed_set_is_refused(preset_file, capsys, no_simulation, overrides)
     assert out == ""
 
 
-@pytest.mark.parametrize("unusable", ["config", "out"])
-def test_unusable_path_is_an_io_error(preset_file, tmp_path, capsys, unusable):
-    # A directory as --config, or the config file itself as --out.
+@pytest.mark.parametrize("command, unusable", [
+    ("run", "config"), ("run", "out"), ("sweep", "out"), ("compare", "out"),
+], ids=["config", "out", "sweep-out", "compare-out"])
+def test_unusable_path_is_an_io_error(preset_file, tmp_path, capsys, no_simulation,
+                                      command, unusable):
+    # A directory as --config, or the config file itself as --out; either
+    # fails before any simulation.
     config, out = ((str(tmp_path), str(tmp_path / "run")) if unusable == "config"
                    else (preset_file, preset_file))
-    code, _, err = run_cli(capsys, "run", "--config", config, "--trials", "1000",
-                           "--out", out)
+    extra = ["--param", "delay_dt", "--values", "1e-6"] if command == "sweep" else []
+    code, _, err = run_cli(capsys, command, "--config", config, "--trials", "1000",
+                           "--out", out, *extra)
     assert code == EXIT_IO
     assert err.startswith("i/o error: ")
 

@@ -8,7 +8,7 @@ from scipy.stats import chisquare
 
 from pairsim.optics import _binomial, add_background, detect_batch, split, thin
 from pairsim.source import retrieve
-from reference import binomial_inversion, poisson_multiplication
+from reference import binomial_inversion
 
 MIXED = np.array([0, 3, 0, 0, 1, 7, 0, 2], dtype=np.int64)
 BIT_GENERATORS = {"pcg64": np.random.PCG64, "sfc64": np.random.SFC64}
@@ -186,52 +186,6 @@ def test_add_background_matches_numpy(size, mean, bit_generator):
     rng, twin = twin_generators(11, BIT_GENERATORS[bit_generator])
     out = add_background(n, mean, rng)
     assert np.array_equal(out, n + twin.poisson(mean, size=size))
-    assert_same_state(rng, twin)
-
-
-def _replay_poisson(mean, size, uniforms):
-    """Draws and uniforms taken by numpy's loop, entry after entry."""
-    draws, at = [], 0
-    for _ in range(size):
-        x, used = poisson_multiplication(mean, uniforms[at:])
-        draws.append(x)
-        at += used
-    return draws, at
-
-
-def test_add_background_replays_isolated_events():
-    # Events (uniforms above exp(-mean)) at the first entry, mid-stream,
-    # last in the first batch, and in the uniforms drawn for those three,
-    # which then need one more.
-    # A uniform on exp(-mean) is no event; the next double up is one.
-    mean, size = 1e-3, 100
-    uniforms = [0.5] * (size + 5)
-    for at in (0, 40, size - 1, size + 3):
-        uniforms[at] = TOP_UNIFORM
-    uniforms[20] = math.exp(-mean)
-    uniforms[60] = np.nextafter(math.exp(-mean), 1.0)
-    draws, used = _replay_poisson(mean, size, uniforms)
-    assert used == size + 5 and sum(draws) == 5 and draws[-1] == 1
-    assert draws[19] == 0 and draws[58] == 1
-    rng = ScriptedUniforms(np.random.default_rng(5), uniforms)
-    twin = np.random.default_rng(5)
-    out = add_background(np.zeros(size, dtype=np.int64), mean, rng)
-    assert out.tolist() == draws
-    twin.random(used)
-    assert_same_state(rng, twin)
-
-
-def test_add_background_adjacent_events_go_to_numpy():
-    # Two adjacent events make one entry's product stay above exp(-mean)
-    # for a third uniform; the whole call goes back to numpy.
-    mean, size = 1e-3, 100
-    assert poisson_multiplication(mean, [TOP_UNIFORM, TOP_UNIFORM, 0.5]) == (2, 3)
-    uniforms = [0.5] * (size + 2)
-    uniforms[10] = uniforms[11] = TOP_UNIFORM
-    rng = ScriptedUniforms(np.random.default_rng(5), uniforms)
-    twin = np.random.default_rng(5)
-    n = _counts(size, 3, 0.5)
-    assert np.array_equal(add_background(n, mean, rng), n + twin.poisson(mean, size=size))
     assert_same_state(rng, twin)
 
 
