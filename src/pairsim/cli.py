@@ -13,6 +13,9 @@ Subcommands::
 
 Exit codes: 0 success, 2 configuration or usage error, 3 I/O error,
 1 any other failure.
+
+``--trials N`` and ``--seed S`` are ``--set n_trials=N`` and ``--set rng_seed=S``,
+so a key given twice is refused; ``DIR/config.txt`` records them and reproduces the run.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ EXIT_IO = 3
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config with its overrides; then creates ``--out``, so that an
-    unusable output path fails before any work."""
+    """The config with its overrides; then creates ``--out`` and its
+    ``config.txt``, so that an unusable output path fails before any work."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError:
@@ -50,11 +53,12 @@ def _load_config(args) -> ExperimentConfig:
         key, _, value = override.partition("=")
         key = key.strip()
         if key in overrides:
-            raise ConfigError(f"--set repeats key {key!r}")
+            raise ConfigError(f"{key!r} is given twice by --set, --trials or --seed")
         overrides[key] = parse_value(key, value.strip())
     config = replace(config, **overrides)
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
+        (Path(args.out) / "config.txt").write_text(render_config(config))
     return config
 
 
@@ -70,8 +74,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load_config(args)
-    result = simulate_run(config, trials=args.trials, seed=args.seed,
-                          workers=args.workers)
+    result = simulate_run(config, workers=args.workers)
     sys.stdout.write(render_run_report(result))
     if args.out:
         manifest = export_run(result, args.out, keep_events=args.keep_events)
@@ -80,20 +83,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    check_sweep_parameter(args.param, args.trials)
+    check_sweep_parameter(args.param)
     values = [parse_value(args.param, v.strip())
               for v in args.values.split(",") if v.strip()]
     config = _load_config(args)
-    rows = sweep(config, args.param, values, trials=args.trials, seed=args.seed,
-                 workers=args.workers)
+    rows = sweep(config, args.param, values, workers=args.workers)
     header = ["value", "g11", "g22", "g12", "ratio", "significance", "verdict"]
     print(",".join(header))
     for row in rows:
         print(",".join(render_value(row[h]) for h in header))
     if args.out:
-        out = Path(args.out)
-        export_sweep(rows, out / f"sweep_{args.param}.csv")
-        print(f"# wrote {out / f'sweep_{args.param}.csv'}")
+        path = Path(args.out) / f"sweep_{args.param}.csv"
+        export_sweep(rows, path)
+        print(f"# wrote {path}")
     return EXIT_OK
 
 
@@ -118,8 +120,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_compare(args) -> int:
     config = _load_config(args)
     prediction = oracle_report(config)
-    result = simulate_run(config, trials=args.trials, seed=args.seed,
-                          workers=args.workers)
+    result = simulate_run(config, workers=args.workers)
     mc_g = {"g11": result.g["11"], "g22": result.g["22"], "g12": result.g["12"]}
     rows = compare(result.pattern_counts, mc_g, prediction, result.trials)
     table = "quantity,mc,oracle,sigma_mc,z,flagged\n" + "".join(
@@ -143,23 +144,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2 ** 64:
-        raise argparse.ArgumentTypeError(
-            f"must be a 64-bit unsigned integer, got {value}")
-    return value
-
-
 def _add_common(parser: argparse.ArgumentParser, trials: bool = True) -> None:
     parser.add_argument("--config", required=True, help="config file path")
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key (repeatable)")
+    parser.add_argument("--out", default=None, help="export directory")
     if trials:
-        parser.add_argument("--trials", type=_positive_int, default=None,
-                            help="override n_trials")
-        parser.add_argument("--seed", type=_seed, default=None,
-                            help="override rng_seed")
+        for flag, key in (("--trials", "n_trials"), ("--seed", "rng_seed")):
+            parser.add_argument(flag, dest="overrides", action="append",
+                                type=f"{key}={{}}".format, metavar="VALUE",
+                                help=f"same as --set {key}=VALUE")
         parser.add_argument("--workers", type=_positive_int, default=1,
                             help="parallel workers (results identical for any count)")
 
@@ -177,7 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one run and report correlations")
     _add_common(p_run)
-    p_run.add_argument("--out", default=None, help="export directory")
     p_run.add_argument("--keep-events", action="store_true",
                        help="also persist raw click events (needs --out)")
     p_run.set_defaults(func=_cmd_run)
@@ -187,18 +180,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--param", required=True, help="config field to sweep")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated parameter values")
-    p_sweep.add_argument("--out", default=None, help="export directory")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_oracle = sub.add_parser("oracle", help="analytic prediction for a config")
     _add_common(p_oracle, trials=False)
-    p_oracle.add_argument("--out", default=None, help="export directory")
     p_oracle.set_defaults(func=_cmd_oracle)
 
     p_compare = sub.add_parser("compare",
                                help="simulate and z-score against the oracle")
     _add_common(p_compare)
-    p_compare.add_argument("--out", default=None, help="export directory")
     p_compare.set_defaults(func=_cmd_compare)
     return parser
 

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from pairsim import SourceModel, cli, oracle_report, parse_config, reference_preset
+from pairsim import (SourceModel, cli, oracle_report, parse_config, reference_preset,
+                     render_config)
 from pairsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_RUNTIME, main
 
 
@@ -191,13 +192,39 @@ def test_sweep_unknown_parameter(preset_file, capsys):
     assert "unknown config parameter" in err
 
 
-@pytest.mark.parametrize("param, extra", [("rng_seed", []),
-                                          ("n_trials", ["--trials", "1000"])])
-def test_sweep_rejects_ignored_parameter(preset_file, capsys, param, extra):
+def test_sweep_refuses_rng_seed(preset_file, capsys):
     code, _, err = run_cli(capsys, "sweep", "--config", preset_file,
-                           "--param", param, "--values", "1000,2000", *extra)
+                           "--param", "rng_seed", "--values", "1000,2000")
     assert code == EXIT_CONFIG
-    assert f"{param} cannot be swept" in err
+    assert "rng_seed cannot be swept" in err
+
+
+def test_swept_n_trials_replace_trials(preset_file, capsys):
+    # --trials sets the base n_trials, which each swept value replaces.
+    argv = ["sweep", "--config", preset_file, "--param", "n_trials",
+            "--values", "20000,40000"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert run_cli(capsys, *argv, "--trials", "5000") == (0, out, "")
+
+
+@pytest.mark.parametrize("command, extra, outputs", [
+    ("run", [], ["hist_11.csv", "hist_22.csv", "hist_12.csv", "hist_12b.csv",
+                 "report.txt", "config.txt"]),
+    ("sweep", ["--param", "delay_dt", "--values", "0,2e-6"],
+     ["sweep_delay_dt.csv", "config.txt"]),
+], ids=["run", "sweep"])
+def test_config_txt_reproduces_the_outputs(preset_file, tmp_path, capsys, command,
+                                           extra, outputs):
+    first, second = tmp_path / "a", tmp_path / "b"
+    code, _, _ = run_cli(capsys, command, "--config", preset_file, "--trials", "70000",
+                         "--seed", "7", "--out", str(first), *extra)
+    assert code == 0
+    code, _, _ = run_cli(capsys, command, "--config", str(first / "config.txt"),
+                         "--out", str(second), *extra)
+    assert code == 0
+    for name in outputs:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_oracle_report(preset_file, tmp_path, capsys):
@@ -209,6 +236,7 @@ def test_oracle_report(preset_file, tmp_path, capsys):
     # The preset is solved for 220 Stokes counts per second.
     assert float(lines["rate_stokes_hz"]) == pytest.approx(220.0, rel=1e-12)
     assert (tmp_path / "or" / "oracle_report.txt").exists()
+    assert (tmp_path / "or" / "config.txt").read_text() == render_config(reference_preset())
     rows = (tmp_path / "or" / "oracle_patterns.csv").read_text().splitlines()
     assert rows[0] == "pattern_a,pattern_b,pattern_c,pattern_d,probability"
     probs = oracle_report(reference_preset()).pattern.probs
@@ -228,15 +256,23 @@ def test_compare_zscore_table(preset_file, tmp_path, capsys):
     assert "pattern_none" in out
     assert "quantities flagged (|z| > 4)" in out
     assert (tmp_path / "cmp" / "compare.csv").exists()
+    cfg = parse_config((tmp_path / "cmp" / "config.txt").read_text())
+    assert (cfg.n_trials, cfg.rng_seed) == (50000, 3)
 
 
 @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-3"),
                                          ("--trials", "0"), ("--seed", "-1")])
-def test_run_rejects_bad_numeric_flags(preset_file, capsys, flag, value):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", preset_file, flag, value])
-    assert exc.value.code == EXIT_CONFIG
-    assert flag in capsys.readouterr().err
+def test_run_rejects_bad_numeric_flags(preset_file, capsys, no_simulation, flag, value):
+    # --workers is checked by argparse; --trials and --seed are config keys.
+    argv = ["run", "--config", preset_file, flag, value]
+    if flag == "--workers":
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        code, named = exc.value.code, flag
+    else:
+        code, named = main(argv), {"--trials": "n_trials", "--seed": "rng_seed"}[flag]
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
 
 
 def test_sweep_rejects_unparseable_values(preset_file, capsys):
@@ -315,6 +351,15 @@ def test_malformed_set_is_refused(preset_file, capsys, no_simulation, overrides)
                              *overrides)
     assert code == EXIT_CONFIG
     assert "--set" in err and "'dark_mean'" in err
+    assert out == ""
+
+
+def test_trials_and_set_n_trials_together_are_refused(preset_file, capsys,
+                                                     no_simulation):
+    code, out, err = run_cli(capsys, "run", "--config", preset_file,
+                             "--trials", "70000", "--set", "n_trials=5000")
+    assert code == EXIT_CONFIG
+    assert "'n_trials'" in err
     assert out == ""
 
 
