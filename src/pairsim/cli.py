@@ -39,8 +39,7 @@ EXIT_IO = 3
 
 
 def _load_config(args) -> ExperimentConfig:
-    """The config with its overrides; then creates ``--out`` and its
-    ``config.txt``, so that an unusable output path fails before any work."""
+    """The ``--config`` file with its ``--set``, ``--trials`` and ``--seed`` overrides."""
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError:
@@ -55,7 +54,11 @@ def _load_config(args) -> ExperimentConfig:
         if key in overrides:
             raise ConfigError(f"{key!r} is given twice by --set, --trials or --seed")
         overrides[key] = parse_value(key, value.strip())
-    config = replace(config, **overrides)
+    return replace(config, **overrides)
+
+
+def _with_out(args, config: ExperimentConfig) -> ExperimentConfig:
+    """Write ``--out/config.txt``, after a command's checks and before its work."""
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         (Path(args.out) / "config.txt").write_text(render_config(config))
@@ -73,7 +76,7 @@ def _cmd_preset(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
+    config = _with_out(args, _load_config(args))
     result = simulate_run(config, workers=args.workers)
     sys.stdout.write(render_run_report(result))
     if args.out:
@@ -87,7 +90,9 @@ def _cmd_sweep(args) -> int:
     values = [parse_value(args.param, v.strip())
               for v in args.values.split(",") if v.strip()]
     config = _load_config(args)
-    rows = sweep(config, args.param, values, workers=args.workers)
+    for value in values:  # an invalid value is refused before --out is made
+        replace(config, **{args.param: value})
+    rows = sweep(_with_out(args, config), args.param, values, workers=args.workers)
     header = ["value", "g11", "g22", "g12", "ratio", "significance", "verdict"]
     print(",".join(header))
     for row in rows:
@@ -100,7 +105,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config = _load_config(args)
+    config = _with_out(args, _load_config(args))
     prediction = oracle_report(config)
     report = render_report(prediction.report, singles=prediction.singles, trials=0)
     sys.stdout.write(report)
@@ -118,7 +123,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _load_config(args)
+    config = _with_out(args, _load_config(args))
     prediction = oracle_report(config)
     result = simulate_run(config, workers=args.workers)
     mc_g = {"g11": result.g["11"], "g22": result.g["22"], "g12": result.g["12"]}

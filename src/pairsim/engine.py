@@ -21,16 +21,11 @@ run that nothing else reads never builds run-level arrays.
 ``RunResult.streams`` and ``click_trials`` build a detector from the blocks
 each time it is indexed, and ``export_run`` reads one detector at a time.
 
-``_sampled`` is the one scheduler of runs and sweeps.  Its unit of work is a
-slice, a contiguous range of one run's blocks, sampled and reduced in one
-task (``_slice_task``): the task returns the slice's summed pattern counts,
-the integer peak counts of the pairs with start and stop both inside it, the
-clicks of its first and last ``baseline_peaks`` trials, and its tables only
-when they are kept (a single ``simulate_run``, whose result carries them;
-a sweep value keeps none).  A run on one worker or one CPU is one slice,
-sampled in process; on the process pool every run is cut into one slice
-per worker, and a sweep submits every slice of every value to one pool at
-once.  On Linux the pool forks, whatever the default start method: forked
+``_sampled`` is the one scheduler of runs and sweeps.  It takes each run as
+one ``ExperimentConfig``, whose n_trials and rng_seed are the trials and seed
+it samples, and its unit of work is a slice, a contiguous range of one run's
+blocks, sampled and reduced to a ``_Slice`` in one task (``_slice_task``).
+On Linux the pool forks, whatever the default start method: forked
 workers start fastest, and they inherit the parent's module state, so the
 benchmark tracer's wrappers time them too.
 
@@ -463,8 +458,9 @@ class _Slice:
 
 
 def _slice_task(args) -> _Slice:
-    """Sample blocks [first, stop) of a run of ``trials`` and reduce them."""
-    config, seed, trials, first, stop, keep = args
+    """Sample blocks [first, stop) of the run ``config`` and reduce them."""
+    config, first, stop, keep = args
+    trials, seed = config.n_trials, config.rng_seed
     sampled = [_simulate_block(config, seed, b, min(BLOCK_TRIALS, trials - b * BLOCK_TRIALS))
                for b in range(first, stop)]
     blocks = [clicks for clicks, _ in sampled]
@@ -502,18 +498,19 @@ def _n_blocks(trials: int) -> int:
     return -(-trials // BLOCK_TRIALS)
 
 
-def _slice_tasks(config: ExperimentConfig, trials: int, seed: int, slices: int,
-                 keep: bool) -> list[tuple]:
-    """Arguments of the ``_slice_task``s of a run: at most ``slices``
+def _slice_tasks(config: ExperimentConfig, slices: int, keep: bool) -> list[tuple]:
+    """Arguments of the ``_slice_task``s of the run ``config``: at most ``slices``
     contiguous ranges of its blocks, of near-equal block counts, in order."""
-    n_blocks = _n_blocks(trials)
+    n_blocks = _n_blocks(config.n_trials)
     slices = min(slices, n_blocks)
     cuts = [n_blocks * i // slices for i in range(slices + 1)]
-    return [(config, seed, trials, first, stop, keep) for first, stop in zip(cuts, cuts[1:])]
+    return [(config, first, stop, keep) for first, stop in zip(cuts, cuts[1:])]
 
 
-def _sampled(runs: list[tuple], workers: int, keep: bool) -> list[list[_Slice]]:
-    """The ``_Slice``s of each run (config, trials, seed), one list per run, in order.
+def _sampled(configs: list[ExperimentConfig], workers: int, keep: bool) -> list[list[_Slice]]:
+    """The ``_Slice``s of each run config, one list per run, in order; a given
+    ``trials`` and ``seed`` are already its n_trials and rng_seed, checked by
+    ExperimentConfig (``_run_config``).
 
     Each run is cut into one slice per pool process (see ``_pool_size``),
     and a slice is sampled and reduced in one task, so its tables travel
@@ -523,8 +520,8 @@ def _sampled(runs: list[tuple], workers: int, keep: bool) -> list[list[_Slice]]:
     module docstring).  The pool is shut down, queued slices cancelled, once
     the results are in or a task has failed.
     """
-    pool_size = _pool_size(workers, sum(_n_blocks(trials) for _, trials, _ in runs))
-    tasks = [_slice_tasks(*run, pool_size, keep) for run in runs]
+    pool_size = _pool_size(workers, sum(_n_blocks(c.n_trials) for c in configs))
+    tasks = [_slice_tasks(config, pool_size, keep) for config in configs]
     if pool_size < 2:
         return [[_slice_task(task) for task in run] for run in tasks]
     context = multiprocessing.get_context("fork") if sys.platform == "linux" else None
@@ -705,21 +702,18 @@ def _count_edges(slices: list[_Slice], delay_dt: float,
             for label, start, stop, shifted in HISTOGRAM_PAIRS}
 
 
-def _run_arguments(config: ExperimentConfig, trials, seed, workers):
-    """Integer trials, seed (the config's by default) and workers.
+def _run_config(config: ExperimentConfig, trials, seed) -> ExperimentConfig:
+    """``config`` with given ``trials``/``seed`` as n_trials/rng_seed, checked on creation."""
+    return replace(config, n_trials=config.n_trials if trials is None else trials,
+                   rng_seed=config.rng_seed if seed is None else seed)
 
-    ValueError for a worker count, trial count or seed that no run accepts.
-    """
-    trials = None if trials is None else as_integer(trials, "trials")
-    seed = as_integer(config.rng_seed if seed is None else seed, "seed")
+
+def _workers(workers) -> int:
+    """``workers`` as an integer >= 1, else ValueError."""
     workers = as_integer(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if trials is not None and trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if not 0 <= seed < 2 ** 64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return trials, seed, workers
+    return workers
 
 
 def simulate_run(config: ExperimentConfig, trials: int | None = None,
@@ -727,8 +721,8 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
                  _blocks=None) -> RunResult:
     """Execute a full run: trials, peak areas, correlation report.
 
-    ``trials`` and ``seed`` default to the config's n_trials and rng_seed;
-    given, they must be integers (numpy integers too), never truncated floats.
+    Given ``trials`` and ``seed`` become the run config's n_trials and
+    rng_seed, checked by ExperimentConfig; ``RunResult.config`` stays ``config``.
     Results are independent of ``workers`` (see ``_sampled``).
     When a baseline peak area of (A,B), (C,D) or (A,C) is zero the
     correlation is undefined; the run still succeeds and reports every
@@ -738,13 +732,13 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
     ``_blocks`` is for ``sweep`` only: the ``_Slice``s of this run, from the
     sweep's ``_sampled``, without their tables.
     """
-    trials, seed, workers = _run_arguments(
-        config, config.n_trials if trials is None else trials, seed, workers)
+    run = _run_config(config, trials, seed)
+    trials, seed, workers = int(run.n_trials), int(run.rng_seed), _workers(workers)
     started = time.perf_counter()
 
     slices = _blocks
     if slices is None:
-        slices = _sampled([(config, trials, seed)], workers, keep=True)[0]
+        slices = _sampled([run], workers, keep=True)[0]
     pattern_counts = np.sum([s.pattern_counts for s in slices], axis=0).astype(np.int64)
     counts = {label: sum(s.peaks[label] for s in slices) for label, *_ in HISTOGRAM_PAIRS}
     if len(slices) > 1:
@@ -799,9 +793,10 @@ HISTOGRAM_FILES = {label: f"hist_{label}.csv" for label, *_ in HISTOGRAM_PAIRS}
 def export_run(result: RunResult, out_dir, keep_events: bool = False) -> RunManifest:
     """Write histograms, report, config snapshot and manifest to a directory.
 
-    Returns the manifest (also written as manifest.json).  Event streams
-    are only written when ``keep_events`` is set.  A run without click
-    tables (a sweep value's) raises RuntimeError before anything is written.
+    Returns the manifest (also written as manifest.json).  ``config.txt``
+    and ``config_text`` hold the run's trials and seed, so they reproduce
+    it.  Event streams are only written when ``keep_events`` is set.  A run
+    without click tables (a sweep value's) raises RuntimeError first.
     """
     result._tables()  # a run without tables raises here, before the directory
     out = Path(out_dir)
@@ -816,7 +811,7 @@ def export_run(result: RunResult, out_dir, keep_events: bool = False) -> RunMani
     (out / "report.txt").write_text(render_run_report(result))
     outputs.append("report.txt")
 
-    config_text = render_config(result.config)
+    config_text = render_config(_run_config(result.config, result.trials, result.seed))
     (out / "config.txt").write_text(config_text)
     outputs.append("config.txt")
 
@@ -862,25 +857,25 @@ def sweep(config: ExperimentConfig, parameter: str, values,
           workers: int = 1) -> list[dict[str, object]]:
     """One simulate_run per parameter value, with derived per-value seeds.
 
-    Returns one row (dict keyed by SWEEP_COLUMNS) per value.  Parameters
-    that ``check_sweep_parameter`` refuses, values that make an invalid
-    config (ConfigError), and worker counts, trial counts or seeds that
-    ``simulate_run`` refuses (ValueError) raise before the first run.
+    Returns one row (dict keyed by SWEEP_COLUMNS) per value.  Given
+    ``trials`` and ``seed`` become n_trials and rng_seed, checked by
+    ExperimentConfig; every value's run config (its derived seed included)
+    is built first, so refused parameters, values, trials or seeds
+    (ConfigError) and worker counts (ValueError) raise before any run.
 
     Every value's slices come from one ``_sampled`` call over the whole
     sweep, which submits them all to one pool, without tables: a value's
     ``RunResult`` holds its counts only.  Rows do not depend on ``workers``.
     """
     check_sweep_parameter(parameter, trials)
-    trials, seed, workers = _run_arguments(config, trials, seed, workers)
+    workers, seed = _workers(workers), _run_config(config, trials, seed).rng_seed
     variants = [(v, replace(config, **{parameter: v})) for v in values]
-    seeds = [derived_seed(seed, index) for index in range(len(variants))]
-    runs = [(variant, variant.n_trials if trials is None else trials, value_seed)
-            for (_, variant), value_seed in zip(variants, seeds)]
+    runs = [_run_config(variant, trials, derived_seed(seed, index))
+            for index, (_, variant) in enumerate(variants)]
     rows: list[dict[str, object]] = []
     sampled = _sampled(runs, workers, keep=False)
-    for (value, variant), value_seed, slices in zip(variants, seeds, sampled):
-        rep = simulate_run(variant, trials=trials, seed=value_seed,
+    for (value, variant), run, slices in zip(variants, runs, sampled):
+        rep = simulate_run(variant, trials=run.n_trials, seed=run.rng_seed,
                            workers=workers, _blocks=slices).report
         numbers = {c: float("nan") if rep is None else getattr(rep, c)
                    for c in REPORT_FIELDS}

@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pairsim import (SourceModel, cli, oracle_report, parse_config, reference_preset,
-                     render_config)
+from pairsim import (SourceModel, cli, export_run, oracle_report, parse_config,
+                     reference_preset, render_config, simulate_run)
 from pairsim.cli import EXIT_CONFIG, EXIT_IO, EXIT_RUNTIME, main
 
 
@@ -227,6 +228,23 @@ def test_config_txt_reproduces_the_outputs(preset_file, tmp_path, capsys, comman
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
+def test_library_export_config_txt_reproduces_the_run(preset_file, tmp_path, capsys):
+    # export_run records the trials and seed simulate_run was given, as a CLI run does.
+    library, command = tmp_path / "a", tmp_path / "b"
+    result = simulate_run(reference_preset(), trials=70_000, seed=7)
+    manifest = export_run(result, library)
+    config_text = (library / "config.txt").read_text()
+    assert manifest.config_text == config_text
+    rerun = simulate_run(parse_config(config_text))
+    assert repr(rerun.peaks) == repr(result.peaks)
+    assert repr(rerun.report) == repr(result.report)
+    assert np.array_equal(rerun.pattern_counts, result.pattern_counts)
+    code, _, _ = run_cli(capsys, "run", "--config", preset_file, "--trials", "70000",
+                         "--seed", "7", "--out", str(command))
+    assert code == 0
+    assert (library / "config.txt").read_bytes() == (command / "config.txt").read_bytes()
+
+
 def test_oracle_report(preset_file, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle", "--config", preset_file,
                            "--out", str(tmp_path / "or"))
@@ -377,6 +395,17 @@ def test_unusable_path_is_an_io_error(preset_file, tmp_path, capsys, no_simulati
                            "--out", out, *extra)
     assert code == EXIT_IO
     assert err.startswith("i/o error: ")
+
+
+def test_refused_sweep_value_leaves_no_out_directory(preset_file, tmp_path, capsys,
+                                                     no_simulation):
+    out_dir = tmp_path / "sweep"
+    code, out, err = run_cli(capsys, "sweep", "--config", preset_file,
+                             "--param", "gate_width", "--values", "1e-6,2e-4",
+                             "--out", str(out_dir))
+    assert code == EXIT_CONFIG
+    assert "gate must fit inside cycle" in err and out == ""
+    assert not out_dir.exists()
 
 
 def _usage(text):

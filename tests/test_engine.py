@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binomtest, kstest, uniform
 
-from pairsim import (ConfigError, ExperimentConfig, SourceModel, StreamOrderError,
+from pairsim import (ConfigDomainError, ConfigError, ExperimentConfig, SourceModel,
+                     StreamOrderError,
                      __version__, export_run, oracle_report, reference_preset,
                      render_run_report, simulate_run, sweep)
 from pairsim import engine
@@ -718,7 +719,9 @@ def test_manifests_differ_only_in_seed_and_timing(preset, tmp_path):
     m1 = export_run(simulate_run(preset, trials=10_000, seed=1), tmp_path / "s1")
     m2 = export_run(simulate_run(preset, trials=10_000, seed=2), tmp_path / "s2")
     assert m1.seed != m2.seed
-    assert m1.config_text == m2.config_text
+    # config_text records each run's seed, so the two differ in that line only.
+    assert "\nrng_seed = 1\n" in m1.config_text
+    assert m1.config_text.replace("\nrng_seed = 1\n", "\nrng_seed = 2\n") == m2.config_text
     assert m1.outputs == m2.outputs
     assert m1.trials == m2.trials
 
@@ -777,6 +780,22 @@ def test_sweep_validates_every_value_before_running(preset, monkeypatch):
     monkeypatch.setattr(engine, "simulate_run", no_run)
     with pytest.raises(ConfigError, match="delay_dt"):
         sweep(preset, "delay_dt", [0.0, 2e-6, 1.0], trials=1000)
+
+
+@pytest.mark.parametrize("entry", ["simulate_run", "sweep"])
+@pytest.mark.parametrize("arguments, name", [
+    ({"trials": 0}, "n_trials"),
+    ({"seed": 2 ** 64}, "rng_seed"),
+], ids=["trials", "seed"])
+def test_bad_trials_and_seed_are_refused_by_the_run_config(preset, entry, arguments, name):
+    # Given trials and seed become the run config's n_trials and rng_seed,
+    # so ExperimentConfig is what refuses them.
+    with pytest.raises(ConfigDomainError) as refused:
+        if entry == "simulate_run":
+            simulate_run(preset, **arguments)
+        else:
+            sweep(preset, "delay_dt", [0.0], **arguments)
+    assert [violation.split()[0] for violation in refused.value.violations] == [name]
 
 
 @pytest.mark.parametrize("seed", [2 ** 64, -1])
@@ -953,9 +972,9 @@ class CountingPool(engine.ProcessPoolExecutor):
         super().__init__(*args, **kwargs)
 
     def submit(self, fn, task, **kwargs):
-        _, seed, _, first, stop, _ = task
-        type(self).submitted.extend([seed] * (stop - first))
-        type(self).tasks.append(seed)
+        config, first, stop, _ = task
+        type(self).submitted.extend([config.rng_seed] * (stop - first))
+        type(self).tasks.append(config.rng_seed)
         return super().submit(fn, task, **kwargs)
 
     def shutdown(self, wait=True, *, cancel_futures=False):
