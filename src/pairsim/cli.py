@@ -105,8 +105,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    config = _with_out(args, _load_config(args))
+    config = _load_config(args)
     prediction = oracle_report(config)
+    _with_out(args, config)
     report = render_report(prediction.report, singles=prediction.singles, trials=0)
     sys.stdout.write(report)
     if args.out:
@@ -123,9 +124,9 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _with_out(args, _load_config(args))
+    config = _load_config(args)
     prediction = oracle_report(config)
-    result = simulate_run(config, workers=args.workers)
+    result = simulate_run(_with_out(args, config), workers=args.workers)
     mc_g = {"g11": result.g["11"], "g22": result.g["22"], "g12": result.g["12"]}
     rows = compare(result.pattern_counts, mc_g, prediction, result.trials)
     table = "quantity,mc,oracle,sigma_mc,z,flagged\n" + "".join(

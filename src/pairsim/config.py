@@ -100,9 +100,10 @@ class ExperimentConfig:
     baseline_peaks: int = 7
 
     def __post_init__(self):
-        violations = _violations(self)
-        if violations:
+        if violations := _violations(self):
             raise ConfigDomainError(violations)
+        for name in _INT_FIELDS:  # numpy integers are held as Python ints
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
 
 
 _INT_FIELDS = ("n_trials", "rng_seed", "baseline_peaks")

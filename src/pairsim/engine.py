@@ -733,12 +733,10 @@ def simulate_run(config: ExperimentConfig, trials: int | None = None,
     sweep's ``_sampled``, without their tables.
     """
     run = _run_config(config, trials, seed)
-    trials, seed, workers = int(run.n_trials), int(run.rng_seed), _workers(workers)
+    trials, seed, workers = run.n_trials, run.rng_seed, _workers(workers)
     started = time.perf_counter()
 
-    slices = _blocks
-    if slices is None:
-        slices = _sampled([run], workers, keep=True)[0]
+    slices = _sampled([run], workers, keep=True)[0] if _blocks is None else _blocks
     pattern_counts = np.sum([s.pattern_counts for s in slices], axis=0).astype(np.int64)
     counts = {label: sum(s.peaks[label] for s in slices) for label, *_ in HISTOGRAM_PAIRS}
     if len(slices) > 1:

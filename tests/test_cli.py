@@ -408,6 +408,19 @@ def test_refused_sweep_value_leaves_no_out_directory(preset_file, tmp_path, caps
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["oracle", "compare"])
+def test_refused_oracle_config_leaves_no_out_directory(preset_file, tmp_path, capsys,
+                                                       command):
+    out_dir = tmp_path / command
+    code, out, err = run_cli(capsys, command, "--config", preset_file,
+                             "--set", "p_excitation=0", "--set", "memory_diffusion_in=0",
+                             "--set", "dark_mean=0", "--set", "bg_stokes_mean=0",
+                             "--out", str(out_dir))
+    assert code == EXIT_CONFIG
+    assert "can never click" in err and out == ""
+    assert not out_dir.exists()
+
+
 def _usage(text):
     """{subcommand: long options on its ``pairsim <subcommand>`` usage lines}."""
     usage, command = {}, None

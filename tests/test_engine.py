@@ -1267,10 +1267,16 @@ def test_numpy_integer_trials_and_seed_are_accepted(preset):
     assert type(given_numpy.trials) is int and type(given_numpy.seed) is int
     assert given_numpy.peaks == given_int.peaks
     assert np.array_equal(given_numpy.pattern_counts, given_int.pattern_counts)
+    # Unsigned trials too: negating one wraps, so its block count must not.
+    given_unsigned = simulate_run(preset, trials=np.uint64(1000), seed=np.uint64(3))
+    assert type(given_unsigned.trials) is int and given_unsigned.trials == 1000
+    assert given_unsigned.peaks == given_int.peaks
+    assert np.array_equal(given_unsigned.pattern_counts, given_int.pattern_counts)
     # Compared as repr, since a short run's undefined g is nan.
     rows = [sweep(preset, "delay_dt", [0.0], trials=trials, seed=seed)
-            for trials, seed in ((np.int32(1000), np.uint8(3)), (1000, 3))]
-    assert repr(rows[0]) == repr(rows[1])
+            for trials, seed in ((np.int32(1000), np.uint8(3)),
+                                 (np.uint64(1000), np.uint64(3)), (1000, 3))]
+    assert repr(rows[0]) == repr(rows[2]) and repr(rows[1]) == repr(rows[2])
 
 
 def test_numpy_integer_config_seed_is_recorded_as_int(preset, tmp_path):
@@ -1279,6 +1285,16 @@ def test_numpy_integer_config_seed_is_recorded_as_int(preset, tmp_path):
     assert type(result.seed) is int
     export_run(result, tmp_path / "out")
     assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] == 3
+
+
+def test_config_holds_numpy_integer_fields_as_ints(preset):
+    config = dataclasses.replace(preset, n_trials=np.uint64(1000),
+                                 rng_seed=np.uint64(3), baseline_peaks=np.uint8(7))
+    assert all(type(getattr(config, name)) is int
+               for name in ("n_trials", "rng_seed", "baseline_peaks"))
+    result = simulate_run(config)
+    assert (result.trials, result.seed) == (1000, 3)
+    assert result.peaks == simulate_run(preset, trials=1000, seed=3).peaks
 
 
 def test_pool_is_clamped_to_cpus_and_blocks(monkeypatch):
