@@ -11,11 +11,6 @@ order, so they never need sorting here.
 Pairs are enumerated one stop rank at a time (see :func:`histogram`), so
 memory grows with the starts and bins, never with the pairs.
 
-Export writes one text row per bin.  The rows of one binning are rendered
-once with count 0 and kept (about 4 MiB for the preset's 180,000 bins);
-each histogram is written by splicing its nonzero counts into that table
-(see :func:`export_histogram`), so the four files of a run share it.
-
 Because trials repeat with the duty-cycle period, the histogram clusters
 into peaks: the peak at zero lag collects same-trial coincidences and the
 peaks at multiples of the cycle period collect accidental coincidences
@@ -28,7 +23,6 @@ pair is delayed by the write-read delay), the peaks sit ``shift`` later.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -148,40 +142,17 @@ def histogram(start: TimestampStream, stop: TimestampStream,
         bin_width=bin_width, span=span, bins=counts)
 
 
-_ROWS_PER_CHUNK = 4096
-
-
-@functools.lru_cache(maxsize=1)
-def _zero_rows(bin_width: float, n_bins: int) -> tuple[bytes, np.ndarray]:
-    """Every export row with count 0, and the byte offset of each row's count.
-
-    Edges are rendered a chunk at a time with the floats of ``bin_starts``.
-    """
-    edges = np.arange(n_bins) * bin_width
-    table = b"".join(
-        "".join(f"{edge!r},0\n" for edge in edges[i:i + _ROWS_PER_CHUNK].tolist()).encode()
-        for i in range(0, n_bins, _ROWS_PER_CHUNK))
-    count_at = np.flatnonzero(np.frombuffer(table, np.uint8) == ord("\n")) - 1
-    return table, count_at
-
-
 def export_histogram(hist: CoincidenceHistogram, path) -> None:
-    """Write the histogram as delimited text, one row per bin.
+    """Write the histogram's nonzero bins as delimited text, one row each.
 
     Column order is fixed: delay_bin_start_seconds, count.  Edges are
-    ``repr`` floats of :meth:`CoincidenceHistogram.bin_starts`.  The rows are
-    rendered once per binning with count 0 (``_zero_rows``, which keeps the
-    last binning's table, about 4 MiB at the preset), and each export
-    splices in only its nonzero counts.
+    ``repr`` floats of :meth:`CoincidenceHistogram.bin_starts`; bins not
+    listed are zero, and the run's ``hist_bin`` and ``hist_span`` give the
+    binning.
     """
-    table, count_at = _zero_rows(hist.bin_width, hist.n_bins)
-    view = memoryview(table)
     nonzero = np.flatnonzero(hist.bins)
-    done = 0
-    with open(path, "wb") as fh:
-        fh.write(b"delay_bin_start_seconds,count\n")
-        for at, count in zip(count_at[nonzero].tolist(), hist.bins[nonzero].tolist()):
-            fh.write(view[done:at])
-            fh.write(b"%d" % count)
-            done = at + 1
-        fh.write(view[done:])
+    edges = (nonzero * hist.bin_width).tolist()
+    with open(path, "w", newline="\n") as fh:
+        fh.write("delay_bin_start_seconds,count\n")
+        fh.writelines(f"{edge!r},{count}\n"
+                      for edge, count in zip(edges, hist.bins[nonzero].tolist()))

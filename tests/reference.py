@@ -102,25 +102,34 @@ def peak_areas(hist: CoincidenceHistogram, cycle_period: float,
     return PeakAreas.from_counts(areas)
 
 
-def load_histogram(path, pair_id: tuple[str, str] = ("?", "?")) -> CoincidenceHistogram:
-    """Read a histogram written by :func:`export_histogram`."""
-    edges: list[float] = []
-    counts: list[int] = []
+def load_histogram(path, bin_width: float, span: float) -> CoincidenceHistogram:
+    """Read a histogram written by :func:`export_histogram`.
+
+    The file lists only the nonzero bins; ``bin_width`` and ``span`` (a run's
+    ``hist_bin`` and ``hist_span``) give the binning.  A row whose edge is not
+    ``repr(i * bin_width)`` for a bin i in range, a bin out of order or
+    repeated, and a zero count each raise ValueError.
+    """
+    n_bins = round(span / bin_width)
+    bins = np.zeros(n_bins, dtype=np.int64)
+    last = -1
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "delay_bin_start_seconds,count":
             raise ValueError(f"unexpected histogram header: {header!r}")
         for line in fh:
             edge, _, count = line.partition(",")
-            edges.append(float(edge))
-            counts.append(int(count))
-    if len(edges) < 2:
-        raise ValueError("histogram file needs at least two bins to "
-                         "recover the bin width")
-    bin_width = edges[1] - edges[0]
-    span = bin_width * len(edges)
-    return CoincidenceHistogram(pair_id=pair_id, bin_width=bin_width,
-                                span=span, bins=np.asarray(counts, dtype=np.int64))
+            at = float(edge) / bin_width
+            i = round(at) if math.isfinite(at) else -1
+            if not 0 <= i < n_bins or edge != repr(i * bin_width):
+                raise ValueError(f"{edge!r} is not the edge of a bin")
+            if i <= last:
+                raise ValueError(f"bin {i} is out of order or repeated")
+            last, bins[i] = i, int(count)
+            if bins[i] < 1:
+                raise ValueError(f"bin {i} is listed with count {count.strip()}")
+    return CoincidenceHistogram(pair_id=("?", "?"), bin_width=bin_width,
+                                span=span, bins=bins)
 
 
 def counts_in_one_call(start_trials, start_offsets, stop_trials, stop_offsets,

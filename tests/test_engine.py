@@ -18,8 +18,8 @@ from scipy.stats import binomtest, kstest, uniform
 
 from pairsim import (ConfigDomainError, ConfigError, ExperimentConfig, SourceModel,
                      StreamOrderError,
-                     __version__, export_run, oracle_report, reference_preset,
-                     render_run_report, simulate_run, sweep)
+                     __version__, export_run, oracle_report, parse_config,
+                     reference_preset, render_run_report, simulate_run, sweep)
 from pairsim import engine
 from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, HISTOGRAM_PAIRS, derived_seed, export_sweep
@@ -99,14 +99,14 @@ def test_different_seeds_differ(preset):
 # float rounding in printing or libm cannot move it.  A change of the RNG
 # stream must bump the version and add its digest here.
 STREAM_DIGESTS = {
-    "0.3.0": "2ef21dc0aa023cdb338c30680e9ef389975dfffbe5f5f362b62aeff3afc09b53",
+    "0.4.0": "2ef21dc0aa023cdb338c30680e9ef389975dfffbe5f5f362b62aeff3afc09b53",
 }
 
 # The same digest off the preset: the classical source; forced dark clicks,
 # dense peak counting and numpy's own geometric gaps (dark_mean=5); and
 # numpy's BTPE branch of the 50/50 split (p_excitation=50).
 VARIANT_STREAM_DIGESTS = {
-    "0.3.0": {
+    "0.4.0": {
         "classical": "86cd32414aa97704344cf2b2f2979b0fcb7704e1dfcf34a3fc20dac1ac5f8544",
         "dark_mean=5": "0b58e2a07149b849f71082406dd20cb1d9f1d8e64218d98249fe67935a45a57d",
         "p_excitation=50": "1a3f36be55c8135abf5954b1b708834d34ff1387ccc797c6ccb1cc0c0a470c53",
@@ -141,11 +141,11 @@ def test_rng_stream_off_the_preset_is_pinned_to_version(preset, variant):
 # keep_events.  A change of the writers, the histogram or the stream must
 # bump the version and add its digests here.
 EXPORT_DIGESTS = {
-    "0.3.0": {
-        "hist_11.csv": "b21b335a99234fa7416a9495e5e11b8efb95ba4cdb93c59551498b08de25555d",
-        "hist_22.csv": "5f0da53f27389b25dee7dfd908789813aa121d31ffa43c2c3b6499f75fca4e97",
-        "hist_12.csv": "0cd5ada12f238030bde5e75a8e6a38cca8436ebbfc533aae2603d04871c36738",
-        "hist_12b.csv": "f4d1687c7c1095f17b863909f495ac052d91574319558b692f6315cd77829cab",
+    "0.4.0": {
+        "hist_11.csv": "77204d12b4c4242d5859be855937594519580b994f1af8f68800e4548cd46b4a",
+        "hist_22.csv": "c9692fd2b5be2dad3b9b972ec5bdf270fd3fc881f73166ec5b0dfa14d73ce001",
+        "hist_12.csv": "8db0af27fa112010e4b45ec343126015f13b34f06f6994b70dced62cd9eedf7c",
+        "hist_12b.csv": "1557e5c82899af49ad925c9095563b82b72c49568fff0e34c1dee80fa6302dd2",
         "events.csv": "4f4d3283e79a2be6eca6efbfc0a1c3a9a27bcfd2a20b55b535b6d3d3a4a53a05",
     },
 }
@@ -690,16 +690,19 @@ def test_pattern_counts_consistent_with_streams(preset):
         assert from_patterns == len(result.streams[det])
 
 
-def test_export_round_trip_and_manifest(preset, tmp_path):
-    result = simulate_run(preset, trials=30_000, seed=8)
+@pytest.mark.parametrize("variant", [{}, {"dark_mean": 5.0}], ids=["preset", "dark_mean=5"])
+def test_export_round_trip_and_manifest(preset, tmp_path, variant):
+    result = simulate_run(dataclasses.replace(preset, **variant), trials=30_000, seed=8)
     manifest = export_run(result, tmp_path / "out")
     for name in manifest.outputs:
         assert (tmp_path / "out" / name).exists()
-    loaded = load_histogram(tmp_path / "out" / "hist_12.csv")
-    assert np.array_equal(loaded.bins, result.histograms["12"].bins)
+    ran = parse_config((tmp_path / "out" / "config.txt").read_text())
+    for label, name in engine.HISTOGRAM_FILES.items():
+        loaded = load_histogram(tmp_path / "out" / name, ran.hist_bin, ran.hist_span)
+        assert np.array_equal(loaded.bins, result.histograms[label].bins), name
     raw = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert raw["seed"] == 8 and raw["trials"] == 30_000
-    assert __version__ == "0.3.0" and raw["version"] == __version__
+    assert __version__ == "0.4.0" and raw["version"] == __version__
     assert manifest.sampler == raw["sampler"] == "active_trial"
     report_text = (tmp_path / "out" / "report.txt").read_text()
     assert report_text == render_run_report(result)

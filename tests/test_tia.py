@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,18 +196,37 @@ def test_histogram_export_round_trip(tmp_path):
     hist = dataclasses.replace(base, bins=rng.integers(0, 50, base.n_bins))
     path = tmp_path / "hist.csv"
     export_histogram(hist, path)
-    loaded = load_histogram(path)
+    loaded = load_histogram(path, hist.bin_width, hist.span)
     assert np.array_equal(loaded.bins, hist.bins)
-    assert loaded.bin_width == pytest.approx(hist.bin_width, rel=1e-12)
     header = path.read_text().splitlines()[0]
     assert header == "delay_bin_start_seconds,count"
 
 
+@pytest.mark.parametrize("rows", [
+    "1.5e-08,2\n",                  # between two edges
+    "1.0000000000000001e-08,2\n",   # not the repr of bin 1's edge
+    "-1e-08,2\n",                   # before the first bin
+    "0.001,2\n",                    # the end of the span, one past the last bin
+    "nan,2\n",
+    "2e-08,1\n1e-08,1\n",           # out of order
+    "1e-08,1\n1e-08,1\n",           # repeated
+    "1e-08,0\n",                    # zero count
+], ids=["between-edges", "not-repr", "negative", "past-span", "nan", "out-of-order",
+        "repeated", "zero-count"])
+def test_load_histogram_rejects_rows_the_writer_never_writes(tmp_path, rows):
+    path = tmp_path / "hist.csv"
+    path.write_text("delay_bin_start_seconds,count\n" + rows)
+    with pytest.raises(ValueError):
+        load_histogram(path, 1e-8, 1e-3)
+
+
 def per_row_export(hist):
-    """Reference writer: one f-string per bin, as the format is defined."""
-    return ("delay_bin_start_seconds,count\n" + "".join(
-        f"{float(edge)!r},{int(count)}\n"
-        for edge, count in zip(hist.bin_starts(), hist.bins))).encode()
+    """Reference writer: the one f-string per bin of the 0.3.0 files, with the
+    rows of zero-count bins left out."""
+    rows = (f"{float(edge)!r},{int(count)}\n"
+            for edge, count in zip(hist.bin_starts(), hist.bins))
+    return ("delay_bin_start_seconds,count\n"
+            + "".join(row for row in rows if not row.endswith(",0\n"))).encode()
 
 
 def counts_histogram(bin_width, counts):
@@ -237,8 +257,6 @@ def test_export_histogram_matches_per_row_writer(tmp_path, bin_width, counts):
 
 
 def test_export_histogram_alternating_binnings(tmp_path):
-    # Same bin count at two widths, then another count: a table kept from
-    # the previous binning would write the wrong edges or rows.
     rng = np.random.default_rng(8)
     hists = [counts_histogram(bw, rng.integers(0, 3, n) * (rng.random(n) < 0.01))
              for bw, n in ((1e-8, 4000), (1e-7, 4000), (1e-8, 9000))]
@@ -246,6 +264,26 @@ def test_export_histogram_alternating_binnings(tmp_path):
         path = tmp_path / f"hist_{i}.csv"
         export_histogram(hist, path)
         assert path.read_bytes() == per_row_export(hist)
+
+
+def test_export_histogram_memory_and_size_follow_the_counts(tmp_path):
+    # 1.8M bins (hist_bin=1e-9 over the preset span), about 2,000 of them
+    # counted: the file and the memory of writing it grow with those, not
+    # with the bins.
+    rng = np.random.default_rng(12)
+    counts = np.zeros(1_800_000, dtype=np.int64)
+    counts[rng.choice(counts.size, 2000, replace=False)] = rng.integers(1, 1000, 2000)
+    hist = counts_histogram(1e-9, counts)
+    path = tmp_path / "hist.csv"
+    tracemalloc.start()
+    try:
+        export_histogram(hist, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert path.stat().st_size < 200_000
+    assert np.array_equal(load_histogram(path, hist.bin_width, hist.span).bins, counts)
 
 
 def test_uncorrelated_streams_have_flat_peaks():
