@@ -19,7 +19,9 @@ reader: ``_clicks_in`` copies its pieces into one pair of arrays, and
 counted one block at a time and singles come from the pattern counts, so a
 run that nothing else reads never builds run-level arrays.
 ``RunResult.streams`` and ``click_trials`` build a detector from the blocks
-each time it is indexed, and ``export_run`` reads one detector at a time.
+each time it is indexed.  The histograms and ``events.csv`` read them one
+chunk of whole blocks at a time (``_chunks``), so their memory is set by a
+chunk and the binning, not by the run.
 
 ``_sampled`` is the one scheduler of runs and sweeps.  It takes each run as
 one ``ExperimentConfig``, whose n_trials and rng_seed are the trials and seed
@@ -83,8 +85,10 @@ each lag; every pair of any other block goes through the sparse kernel
 ``len(table) - baseline_peaks``.  Both count the same pairs exactly.  Only
 (A,B), (C,D) and (A,C) decide the Cauchy-Schwarz report, and (B,D) is
 reported as a check.  The coincidence histograms are built from the
-timestamps the first time ``RunResult.histograms`` is read, which
-``export_run`` does.
+timestamps by ``_histograms``, one chunk of blocks at a time: for all four
+pairs the first time ``RunResult.histograms`` is read, and for one pair at
+a time in ``export_run``, which writes each pair's file before it builds
+the next.
 """
 
 from __future__ import annotations
@@ -111,8 +115,8 @@ from .config import (ConfigError, ExperimentConfig, as_integer, render_config,
                      render_value)
 from .optics import DETECTOR_IDS, add_background, detect_batch, split, thin
 from .source import SourceModel, decohere_memory, retrieve, sample_write
-from .tia import (CoincidenceHistogram, PeakAreas, TimestampStream, _require_sorted,
-                  export_histogram)
+from .tia import (CoincidenceHistogram, PeakAreas, TimestampStream, _bin_count,
+                  _require_sorted, export_histogram)
 from .tia import histogram as build_histogram
 
 BLOCK_TRIALS = 1 << 16
@@ -192,7 +196,9 @@ class RunResult:
     block-local trial indices (uint16) and within-cycle offsets (float64).
     Reading the result never changes them.  ``streams`` and
     ``click_trials`` build a detector from them each time it is indexed;
-    ``histograms`` are built on first read and kept.
+    ``histograms`` are built from them a chunk of blocks at a time on first
+    read, and kept.  ``export_run`` does not read ``histograms``: it builds
+    and writes one pair's histogram at a time.
 
     A sweep value's run keeps only its counts: its ``block_clicks`` is None,
     and ``click_trials``, ``histograms`` and ``export_run`` raise
@@ -220,9 +226,7 @@ class RunResult:
 
     def _clicks(self, det: str) -> tuple[np.ndarray, np.ndarray]:
         """Run-level trial indices and timestamps of every click of ``det``."""
-        trials, timestamps = _clicks_in(self._tables(), det, 0, self.trials)
-        timestamps += trials * self.config.cycle_period
-        return trials, timestamps
+        return _clicks_in(self._tables(), det, 0, self.trials, self.config.cycle_period)
 
     @property
     def streams(self) -> Mapping[str, TimestampStream]:
@@ -245,10 +249,7 @@ class RunResult:
     @functools.cached_property
     def histograms(self) -> dict[str, CoincidenceHistogram]:
         """Coincidence histogram of every pair, built on first access."""
-        streams = {det: TimestampStream(det, self._clicks(det)[1]) for det in DETECTOR_IDS}
-        return {label: build_histogram(streams[start], streams[stop],
-                                       self.config.hist_bin, self.config.hist_span)
-                for label, start, stop, _ in HISTOGRAM_PAIRS}
+        return _histograms(self._tables(), self.config, HISTOGRAM_PAIRS)
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -555,22 +556,30 @@ def _block_pieces(blocks, det: str, first: int, stop: int):
     return pieces
 
 
-def _clicks_in(blocks, det: str, first: int, stop: int):
+def _clicks_in(blocks, det: str, first: int, stop: int, cycle_period: float | None = None):
     """Clicks of ``det`` in trials [first, stop) of the run, copied from the blocks.
 
     Returns their trial indices relative to ``first`` (int64) and their
     within-cycle offsets, in trial order; ``stop`` may lie past the run.
+    Given ``cycle_period``, the offsets become run-level timestamps, offset +
+    trial * cycle_period with the run-level trial, formed piece by piece.
     """
     pieces = _block_pieces(blocks, det, first, stop)
     size = sum(local.size for _, local, _ in pieces)
     trials, times = np.empty(size, dtype=np.int64), np.empty(size)
     at = 0
     for shift, local, offsets in pieces:
-        trials[at:at + local.size] = local
-        if shift:
-            trials[at:at + local.size] += shift
-        times[at:at + local.size] = offsets
+        got = slice(at, at + local.size)
         at += local.size
+        trials[got] = local
+        if shift:
+            trials[got] += shift
+        if cycle_period is None:
+            times[got] = offsets
+        else:  # (base + local) * cycle_period + offset; trials are exact in float64
+            np.add(local, np.float64(first + shift), out=times[got])
+            times[got] *= cycle_period
+            times[got] += offsets
     return trials, times
 
 
@@ -578,13 +587,62 @@ def _scatter(blocks, det: str, first: int, at: np.ndarray) -> np.ndarray:
     """Fill ``at`` with the offset of the click of ``det`` in each trial of
     [first, first + len(at)), NaN where none is; ``first`` is a block edge.
 
-    Scattered straight from each block's uint16 table, with no int64 or float
-    copy.
+    Scattered straight from each block's tables, with no float copy; the
+    uint16 trials are indexed as intp, since a uint16 index takes numpy's
+    slower casting path.
     """
     at.fill(np.nan)
     for shift, local, offsets in _block_pieces(blocks, det, first, first + at.size):
-        at[shift:][local] = offsets
+        at[shift:][local.astype(np.intp)] = offsets
     return at
+
+
+def _chunks(blocks, dets, cap: int):
+    """(first, stop) block index ranges of consecutive blocks, in order, each
+    holding at most ``cap`` clicks of every detector in ``dets``, or one block.
+    """
+    first, held = 0, [0] * len(dets)
+    for b, block in enumerate(blocks):
+        sizes = [block[det][0].size for det in dets]
+        if b > first and any(h + n > cap for h, n in zip(held, sizes)):
+            yield first, b
+            first, held = b, [0] * len(dets)
+        held = [h + n for h, n in zip(held, sizes)]
+    yield first, len(blocks)
+
+
+def _histograms(blocks, config: ExperimentConfig, pairs) -> dict[str, CoincidenceHistogram]:
+    """Coincidence histogram of each of ``pairs`` (entries of HISTOGRAM_PAIRS),
+    built from the block tables one chunk of whole blocks at a time.
+
+    A chunk holds at most max(BLOCK_TRIALS, n_bins) clicks of each detector
+    the pairs read (see ``_chunks``), so each ``build_histogram`` call has
+    about as many starts as it has bins to zero and count.  Each detector is
+    read once per chunk, as timestamps over the chunk and the R =
+    ceil(hist_span / cycle_period) + 1 trials after it: a stop in range of
+    a start lies at most ceil(hist_span / cycle_period) trials after it.
+    The chunk's starts meet those stops, and the chunks' bins add up to the
+    run-level histogram's, bit for bit, since every timestamp is the one
+    ``RunResult.streams`` holds.
+    """
+    n_bins = _bin_count(config.hist_span, config.hist_bin)
+    reach = math.ceil(config.hist_span / config.cycle_period) + 1
+    dets = sorted({det for _, start, stop, _ in pairs for det in (start, stop)})
+    hists: dict[str, CoincidenceHistogram] = {}
+    for first, stop in _chunks(blocks, dets, max(BLOCK_TRIALS, n_bins)):
+        times = {det: _clicks_in(blocks, det, first * BLOCK_TRIALS,
+                                 stop * BLOCK_TRIALS + reach, config.cycle_period)[1]
+                 for det in dets}
+        for label, start_det, stop_det, _ in pairs:
+            in_chunk = sum(block[start_det][0].size for block in blocks[first:stop])
+            hist = build_histogram(TimestampStream(start_det, times[start_det][:in_chunk]),
+                                   TimestampStream(stop_det, times[stop_det]),
+                                   config.hist_bin, config.hist_span)
+            if label in hists:
+                hists[label].bins += hist.bins
+            else:
+                hists[label] = hist
+    return hists
 
 
 def extract_peak_areas(start_trials: np.ndarray, start_offsets: np.ndarray,
@@ -629,20 +687,22 @@ def _count_peaks(blocks, delay_dt: float, baseline_peaks: int) -> dict[str, np.n
     - sparse: ``_clicks_in`` reads each detector, and ``extract_peak_areas``
       counts the block's starts on one all -inf stop table.
     Both count the same pairs with the same float expressions, so the counts
-    do not depend on DENSE_CLICKS.  The stop table, the per-trial arrays and
-    ``stop_at`` are made once per call and reused by every block, and a
-    dense read copies nothing, so a saturated run does not touch fresh pages
-    for them in every block.
+    do not depend on DENSE_CLICKS.  The per-trial arrays and ``stop_at`` are
+    made once per call, and the stop table at the first sparse block, and
+    every block reuses them; a dense read copies no offsets, so a saturated
+    run does not touch fresh pages for them in every block.
     """
     length = BLOCK_TRIALS + baseline_peaks
     counts = {label: np.zeros(baseline_peaks + 1, dtype=np.int64)
               for label, *_ in HISTOGRAM_PAIRS}
-    table = np.full(length, -np.inf)
+    table = None
     by_trial = {det: np.empty(length) for det in DETECTOR_IDS}
     stop_at = np.empty(length)
     for b, block in enumerate(blocks):
         first = b * BLOCK_TRIALS
         dense = max(block[det][0].size for det in DETECTOR_IDS) > DENSE_CLICKS
+        if not dense and table is None:
+            table = np.full(length, -np.inf)
         reads = {det: _scatter(blocks, det, first, by_trial[det]) if dense
                  else _clicks_in(blocks, det, first, first + length)
                  for det in DETECTOR_IDS}
@@ -795,15 +855,18 @@ def export_run(result: RunResult, out_dir, keep_events: bool = False) -> RunMani
     and ``config_text`` hold the run's trials and seed, so they reproduce
     it.  Event streams are only written when ``keep_events`` is set.  A run
     without click tables (a sweep value's) raises RuntimeError first.
+    Each pair's histogram is built (``_histograms``) and written before the
+    next, and events.csv is written a chunk of blocks at a time, so export
+    holds one histogram and one chunk, whatever the run's length.
     """
-    result._tables()  # a run without tables raises here, before the directory
+    blocks = result._tables()  # a run without tables raises here, before the directory
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs: list[str] = []
 
-    for label, hist in result.histograms.items():
-        name = HISTOGRAM_FILES[label]
-        export_histogram(hist, out / name)
+    for pair in HISTOGRAM_PAIRS:  # one histogram held at a time
+        name = HISTOGRAM_FILES[pair[0]]
+        export_histogram(_histograms(blocks, result.config, [pair])[pair[0]], out / name)
         outputs.append(name)
 
     (out / "report.txt").write_text(render_run_report(result))
@@ -817,9 +880,13 @@ def export_run(result: RunResult, out_dir, keep_events: bool = False) -> RunMani
         with open(out / "events.csv", "w") as fh:
             fh.write("detector,trial_index,timestamp_seconds\n")
             for det in DETECTOR_IDS:
-                trials, timestamps = result._clicks(det)
-                fh.writelines(map(f"{det},{{}},{{!r}}\n".format,
-                                  trials.tolist(), timestamps.tolist()))
+                row = f"{det},{{}},{{!r}}\n".format
+                for first, stop in _chunks(blocks, [det], BLOCK_TRIALS):
+                    first, stop = first * BLOCK_TRIALS, stop * BLOCK_TRIALS
+                    trials, timestamps = _clicks_in(blocks, det, first, stop,
+                                                    result.config.cycle_period)
+                    trials += first
+                    fh.writelines(map(row, trials.tolist(), timestamps.tolist()))
         outputs.append("events.csv")
 
     manifest = RunManifest(seed=result.seed, trials=result.trials,

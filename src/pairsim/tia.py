@@ -115,11 +115,17 @@ def histogram(start: TimestampStream, stop: TimestampStream,
     _require_sorted(start.timestamps, f"stream {start.detector_id}")
     _require_sorted(stop.timestamps, f"stream {stop.detector_id}")
     n_bins = _bin_count(span, bin_width)
-    counts = np.zeros(n_bins, dtype=np.int64)
     starts = start.timestamps
+    if stop.timestamps.size < starts.size:
+        # The first stop at or after each start, searched with fewer keys:
+        # the stops before start i are those with at most i starts at or
+        # before them.
+        below = np.searchsorted(starts, stop.timestamps, side="right")
+        nxt = np.cumsum(np.bincount(below, minlength=starts.size + 1))[:starts.size]
+    else:
+        nxt = np.searchsorted(stop.timestamps, starts, side="left")
     stops = np.append(stop.timestamps, np.inf)  # every start runs out at inf
-    nxt = np.searchsorted(stops, starts, side="left")
-    held, n_held = [], 0
+    counts, held, n_held = None, [], 0
     while True:
         delay = stops[nxt] - starts
         going = delay < span
@@ -132,14 +138,24 @@ def histogram(start: TimestampStream, stop: TimestampStream,
         held.append(bins[bins < n_bins])
         n_held += held[-1].size
         if n_held >= n_bins:
-            counts += np.bincount(np.concatenate(held), minlength=n_bins)
+            counts = _add_held(counts, held, n_bins)
             held, n_held = [], 0
         nxt += 1
-    if held:
-        counts += np.bincount(np.concatenate(held), minlength=n_bins)
     return CoincidenceHistogram(
         pair_id=(start.detector_id, stop.detector_id),
-        bin_width=bin_width, span=span, bins=counts)
+        bin_width=bin_width, span=span, bins=_add_held(counts, held, n_bins))
+
+
+def _add_held(counts: np.ndarray | None, held: list[np.ndarray], n_bins: int) -> np.ndarray:
+    """``counts`` plus the count of each bin in the ``held`` arrays.  With no
+    ``counts`` yet that count is returned, so no zeroed array is added to."""
+    if not held:
+        return np.zeros(n_bins, dtype=np.int64) if counts is None else counts
+    added = np.bincount(np.concatenate(held), minlength=n_bins)
+    if counts is None:
+        return added
+    counts += added
+    return counts
 
 
 def export_histogram(hist: CoincidenceHistogram, path) -> None:

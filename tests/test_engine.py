@@ -24,7 +24,7 @@ from pairsim import engine
 from pairsim.config import NO_DECAY
 from pairsim.engine import BLOCK_TRIALS, HISTOGRAM_PAIRS, derived_seed, export_sweep
 from pairsim.oracle import pattern_distribution
-from pairsim.tia import PeakAreas
+from pairsim.tia import PeakAreas, export_histogram, histogram
 from reference import (active_trials, counts_in_one_call, first_sources, load_histogram,
                        peak_areas, valid_configs)
 
@@ -418,9 +418,10 @@ def test_count_peaks_equals_one_call_at_every_density(block_trials, n_blocks, la
 @pytest.mark.parametrize("n_blocks", [4, 16])
 def test_counting_peaks_holds_memory_set_by_one_block(preset, n_blocks):
     # Saturated runs: every detector is dense in every block.  Counting
-    # holds a stop table, four per-trial arrays and the shifted stops, and
-    # scatters each dense read straight from the block tables: about 49
-    # bytes per trial of a block and its reach.  Copying each read to int64
+    # holds four per-trial arrays and the shifted stops, and scatters each
+    # dense read straight from the block tables with one block's trials as
+    # an intp index: about 48 bytes per trial of a block and its reach.  A
+    # sparse block's stop table would add 8.  Copying each read to int64
     # trials and float offsets first takes about 65; holding the four reads
     # of a block as well takes at least 112.
     config = dataclasses.replace(preset, dark_mean=5.0)
@@ -706,6 +707,67 @@ def test_export_round_trip_and_manifest(preset, tmp_path, variant):
     assert manifest.sampler == raw["sampler"] == "active_trial"
     report_text = (tmp_path / "out" / "report.txt").read_text()
     assert report_text == render_run_report(result)
+
+
+@pytest.mark.parametrize("block_trials, hist_bin", [(8, 1e-4), (64, 1e-5)])
+@pytest.mark.parametrize("noise", [{}, {"dark_mean": 5.0}], ids=["preset", "dark_5.0"])
+def test_chunked_export_writes_what_run_level_streams_give(preset, monkeypatch, tmp_path,
+                                                          block_trials, hist_bin, noise):
+    # Few bins and small blocks: a chunk is a few blocks, so each histogram
+    # and events.csv are built from several, and with 8-trial blocks the
+    # 10 trials of stops after a chunk reach past the next block.
+    monkeypatch.setattr(engine, "BLOCK_TRIALS", block_trials)
+    monkeypatch.setattr(engine, "DENSE_CLICKS", block_trials // 5)
+    config = dataclasses.replace(preset, hist_bin=hist_bin, **noise)
+    result = simulate_run(config, trials=200 * block_trials + 3, seed=4)
+    calls = []
+    build = engine.build_histogram
+    monkeypatch.setattr(engine, "build_histogram",
+                        lambda *args: calls.append(args) or build(*args))
+    export_run(result, tmp_path / "out", keep_events=True)
+    assert len(calls) > len(HISTOGRAM_PAIRS)  # some pair took several chunks
+    streams = result.streams
+    for label, start, stop, _ in HISTOGRAM_PAIRS:
+        whole = histogram(streams[start], streams[stop], hist_bin, config.hist_span)
+        assert np.array_equal(result.histograms[label].bins, whole.bins), label
+        export_histogram(whole, tmp_path / "whole.csv")
+        assert ((tmp_path / "out" / engine.HISTOGRAM_FILES[label]).read_bytes()
+                == (tmp_path / "whole.csv").read_bytes()), label
+    rows = [f"{det},{trial},{timestamp!r}\n" for det in "ABCD"
+            for trial, timestamp in zip(result.click_trials[det].tolist(),
+                                        streams[det].timestamps.tolist())]
+    assert (tmp_path / "out" / "events.csv").read_text() == (
+        "detector,trial_index,timestamp_seconds\n" + "".join(rows))
+
+
+@pytest.mark.parametrize("block_trials, hist_bin, keep_events", [
+    (BLOCK_TRIALS, 1e-8, False),  # the preset's binning: a chunk is two blocks
+    (4096, 1e-6, True),  # smaller blocks keep events.csv quick under tracemalloc
+], ids=["histograms", "events"])
+def test_export_holds_memory_set_by_the_binning_not_the_run(preset, monkeypatch, tmp_path,
+                                                            block_trials, hist_bin,
+                                                            keep_events):
+    # Saturated runs.  Export builds one histogram at a time from chunks of
+    # a few blocks and writes events.csv a chunk at a time, so its traced
+    # peak must not grow with the blocks.  Building from run-level streams
+    # grows by about 99 bytes a trial (78 MB from 4 to 16 blocks of the
+    # engine's size), and writing events.csv from run-level rows by about
+    # 90 (4.4 MB from 4 to 16 blocks of 4096 trials).
+    monkeypatch.setattr(engine, "BLOCK_TRIALS", block_trials)
+    monkeypatch.setattr(engine, "DENSE_CLICKS", block_trials // 5)
+    config = dataclasses.replace(preset, dark_mean=5.0, hist_bin=hist_bin)
+    export_run(simulate_run(config, trials=block_trials, seed=3), tmp_path / "warm",
+               keep_events=keep_events)
+    peaks = {}
+    for blocks in (4, 16):
+        result = simulate_run(config, trials=blocks * block_trials, seed=3)
+        tracemalloc.start()
+        try:
+            export_run(result, tmp_path / str(blocks), keep_events=keep_events)
+            _, peaks[blocks] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peaks[16] - peaks[4] < 2_600_000
 
 
 def test_export_is_deterministic(preset, tmp_path):

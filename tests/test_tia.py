@@ -102,6 +102,21 @@ def test_histogram_boundaries_match_brute_force(starts, stops):
     assert np.array_equal(hist.bins, brute_force_histogram(starts, stops, bin_width, span))
 
 
+@pytest.mark.parametrize("fewer", ["stops", "starts"])
+def test_stops_on_start_timestamps_match_brute_force(fewer):
+    # Every stop of one stream sits on a timestamp of the other, so ties
+    # decide each start's first stop.  With fewer stops than starts that
+    # stop is found by searching the starts for the stops.
+    rng = np.random.default_rng(32)
+    times = np.sort(rng.choice(4096, 600, replace=False)) / 1024  # exact delays
+    some = times[rng.random(times.size) < 0.3]
+    starts, stops = (times, some) if fewer == "stops" else (some, times)
+    hist = histogram(stream("A", starts), stream("B", stops), 1 / 1024, 0.5)
+    brute = brute_force_histogram(starts, stops, 1 / 1024, 0.5)
+    assert brute[0] == min(starts.size, stops.size) and brute.sum() > 1000
+    assert np.array_equal(hist.bins, brute)
+
+
 @pytest.mark.parametrize("bin_width, span", [
     (1e-8, 1.8e-3),  # the preset's binning
     (0.1, 0.3),  # span / bin_width rounds below 3: a delay of span floors to bin 2
